@@ -12,7 +12,6 @@ from .clustering import (
     ClusterAssignment,
     InfeasibleClusterCount,
     cluster_network,
-    full_set_rate,
     hamming_distance,
     initialize_clusters,
     merge_iteration,
@@ -22,8 +21,6 @@ from .core import (
     RunStreams,
     ScenarioConfig,
     Scheme,
-    missing_set,
-    or_update,
     packet_label,
     stream,
 )
@@ -101,14 +98,11 @@ __all__ = [
     "draw_backoff",
     "draw_baseline_backoff",
     "frame_duration",
-    "full_set_rate",
     "full_set_rate_samples",
     "hamming_distance",
     "initialize_clusters",
     "mark_unobtainable",
     "merge_iteration",
-    "missing_set",
-    "or_update",
     "packet_label",
     "rows_to_csv",
     "run_cluster_exchange",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ClusterId, IndicatorVector, Rng, UavId, or_update
+from .core import ClusterId, IndicatorVector, Rng, UavId
 
 
 class InfeasibleClusterCount(ValueError):
@@ -21,9 +21,9 @@ class InfeasibleClusterCount(ValueError):
 
 def hamming_distance(a: IndicatorVector, b: IndicatorVector) -> int:
     """Number of positions where two equal-length indicator vectors differ."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(x != y for x, y in zip(a.bits, b.bits))
+    if a.length != b.length:
+        raise ValueError(f"length mismatch: {a.length} vs {b.length}")
+    return (a.mask ^ b.mask).bit_count()
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class ClusterAssignment:
         for group, vec in zip(self.members, self.cluster_vectors):
             combined = vectors[group[0]]
             for u in group[1:]:
-                combined = or_update(combined, vectors[u])
+                combined = combined | vectors[u]
             if combined != vec:
                 raise AssertionError("stored cluster vector differs from member OR")
 
@@ -88,8 +88,9 @@ def _min_distance_pair(
     best: tuple[UavId, UavId] | None = None
     best_dist: int | None = None
     for idx, i in enumerate(candidates):
+        vector_i = vectors[i]
         for j in candidates[idx + 1:]:
-            d = hamming_distance(vectors[i], vectors[j])
+            d = hamming_distance(vector_i, vectors[j])
             if best_dist is None or d < best_dist:
                 best, best_dist = (i, j), d
     assert best is not None
@@ -147,9 +148,11 @@ def merge_iteration(
     while open_clusters and new_pool:
         best: tuple[ClusterId, UavId] | None = None
         best_dist = -1
+        pool_order = sorted(new_pool)
         for n in sorted(open_clusters):
-            for i in sorted(new_pool):
-                d = hamming_distance(start_vectors[n], vectors[i])
+            cluster_vector = start_vectors[n]
+            for i in pool_order:
+                d = hamming_distance(cluster_vector, vectors[i])
                 if d > best_dist:
                     best, best_dist = (n, i), d
         assert best is not None
@@ -160,7 +163,7 @@ def merge_iteration(
         joined.append((n_star, i_star))
     new_vectors = list(start_vectors)
     for n, i in joined:
-        new_vectors[n] = or_update(new_vectors[n], vectors[i])
+        new_vectors[n] = new_vectors[n] | vectors[i]
     return new_members, new_vectors, new_pool
 
 
@@ -177,7 +180,7 @@ def cluster_network(
     if num_clusters == 1:
         combined = vectors[0]
         for v in vectors[1:]:
-            combined = or_update(combined, v)
+            combined = combined | v
         return ClusterAssignment((tuple(range(len(vectors))),), (combined,))
     members, pool = initialize_clusters(vectors, num_clusters, rng)
     cluster_vectors = [vectors[group[0]] for group in members]
@@ -189,11 +192,3 @@ def cluster_network(
         tuple(tuple(group) for group in members), tuple(cluster_vectors)
     )
 
-
-def full_set_rate(assignments: Sequence[ClusterAssignment]) -> float:
-    """Fraction of clusters, across all assignments, whose combined holdings are complete."""
-    if not assignments:
-        raise ValueError("need at least one assignment")
-    total = sum(a.num_clusters for a in assignments)
-    full = sum(a.full_cluster_count() for a in assignments)
-    return full / total

@@ -37,30 +37,65 @@ class Scheme(Enum):
         return self is Scheme.PROPOSED
 
 
-@dataclass(frozen=True)
+def packet_mask(packets: Iterable[PacketId]) -> int:
+    """Bitmask with bit m set for each packet id m."""
+    mask = 0
+    for p in packets:
+        mask |= 1 << p
+    return mask
+
+
+def mask_packets(mask: int) -> tuple[PacketId, ...]:
+    """Packet ids of the set bits of a mask, in ascending order."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(ids)
+
+
+@dataclass(frozen=True, init=False)
 class IndicatorVector:
     """Fixed-length binary vector; position m holds 1 iff packet m is possessed.
 
-    Immutable value type. The length is the scenario's packet count and never
-    changes; combining vectors produces new instances.
+    Stored as one Python int, bit m for position m, plus the length, so the
+    set algebra of holdings is integer bit arithmetic of any width. Immutable
+    value type: the length is the scenario's packet count and never changes;
+    combining vectors produces new instances.
     """
 
-    bits: tuple[int, ...]
+    mask: int
+    length: int
 
-    def __post_init__(self) -> None:
-        if len(self.bits) == 0:
-            raise ValueError("indicator vector must have at least one position")
-        if any(b not in (0, 1) for b in self.bits):
+    def __init__(self, bits: Iterable[int]) -> None:
+        bits = tuple(bits)
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("indicator bits must be exactly 0 or 1")
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+        self._fill(packet_mask(m for m, b in enumerate(bits) if b), len(bits))
+
+    @classmethod
+    def from_mask(cls, mask: int, length: int) -> IndicatorVector:
+        """Vector of ``length`` positions whose set bits are those of ``mask``."""
+        vector = object.__new__(cls)
+        vector._fill(mask, length)
+        return vector
+
+    def _fill(self, mask: int, length: int) -> None:
+        if length < 1:
+            raise ValueError("indicator vector must have at least one position")
+        if not 0 <= mask < 1 << length:
+            raise ValueError(f"mask {mask} does not fit {length} positions")
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "length", length)
 
     @classmethod
     def zeros(cls, length: int) -> IndicatorVector:
-        return cls((0,) * length)
+        return cls.from_mask(0, length)
 
     @classmethod
     def ones(cls, length: int) -> IndicatorVector:
-        return cls((1,) * length)
+        return cls.from_mask((1 << length) - 1, length)
 
     @classmethod
     def from_packets(cls, packets: Iterable[PacketId], length: int) -> IndicatorVector:
@@ -69,40 +104,42 @@ class IndicatorVector:
         bad = [p for p in held if not 0 <= p < length]
         if bad:
             raise ValueError(f"packet ids out of range [0, {length}): {sorted(bad)}")
-        return cls(tuple(1 if m in held else 0 for m in range(length)))
+        return cls.from_mask(packet_mask(held), length)
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple((self.mask >> m) & 1 for m in range(self.length))
+
+    @property
+    def missing_mask(self) -> int:
+        """Bitmask of the positions that hold 0."""
+        return ((1 << self.length) - 1) & ~self.mask
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.length
 
     def __or__(self, other: IndicatorVector) -> IndicatorVector:
-        return or_update(self, other)
+        """Element-wise logical OR of two equal-length vectors."""
+        if self.length != other.length:
+            raise ValueError(f"length mismatch: {self.length} vs {other.length}")
+        return IndicatorVector.from_mask(self.mask | other.mask, self.length)
 
     def popcount(self) -> int:
-        return sum(self.bits)
+        return self.mask.bit_count()
 
     def is_full(self) -> bool:
-        return all(b == 1 for b in self.bits)
+        return self.mask == (1 << self.length) - 1
 
     def held_packets(self) -> frozenset[PacketId]:
-        return frozenset(m for m, b in enumerate(self.bits) if b == 1)
+        return frozenset(mask_packets(self.mask))
+
+    def missing_packets(self) -> frozenset[PacketId]:
+        """Packet ids whose bit is 0 (the complement of the held set)."""
+        return frozenset(mask_packets(self.missing_mask))
 
     def with_packets(self, packets: Iterable[PacketId]) -> IndicatorVector:
         """New vector with the given packet ids switched on."""
-        return self | IndicatorVector.from_packets(packets, len(self))
-
-
-def or_update(cluster_vec: IndicatorVector, uav_vec: IndicatorVector) -> IndicatorVector:
-    """Element-wise logical OR of two equal-length indicator vectors."""
-    if len(cluster_vec) != len(uav_vec):
-        raise ValueError(
-            f"length mismatch: {len(cluster_vec)} vs {len(uav_vec)}"
-        )
-    return IndicatorVector(tuple(a | b for a, b in zip(cluster_vec.bits, uav_vec.bits)))
-
-
-def missing_set(v: IndicatorVector) -> frozenset[PacketId]:
-    """Packet ids whose bit is 0 (the complement of the held set)."""
-    return frozenset(m for m, b in enumerate(v.bits) if b == 0)
+        return self | IndicatorVector.from_packets(packets, self.length)
 
 
 @dataclass(frozen=True)

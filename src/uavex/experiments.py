@@ -158,18 +158,24 @@ def sweep_full_set_rate(spec: SweepSpec) -> list[AggregateRow]:
     """
     if spec.parameter != "num_clusters":
         raise ValueError("full-set-rate sweeps vary num_clusters")
+
+    def skipped(tag: str, exc: ValueError) -> AggregateRow:
+        print(f"warning: skipping {tag}: {exc}", file=sys.stderr)
+        return AggregateRow(tag, spec.base.scheme.value, None, None, None, None,
+                            None, None, 0, spec.base.seed)
+
     rows = []
     for value in spec.values:
         tag = f"rho={spec.base.delivery_rate:g};N={int(value)}"
         try:
-            config = replace(spec.base, num_clusters=int(value))
+            config = replace(spec.base, num_clusters=int(value))  # N > U fails here
+        except ValueError as exc:
+            rows.append(skipped(tag, exc))
+            continue
+        try:
             fractions = full_set_rate_samples(config, spec.runs)
-        except (InfeasibleClusterCount, ValueError) as exc:
-            print(f"warning: skipping {tag}: {exc}", file=sys.stderr)
-            rows.append(
-                AggregateRow(tag, spec.base.scheme.value, None, None, None, None,
-                             None, None, 0, spec.base.seed)
-            )
+        except InfeasibleClusterCount as exc:
+            rows.append(skipped(tag, exc))
             continue
         rows.append(
             AggregateRow(

@@ -10,9 +10,17 @@ redraw, or when the draw is consumed by transmitting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import IndicatorVector, PacketId, Rng, Scheme, UavId, missing_set, packet_label
+from .core import (
+    IndicatorVector,
+    PacketId,
+    Rng,
+    Scheme,
+    UavId,
+    mask_packets,
+    packet_label,
+)
 from .mac import BackoffDraw, FrameKind, TimingConfig, draw_backoff, draw_baseline_backoff
 
 
@@ -20,47 +28,65 @@ from .mac import BackoffDraw, FrameKind, TimingConfig, draw_backoff, draw_baseli
 class Frame:
     """One broadcast on a cluster channel.
 
-    A request lists the sender's wanted packet ids; a reply lists the data
-    packets it carries and names the requester it answers.
+    A request lists the sender's wanted packets; a reply lists the data
+    packets it carries and names the requester it answers. The packets are a
+    bitmask, bit m for packet m; ``packet_ids`` is its packet-id view.
     """
 
     kind: FrameKind
     sender: UavId
-    packet_ids: frozenset[PacketId]
+    mask: int
     in_reply_to: UavId | None = None
 
     def __post_init__(self) -> None:
-        if not self.packet_ids:
+        if self.mask <= 0:
             raise ValueError("frames must name at least one packet")
         if self.kind is FrameKind.REPLY and self.in_reply_to is None:
             raise ValueError("reply frames must name the requester")
         if self.kind is FrameKind.REQUEST and self.in_reply_to is not None:
             raise ValueError("request frames answer nobody")
 
+    @property
+    def packet_ids(self) -> frozenset[PacketId]:
+        return frozenset(mask_packets(self.mask))
+
 
 @dataclass
 class UavProtocolState:
-    """Mutable per-UAV exchange state, owned by a single cluster's event loop."""
+    """Mutable per-UAV exchange state, owned by a single cluster's event loop.
+
+    Packets given up on are kept as a bitmask, like the holdings;
+    ``unobtainable`` is its packet-id view.
+    """
 
     uav_id: UavId
     holdings: IndicatorVector
-    unobtainable: set[PacketId] = field(default_factory=set)
+    unobtainable_mask: int = 0
     request_draw: BackoffDraw | None = None
     reply_draw: BackoffDraw | None = None
     active_request: Frame | None = None  # the request the reply draw answers
 
     @property
+    def unobtainable(self) -> frozenset[PacketId]:
+        return frozenset(mask_packets(self.unobtainable_mask))
+
+    @property
     def missing(self) -> frozenset[PacketId]:
-        return missing_set(self.holdings)
+        return self.holdings.missing_packets()
+
+    @property
+    def wanted_mask(self) -> int:
+        """Packets still worth requesting: missing and not declared unobtainable."""
+        holdings = self.holdings
+        return ((1 << holdings.length) - 1) & ~(holdings.mask | self.unobtainable_mask)
 
     @property
     def wanted(self) -> frozenset[PacketId]:
-        """Packets still worth requesting: missing and not declared unobtainable."""
-        return self.missing - frozenset(self.unobtainable)
+        return frozenset(mask_packets(self.wanted_mask))
 
     @property
     def is_done(self) -> bool:
-        return not self.wanted
+        return not self.wanted_mask
 
     @property
     def pending_backoff(self) -> int:
@@ -99,10 +125,10 @@ def decide_request(
     state: UavProtocolState, timing: TimingConfig, scheme: Scheme, rng: Rng
 ) -> BackoffDraw | None:
     """Backoff draw for requesting, sized by the wanted-packet count; None when done."""
-    wanted = state.wanted
-    if not wanted:
+    stake = state.wanted_mask.bit_count()
+    if not stake:
         return None
-    return _draw(len(wanted), len(state.holdings), timing, scheme, rng, state.uav_id)
+    return _draw(stake, len(state.holdings), timing, scheme, rng, state.uav_id)
 
 
 def decide_reply(
@@ -115,31 +141,26 @@ def decide_reply(
     """Backoff draw for answering a request, sized by how many of its packets we hold."""
     if request.sender == state.uav_id:
         return None
-    supply = request.packet_ids & state.holdings.held_packets()
-    if not supply:
+    stake = (request.mask & state.holdings.mask).bit_count()
+    if not stake:
         return None
-    return _draw(len(supply), len(state.holdings), timing, scheme, rng, state.uav_id)
+    return _draw(stake, len(state.holdings), timing, scheme, rng, state.uav_id)
 
 
 def build_request(state: UavProtocolState) -> Frame:
     """Request frame listing everything currently wanted."""
-    wanted = state.wanted
+    wanted = state.wanted_mask
     if not wanted:
         raise ValueError(f"uav {state.uav_id} has nothing to request")
-    return Frame(kind=FrameKind.REQUEST, sender=state.uav_id, packet_ids=wanted)
+    return Frame(FrameKind.REQUEST, state.uav_id, wanted)
 
 
 def build_reply(state: UavProtocolState, request: Frame) -> Frame:
     """Reply frame carrying exactly the requested packets this UAV holds."""
-    supply = request.packet_ids & state.holdings.held_packets()
+    supply = request.mask & state.holdings.mask
     if not supply:
         raise ValueError(f"uav {state.uav_id} holds none of the requested packets")
-    return Frame(
-        kind=FrameKind.REPLY,
-        sender=state.uav_id,
-        packet_ids=supply,
-        in_reply_to=request.sender,
-    )
+    return Frame(FrameKind.REPLY, state.uav_id, supply, in_reply_to=request.sender)
 
 
 def absorb_reply(
@@ -157,10 +178,13 @@ def absorb_reply(
     discarded outright when nothing is wanted anymore, and redrawn from the
     new subwindow otherwise since a stale draw would misstate the priority.
     """
-    before = len(state.wanted)
-    state.holdings = state.holdings.with_packets(reply.packet_ids)
-    state.unobtainable -= reply.packet_ids
-    after = len(state.wanted)
+    state.unobtainable_mask &= ~reply.mask
+    holdings = state.holdings
+    if not reply.mask & ~holdings.mask:
+        return  # nothing new: holdings and stake are unchanged
+    before = state.wanted_mask.bit_count()
+    state.holdings = IndicatorVector.from_mask(holdings.mask | reply.mask, holdings.length)
+    after = state.wanted_mask.bit_count()
     if state.request_draw is None or after == before:
         return
     if after == 0:
@@ -186,7 +210,7 @@ def cancel_reply_if_answered(state: UavProtocolState, observed: Frame) -> None:
 
 def mark_unobtainable(state: UavProtocolState, request_sent: Frame) -> None:
     """Give up on every still-missing packet of an own request that drew no reply."""
-    state.unobtainable |= request_sent.packet_ids & state.missing
+    state.unobtainable_mask |= request_sent.mask & state.holdings.missing_mask
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .clustering import cluster_network
-from .core import IndicatorVector, Scheme, or_update, stream
+from .core import IndicatorVector, Scheme, stream
 from .mac import TimingConfig, draw_backoff, subwindow_bounds
 from .simulator import run_cluster_exchange, sample_initial_receipts
 
@@ -19,11 +19,11 @@ def _check_indicator_algebra(rng: np.random.Generator) -> bool:
         m = int(rng.integers(1, 20))
         a = IndicatorVector(tuple(int(b) for b in rng.integers(0, 2, m)))
         b = IndicatorVector(tuple(int(b) for b in rng.integers(0, 2, m)))
-        if or_update(a, b) != or_update(b, a):
+        if a | b != b | a:
             return False
-        if or_update(a, a) != a:
+        if a | a != a:
             return False
-        if any(x < y for x, y in zip(or_update(a, b).bits, a.bits)):
+        if any(x < y for x, y in zip((a | b).bits, a.bits)):
             return False
     return True
 
@@ -93,7 +93,7 @@ def _check_protocol_invariants(rng: np.random.Generator) -> bool:
             return False
         union = receipts[0]
         for v in receipts[1:]:
-            union = or_update(union, v)
+            union = union | v
         if result.completed != union.is_full():
             return False
     return True

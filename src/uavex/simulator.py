@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .clustering import ClusterAssignment, cluster_network
 from .core import (
     IndicatorVector,
@@ -31,6 +33,7 @@ from .core import (
     ScenarioConfig,
     Scheme,
     UavId,
+    mask_packets,
 )
 from .mac import FrameKind, TimingConfig, frame_duration
 from .protocol import (
@@ -126,11 +129,23 @@ class RunResult:
 def sample_initial_receipts(
     num_uavs: int, num_packets: int, delivery_rate: float, rng: Rng
 ) -> list[IndicatorVector]:
-    """Independent Bernoulli receipt of each packet at each UAV."""
+    """Independent Bernoulli receipt of each packet at each UAV.
+
+    One ``(num_uavs, num_packets)`` uniform draw decides every receipt; each
+    row is packed little-endian into the bitmask of one UAV's vector.
+    """
     if not 0.0 <= delivery_rate <= 1.0:
         raise ValueError("delivery_rate must lie in [0, 1]")
     hits = rng.random((num_uavs, num_packets)) < delivery_rate
-    return [IndicatorVector(tuple(int(b) for b in row)) for row in hits]
+    packed = np.packbits(hits, axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    return [
+        IndicatorVector.from_mask(
+            int.from_bytes(raw[u * width:(u + 1) * width], "little"), num_packets
+        )
+        for u in range(num_uavs)
+    ]
 
 
 class _ChannelEngine:
@@ -152,8 +167,15 @@ class _ChannelEngine:
         self.members = sorted(members)
         self.states = {u: UavProtocolState(u, holdings[u]) for u in self.members}
         self.num_packets = len(holdings[self.members[0]])
-        if timing.cw_total_us < self.num_packets:
-            raise ValueError("contention window shorter than one us per subwindow")
+        # Equal stakes share a subwindow, so colliders separate only if each
+        # subwindow offers at least two values: floor(kW/M) - floor((k-1)W/M)
+        # >= floor(W/M) >= 2 once W >= 2M. Narrower windows can livelock.
+        min_window = 2 * self.num_packets
+        if timing.cw_total_us < min_window:
+            raise ValueError(
+                f"contention window of {timing.cw_total_us} us is too short for "
+                f"{self.num_packets} packets: cw_total_us must be at least {min_window}"
+            )
         self.timing = timing
         self.scheme = scheme
         self.rng = rng
@@ -188,7 +210,7 @@ class _ChannelEngine:
         self,
         uav: UavId,
         event: str,
-        packets: Sequence[int] = (),
+        packets_mask: int = 0,
         peer: UavId | None = None,
     ) -> None:
         if self.trace is not None:
@@ -197,7 +219,7 @@ class _ChannelEngine:
                     time_us=self._now,
                     uav=uav,
                     event=event,
-                    packets=tuple(sorted(packets)),
+                    packets=mask_packets(packets_mask),
                     peer=peer,
                     cluster=self.cluster_id,
                 )
@@ -264,7 +286,7 @@ class _ChannelEngine:
 
     def _on_tx_start(self, event: Event) -> None:
         frame: Frame = event.payload  # type: ignore[assignment]
-        carried = len(frame.packet_ids) if frame.kind is FrameKind.REPLY else 0
+        carried = frame.mask.bit_count() if frame.kind is FrameKind.REPLY else 0
         tx = _Transmission(
             frame=frame,
             start_us=event.time_us,
@@ -280,7 +302,7 @@ class _ChannelEngine:
             tx.collided = True
             if fresh:
                 self.collision_count += 1
-                self._record(event.subject, "collision", frame.packet_ids)
+                self._record(event.subject, "collision", frame.mask)
         self._active[event.subject] = tx
         self._epoch += 1
         self._push(Event(tx.end_us, EventKind.TX_END, event.subject, tx))
@@ -308,7 +330,7 @@ class _ChannelEngine:
         assert self._open_request is not None
         state = self.states[event.subject]
         mark_unobtainable(state, self._open_request)
-        self._record(event.subject, "unobtainable", self._open_request.packet_ids)
+        self._record(event.subject, "unobtainable", self._open_request.mask)
         self._mode = _Mode.IDLE_CONTENTION
         self._open_request = None
         self._settle_done()
@@ -330,7 +352,7 @@ class _ChannelEngine:
             state.active_request = self._open_request
 
     def _open_transaction(self, request: Frame) -> None:
-        self._record(request.sender, "request", request.packet_ids)
+        self._record(request.sender, "request", request.mask)
         self._mode = _Mode.AWAITING_REPLY
         self._open_request = request
         self._request_end_us = self._now
@@ -343,7 +365,7 @@ class _ChannelEngine:
 
     def _close_transaction(self, reply: Frame) -> None:
         self.exchange_count += 1
-        self._record(reply.sender, "reply", reply.packet_ids, peer=reply.in_reply_to)
+        self._record(reply.sender, "reply", reply.mask, peer=reply.in_reply_to)
         requester = self.states[reply.in_reply_to]
         for u in self.members:
             state = self.states[u]
@@ -390,13 +412,15 @@ class _ChannelEngine:
         if self._pending:
             raise RuntimeError("event queue drained with UAVs still pending")
         completed = all(self.states[u].holdings.is_full() for u in self.members)
-        unobtainable = frozenset().union(*(self.states[u].unobtainable for u in self.members))
+        unobtainable = 0
+        for u in self.members:
+            unobtainable |= self.states[u].unobtainable_mask
         return ClusterResult(
             exchange_count=self.exchange_count,
             delay_us=self._finish_us,
             completed=completed,
             collision_count=self.collision_count,
-            unobtainable=unobtainable,
+            unobtainable=frozenset(mask_packets(unobtainable)),
         )
 
 

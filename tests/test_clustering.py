@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from uavex.clustering import (
     InfeasibleClusterCount,
     cluster_network,
-    full_set_rate,
     hamming_distance,
     initialize_clusters,
     merge_iteration,
@@ -51,6 +51,16 @@ class TestHammingDistance:
             b = iv(*rng.integers(0, 2, 8))
             assert hamming_distance(a, b) == hamming_distance(b, a)
             assert hamming_distance(a, b) == ref_hamming(a.bits, b.bits)
+
+    @given(
+        st.integers(1, 80).flatmap(
+            lambda n: st.tuples(*[st.lists(st.integers(0, 1), min_size=n, max_size=n)] * 2)
+        )
+    )
+    def test_matches_reference_across_word_sizes(self, pair):
+        # Lengths 1..80 span 64 bits, where a fixed-width mask would wrap.
+        a, b = (tuple(bits) for bits in pair)
+        assert hamming_distance(IndicatorVector(a), IndicatorVector(b)) == ref_hamming(a, b)
 
 
 class TestInitializeClusters:
@@ -232,25 +242,23 @@ class TestClusterNetwork:
 
 
 class TestFullSetRate:
+    """Share of clusters whose combined holdings are complete."""
+
     def test_direct_count(self):
         rng = np.random.default_rng(8)
         vectors = [iv(*rng.integers(0, 2, 4)) for _ in range(6)]
         assignment = cluster_network(vectors, 2, stream(0, 0, "tie-break"))
-        rate = full_set_rate([assignment])
-        assert rate == assignment.full_cluster_count() / 2
+        expected = sum(1 for v in assignment.cluster_vectors if all(v.bits))
+        assert assignment.full_cluster_count() == expected
 
     def test_all_full(self):
         vectors = [IndicatorVector.ones(4) for _ in range(4)]
         assignment = cluster_network(vectors, 2, stream(0, 0, "tie-break"))
-        assert full_set_rate([assignment]) == 1.0
+        assert assignment.full_cluster_count() == assignment.num_clusters == 2
 
     def test_delivery_rate_one_always_full(self):
         vectors = [IndicatorVector.ones(5) for _ in range(8)]
         assignments = [
             cluster_network(vectors, n, stream(0, 0, "tie-break")) for n in (1, 2, 4)
         ]
-        assert full_set_rate(assignments) == 1.0
-
-    def test_empty_input(self):
-        with pytest.raises(ValueError):
-            full_set_rate([])
+        assert all(a.full_cluster_count() == a.num_clusters for a in assignments)

@@ -9,11 +9,11 @@ from uavex.core import (
     RunStreams,
     ScenarioConfig,
     Scheme,
-    missing_set,
-    or_update,
     packet_label,
     stream,
 )
+
+from reference import or_bits
 
 
 def iv(*bits):
@@ -22,6 +22,18 @@ def iv(*bits):
 
 def bit_vectors(length):
     return st.tuples(*[st.integers(0, 1)] * length).map(IndicatorVector)
+
+
+def bit_tuples(length):
+    return st.lists(st.integers(0, 1), min_size=length, max_size=length).map(tuple)
+
+
+# Pairs of equal-length bit tuples; lengths 1..80 span the 64-bit boundary.
+bit_tuple_pairs = st.integers(1, 80).flatmap(lambda n: st.tuples(bit_tuples(n), bit_tuples(n)))
+
+
+def mask_of(bits):
+    return sum(b << m for m, b in enumerate(bits))
 
 
 class TestIndicatorVector:
@@ -51,51 +63,95 @@ class TestIndicatorVector:
 class TestOrUpdate:
     def test_worked_example(self):
         # A cluster holding {w1, w4} absorbing a member holding {w2, w5}.
-        merged = or_update(iv(1, 0, 0, 1, 0, 0), iv(0, 1, 0, 0, 1, 0))
+        merged = iv(1, 0, 0, 1, 0, 0) | iv(0, 1, 0, 0, 1, 0)
         assert merged == iv(1, 1, 0, 1, 1, 0)
 
     def test_identity_with_zeros(self):
         v = iv(1, 0, 1, 1, 0, 0)
-        assert or_update(v, IndicatorVector.zeros(6)) == v
+        assert v | IndicatorVector.zeros(6) == v
 
     def test_idempotent(self):
         v = iv(1, 0, 1, 1, 0, 0)
-        assert or_update(v, v) == v
+        assert v | v == v
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            or_update(iv(1, 0), iv(1, 0, 0))
+            iv(1, 0) | iv(1, 0, 0)
 
     @given(bit_vectors(8), bit_vectors(8))
     def test_commutative(self, a, b):
-        assert or_update(a, b) == or_update(b, a)
+        assert a | b == b | a
 
     @given(bit_vectors(8), bit_vectors(8), bit_vectors(8))
     def test_associative(self, a, b, c):
-        assert or_update(or_update(a, b), c) == or_update(a, or_update(b, c))
+        assert (a | b) | c == a | (b | c)
 
     @given(bit_vectors(8), bit_vectors(8))
     def test_result_dominates_inputs(self, a, b):
-        merged = or_update(a, b)
+        merged = a | b
         assert all(m >= x for m, x in zip(merged.bits, a.bits))
         assert all(m >= y for m, y in zip(merged.bits, b.bits))
 
     @given(bit_vectors(8), bit_vectors(8))
     def test_or_never_grows_missing(self, a, b):
-        assert missing_set(or_update(a, b)) <= missing_set(a)
+        assert (a | b).missing_packets() <= a.missing_packets()
 
 
 class TestMissingSet:
     def test_complement(self):
-        assert missing_set(iv(1, 1, 0, 1, 1, 0)) == {2, 5}
+        assert iv(1, 1, 0, 1, 1, 0).missing_packets() == {2, 5}
 
     def test_all_ones_and_zeros(self):
-        assert missing_set(IndicatorVector.ones(5)) == set()
-        assert missing_set(IndicatorVector.zeros(5)) == set(range(5))
+        assert IndicatorVector.ones(5).missing_packets() == set()
+        assert IndicatorVector.zeros(5).missing_packets() == set(range(5))
 
     @given(bit_vectors(10))
     def test_partition_of_positions(self, v):
-        assert len(missing_set(v)) + v.popcount() == len(v)
+        assert len(v.missing_packets()) + v.popcount() == len(v)
+
+
+class TestMaskRepresentation:
+    """The int bitmask behind IndicatorVector against the tuple oracles."""
+
+    @given(bit_tuple_pairs)
+    def test_bits_roundtrip(self, pair):
+        bits, _ = pair
+        assert IndicatorVector(bits).bits == bits
+
+    @given(bit_tuple_pairs)
+    def test_or_matches_reference(self, pair):
+        a, b = pair
+        assert (IndicatorVector(a) | IndicatorVector(b)).bits == or_bits(a, b)
+
+    @given(bit_tuple_pairs)
+    def test_tuple_and_mask_built_vectors_agree(self, pair):
+        bits, _ = pair
+        from_tuple = IndicatorVector(bits)
+        from_mask = IndicatorVector.from_mask(mask_of(bits), len(bits))
+        assert from_tuple == from_mask
+        assert hash(from_tuple) == hash(from_mask)
+        assert from_mask.bits == bits
+        assert from_tuple.mask == mask_of(bits)
+
+    @given(bit_tuple_pairs)
+    def test_set_views_partition_positions(self, pair):
+        bits, _ = pair
+        v = IndicatorVector(bits)
+        assert v.held_packets() == {m for m, b in enumerate(bits) if b}
+        assert v.missing_packets() == {m for m, b in enumerate(bits) if not b}
+        assert v.popcount() == sum(bits)
+        assert v.is_full() == all(bits)
+
+    @given(st.integers(1, 80), st.integers(0, 1 << 90))
+    def test_out_of_range_masks_rejected(self, length, offset):
+        with pytest.raises(ValueError):
+            IndicatorVector.from_mask((1 << length) + offset, length)
+        with pytest.raises(ValueError):
+            IndicatorVector.from_mask(-1 - offset, length)
+
+    def test_zero_length_mask_rejected(self):
+        with pytest.raises(ValueError):
+            IndicatorVector.from_mask(0, 0)
 
 
 def test_packet_label_is_one_indexed():

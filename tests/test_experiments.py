@@ -65,6 +65,24 @@ class TestFullSetRateSweep:
         assert rows[1].full_set_rate is None
         assert "skipping" in capsys.readouterr().err
 
+    def test_odd_count_without_spare_seed_becomes_warning_row(self, capsys):
+        # N=5 passes config validation at U=5 but needs 6 seed UAVs.
+        spec = SweepSpec(base_config(num_uavs=5), "num_clusters", (5, 2), runs=10)
+        rows = sweep_full_set_rate(spec)
+        assert [row.runs for row in rows] == [0, 10]
+        assert "odd cluster count" in capsys.readouterr().err
+
+    def test_other_clustering_errors_propagate(self, monkeypatch):
+        # Only infeasible counts become warning rows; a plain ValueError from
+        # the clustering stage is a fault and must not be swallowed.
+        def broken(*args, **kwargs):
+            raise ValueError("length mismatch: 5 vs 6")
+
+        monkeypatch.setattr("uavex.experiments.cluster_network", broken)
+        spec = SweepSpec(base_config(), "num_clusters", (2,), runs=3)
+        with pytest.raises(ValueError, match="length mismatch"):
+            sweep_full_set_rate(spec)
+
 
 class TestCompareSchemes:
     def test_matched_receipts_across_schemes(self):
@@ -233,6 +251,18 @@ class TestCli:
         ])
         assert code == 2  # odd 5 needs 6 seed UAVs: infeasible at runtime
         capsys.readouterr()
+
+    def test_tiny_window_exits_one_without_traceback(self, capsys):
+        # 1 us subwindows used to let equal-stake colliders redraw the same
+        # value forever, ending in an uncaught RuntimeError.
+        code = cli_main([
+            "compare", "--uavs", "6", "--packets", "4", "--rho", "0.5",
+            "--clusters", "2", "--runs", "1", "--cw-total-us", "4",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "cw_total_us must be at least 8" in err
+        assert "Traceback" not in err
 
     def test_all_infeasible_sweep_exits_two(self, capsys):
         code = cli_main([

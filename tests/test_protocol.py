@@ -2,7 +2,7 @@
 
 import pytest
 
-from uavex.core import IndicatorVector, Scheme, stream
+from uavex.core import IndicatorVector, Scheme, packet_mask, stream
 from uavex.mac import BackoffDraw, FrameKind, TimingConfig, subwindow_bounds
 from uavex.protocol import (
     Frame,
@@ -43,15 +43,15 @@ def walkthrough_states():
 class TestFrame:
     def test_request_requires_packets(self):
         with pytest.raises(ValueError):
-            Frame(FrameKind.REQUEST, 0, frozenset())
+            Frame(FrameKind.REQUEST, 0, packet_mask(()))
 
     def test_reply_requires_target(self):
         with pytest.raises(ValueError):
-            Frame(FrameKind.REPLY, 0, frozenset({1}))
+            Frame(FrameKind.REPLY, 0, packet_mask({1}))
 
     def test_request_cannot_reply(self):
         with pytest.raises(ValueError):
-            Frame(FrameKind.REQUEST, 0, frozenset({1}), in_reply_to=2)
+            Frame(FrameKind.REQUEST, 0, packet_mask({1}), in_reply_to=2)
 
 
 class TestDecideRequest:
@@ -68,7 +68,7 @@ class TestDecideRequest:
 
     def test_all_missing_unobtainable_means_done(self):
         state = UavProtocolState(0, held(0, 1, 3))
-        state.unobtainable = {2, 4, 5}
+        state.unobtainable_mask = packet_mask({2, 4, 5})
         assert decide_request(state, TIMING, Scheme.PROPOSED, rng()) is None
         assert state.is_done
         assert state.phase == "done"
@@ -94,7 +94,7 @@ class TestDecideReply:
         assert best.duration_us < partial.duration_us
 
     def test_holder_of_nothing_requested_declines(self):
-        request = Frame(FrameKind.REQUEST, 9, frozenset({5}))
+        request = Frame(FrameKind.REQUEST, 9, packet_mask({5}))
         state = UavProtocolState(0, held(0, 1))
         assert decide_reply(state, request, TIMING, Scheme.PROPOSED, rng()) is None
 
@@ -104,7 +104,7 @@ class TestDecideReply:
         assert decide_reply(state, request, TIMING, Scheme.PROPOSED, rng()) is None
 
     def test_equal_supply_shares_a_subwindow(self):
-        request = Frame(FrameKind.REQUEST, 9, frozenset({2, 4}))
+        request = Frame(FrameKind.REQUEST, 9, packet_mask({2, 4}))
         full_a = UavProtocolState(0, IndicatorVector.ones(6))
         full_b = UavProtocolState(1, IndicatorVector.ones(6))
         draw_a = decide_reply(full_a, request, TIMING, Scheme.PROPOSED, rng())
@@ -126,17 +126,17 @@ class TestBuildFrames:
         assert reply.in_reply_to == 2
 
     def test_full_set_uav_answers_whole_request(self):
-        request = Frame(FrameKind.REQUEST, 9, frozenset({2, 4}))
+        request = Frame(FrameKind.REQUEST, 9, packet_mask({2, 4}))
         state = UavProtocolState(0, IndicatorVector.ones(6))
         assert build_reply(state, request).packet_ids == {2, 4}
 
     def test_single_packet_supplier(self):
-        request = Frame(FrameKind.REQUEST, 9, frozenset({2, 4}))
+        request = Frame(FrameKind.REQUEST, 9, packet_mask({2, 4}))
         state = UavProtocolState(0, held(2))
         assert build_reply(state, request).packet_ids == {2}
 
     def test_no_supply_is_an_error(self):
-        request = Frame(FrameKind.REQUEST, 9, frozenset({5}))
+        request = Frame(FrameKind.REQUEST, 9, packet_mask({5}))
         state = UavProtocolState(0, held(0))
         with pytest.raises(ValueError):
             build_reply(state, request)
@@ -144,7 +144,7 @@ class TestBuildFrames:
 
 class TestAbsorbReply:
     def reply(self, *packets):
-        return Frame(FrameKind.REPLY, 3, frozenset(packets), in_reply_to=2)
+        return Frame(FrameKind.REPLY, 3, packet_mask(packets), in_reply_to=2)
 
     def test_partial_absorption_redraws(self):
         state = walkthrough_states()[0]  # missing {w3,w5,w6} = ids {2,4,5}
@@ -176,7 +176,7 @@ class TestAbsorbReply:
 
     def test_received_packets_leave_unobtainable(self):
         state = walkthrough_states()[0]
-        state.unobtainable = {2}
+        state.unobtainable_mask = packet_mask({2})
         absorb_reply(state, self.reply(2), TIMING, Scheme.PROPOSED, rng())
         assert state.unobtainable == set()
         assert 2 in state.holdings.held_packets()
@@ -193,20 +193,20 @@ class TestCancelReply:
 
     def test_competing_reply_cancels(self):
         state = self.arm_replier()
-        competing = Frame(FrameKind.REPLY, 3, frozenset({0, 1}), in_reply_to=2)
+        competing = Frame(FrameKind.REPLY, 3, packet_mask({0, 1}), in_reply_to=2)
         cancel_reply_if_answered(state, competing)
         assert state.reply_draw is None
         assert state.active_request is None
 
     def test_unrelated_request_does_not_cancel(self):
         state = self.arm_replier()
-        unrelated = Frame(FrameKind.REQUEST, 1, frozenset({0}))
+        unrelated = Frame(FrameKind.REQUEST, 1, packet_mask({0}))
         cancel_reply_if_answered(state, unrelated)
         assert state.reply_draw is not None
 
     def test_own_transmission_is_no_op(self):
         state = self.arm_replier()
-        own = Frame(FrameKind.REPLY, state.uav_id, frozenset({0}), in_reply_to=2)
+        own = Frame(FrameKind.REPLY, state.uav_id, packet_mask({0}), in_reply_to=2)
         cancel_reply_if_answered(state, own)
         assert state.reply_draw is not None
 
@@ -234,7 +234,7 @@ class TestPhaseAndBackoffFields:
         state.request_draw = decide_request(state, TIMING, Scheme.PROPOSED, rng())
         assert state.phase == "request_backoff"
         assert state.pending_backoff > 0
-        request = Frame(FrameKind.REQUEST, 9, frozenset({2}))
+        request = Frame(FrameKind.REQUEST, 9, packet_mask({2}))
         state.reply_draw = BackoffDraw(10, 6, state.uav_id)
         state.active_request = request
         assert state.phase == "reply_backoff"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uavex.core import IndicatorVector, ScenarioConfig, Scheme, stream
 from uavex.mac import TimingConfig
@@ -49,6 +50,13 @@ def run_fig1(seed=42, scheme=Scheme.MECHANISM_ONLY):
 
 
 class TestSampleInitialReceipts:
+    def test_masks_match_the_single_draw_beyond_64_packets(self):
+        # Packing must not pass through a fixed-width integer: 80 packets
+        # spill over 64 bits.
+        receipts = sample_initial_receipts(5, 80, 0.5, stream(1, 0, "bs-delivery"))
+        hits = stream(1, 0, "bs-delivery").random((5, 80)) < 0.5
+        assert [v.bits for v in receipts] == [tuple(int(b) for b in row) for row in hits]
+
     def test_certain_delivery(self):
         receipts = sample_initial_receipts(5, 6, 1.0, stream(0, 0, "bs-delivery"))
         assert all(v.is_full() for v in receipts)
@@ -256,3 +264,52 @@ class TestRunScenario:
             ]
         )
         assert 0.0 <= results.full_cluster_fraction <= 1.0
+
+
+def _feasible_cluster_count(num_uavs, draw):
+    counts = [n for n in range(1, num_uavs + 1) if n == 1 or n % 2 == 0 or n < num_uavs]
+    return draw(st.sampled_from(counts))
+
+
+@st.composite
+def small_scenarios(draw):
+    num_uavs = draw(st.integers(1, 8))
+    num_packets = draw(st.integers(1, 8))
+    config = ScenarioConfig(
+        num_uavs,
+        num_packets,
+        draw(st.sampled_from([0.2, 0.5, 0.8])),
+        _feasible_cluster_count(num_uavs, draw),
+        scheme=draw(st.sampled_from(list(Scheme))),
+        seed=draw(st.integers(0, 50)),
+    )
+    window = draw(st.integers(1, 4 * num_packets))
+    return config, window
+
+
+class TestContentionWindowGuard:
+    def test_minimum_window_is_two_us_per_subwindow(self):
+        holdings = {0: IndicatorVector((1, 0, 0)), 1: IndicatorVector((0, 1, 1))}
+        with pytest.raises(ValueError, match="at least 6"):
+            run_cluster_exchange([0, 1], holdings, TimingConfig(cw_total_us=5),
+                                 Scheme.MECHANISM_ONLY, stream(0, 0, "backoff/0"))
+        result = run_cluster_exchange([0, 1], holdings, TimingConfig(cw_total_us=6),
+                                      Scheme.MECHANISM_ONLY, stream(0, 0, "backoff/0"))
+        assert result.completed
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_scenarios())
+    def test_accepted_inputs_terminate_or_are_rejected(self, case):
+        config, window = case
+        timing = TimingConfig(cw_total_us=window)
+        if window < 2 * config.num_packets:
+            with pytest.raises(ValueError):
+                run_scenario(config, 0, timing=timing)
+            return
+        receipts = sample_initial_receipts(
+            config.num_uavs, config.num_packets, config.delivery_rate,
+            stream(config.seed, 0, "bs-delivery"),
+        )
+        initial_missing = sum(config.num_packets - v.popcount() for v in receipts)
+        result = run_scenario(config, 0, timing=timing)
+        assert sum(r.exchange_count for r in result.cluster_results) <= initial_missing
