@@ -26,6 +26,14 @@ GOLDEN = {
                                        "--seed", "0", "--run-index", "0"],
     "trace_ref10_baseline_csma.txt": ["trace", *REF10, "--scheme", "baseline_csma",
                                       "--seed", "0", "--run-index", "0"],
+    "trace_contended_mechanism_only.txt": ["trace", *REF10, "--cw-total-us", "24",
+                                           "--scheme", "mechanism_only",
+                                           "--seed", "0", "--run-index", "0"],
+    "trace_contended_baseline_csma.txt": ["trace", *REF10, "--cw-total-us", "24",
+                                          "--scheme", "baseline_csma",
+                                          "--seed", "0", "--run-index", "17"],
+    "trace_ref10_proposed_timeout.txt": ["trace", *REF10, "--scheme", "proposed",
+                                         "--seed", "0", "--run-index", "106"],
     "compare_ref10.csv": ["compare", *REF10, "--runs", "20"],
     "compare_ref20.csv": ["compare", *REF20, "--runs", "20"],
     "full_set_rate_ref20.csv": ["full-set-rate", "--uavs", "20", "--packets", "10",
