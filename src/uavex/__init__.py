@@ -4,7 +4,7 @@ A fleet that receives a common packet set over a lossy broadcast link can
 repair itself peer-to-peer: UAVs are grouped so that cluster mates hold
 complementary packets, and a priority backoff lets the neediest requester and
 the best-stocked replier win the channel first. This package provides the
-clustering, the contention-window model, a deterministic discrete-event
+clustering, the contention-window model, a deterministic contention-round
 simulator of the exchange, and a Monte-Carlo experiment harness.
 """
 
@@ -58,8 +58,6 @@ from .protocol import (
 )
 from .simulator import (
     ClusterResult,
-    Event,
-    EventKind,
     RunResult,
     run_cluster_exchange,
     run_scenario,
@@ -73,8 +71,6 @@ __all__ = [
     "BackoffDraw",
     "ClusterAssignment",
     "ClusterResult",
-    "Event",
-    "EventKind",
     "Frame",
     "FrameKind",
     "IndicatorVector",

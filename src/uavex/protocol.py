@@ -53,7 +53,7 @@ class Frame:
 
 @dataclass
 class UavProtocolState:
-    """Mutable per-UAV exchange state, owned by a single cluster's event loop.
+    """Mutable per-UAV exchange state, owned by a single cluster's channel engine.
 
     Packets given up on are kept as a bitmask, like the holdings;
     ``unobtainable`` is its packet-id view.

@@ -1,26 +1,24 @@
-"""Deterministic discrete-event simulation of the in-cluster exchange.
+"""Deterministic simulation of the in-cluster exchange, one contention round at a time.
 
 One engine instance simulates one cluster's shared channel in integer
 microseconds. Clusters sit on disjoint channels, so a scenario run simulates
 them independently and reports the per-cluster maxima.
 
-Channel life alternates between two contention modes. While no request is
-outstanding, UAVs with pending request draws contend: after the channel has
-been idle for DIFS, the smallest draw transmits its request. Once a request
-is on the air, every other UAV that can supply some of it draws a reply
-backoff, and only those repliers contend. Draws are never counted down: a
-pending request draw is held at its full value until the transaction closes
-with a reply (or, when nobody can supply anything, with a timeout after DIFS
-plus a full window of silence), and then contends again, whole, from the
-next idle check. Draws that expire at the same microsecond collide: both
-frames are lost and the colliders redraw within their current subwindows.
+The channel resolves one contention round at a time: it idles for DIFS, then
+the shortest pending draw transmits. While no request is outstanding, UAVs
+with request draws contend. A clean request makes every other UAV that can
+supply some of it draw a reply backoff, and only those repliers contend until
+one reply gets through. Draws are never counted down: a pending request draw
+is held at its full value until the transaction closes with a reply (or, when
+nobody can supply anything, with a timeout after DIFS plus a full window of
+silence), and then contends again, whole, in the next round. Equal shortest
+draws collide: all their frames are lost and the colliders redraw within
+their current subwindows as their frames end.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from enum import Enum, IntEnum
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,7 +33,7 @@ from .core import (
     UavId,
     mask_packets,
 )
-from .mac import FrameKind, TimingConfig, frame_duration
+from .mac import TimingConfig, frame_duration
 from .protocol import (
     Frame,
     TraceRecord,
@@ -48,41 +46,6 @@ from .protocol import (
     decide_request,
     mark_unobtainable,
 )
-
-
-class EventKind(IntEnum):
-    """Event kinds; the numeric value is the tie-break priority at equal timestamps.
-
-    Frame completions must become visible before new activity, so TX_END
-    sorts first and TX_START last.
-    """
-
-    TX_END = 0
-    CHANNEL_IDLE_CHECK = 1
-    TIMEOUT = 2
-    BACKOFF_EXPIRED = 3
-    TX_START = 4
-
-
-@dataclass(frozen=True)
-class Event:
-    time_us: int
-    kind: EventKind
-    subject: UavId
-    payload: object = None
-
-
-class _Mode(Enum):
-    IDLE_CONTENTION = "idle"
-    AWAITING_REPLY = "awaiting_reply"
-
-
-@dataclass
-class _Transmission:
-    frame: Frame
-    start_us: int
-    end_us: int
-    collided: bool = False
 
 
 @dataclass(frozen=True)
@@ -149,7 +112,7 @@ def sample_initial_receipts(
 
 
 class _ChannelEngine:
-    """Event loop for one cluster channel. Single-threaded, fully deterministic."""
+    """Contention-round loop for one cluster channel. Single-threaded, fully deterministic."""
 
     def __init__(
         self,
@@ -160,7 +123,6 @@ class _ChannelEngine:
         rng: Rng,
         trace: list[TraceRecord] | None = None,
         cluster_id: int = 0,
-        max_events: int = 1_000_000,
     ):
         if not members:
             raise ValueError("cluster must have at least one member")
@@ -181,30 +143,14 @@ class _ChannelEngine:
         self.rng = rng
         self.trace = trace
         self.cluster_id = cluster_id
-        self.max_events = max_events
 
-        self._heap: list[tuple[int, int, int, int, Event]] = []
-        self._seq = 0
         self._now = 0
-        self._epoch = 0
-        self._mode = _Mode.IDLE_CONTENTION
-        self._open_request: Frame | None = None
-        self._request_end_us = 0
-        self._active: dict[UavId, _Transmission] = {}
-        self._pending = 0
+        self._done: set[UavId] = set()
         self._finish_us = 0
         self.exchange_count = 0
         self.collision_count = 0
 
     # -- bookkeeping -------------------------------------------------------
-
-    def _push(self, event: Event) -> None:
-        assert event.time_us >= self._now
-        self._seq += 1
-        heapq.heappush(
-            self._heap,
-            (event.time_us, int(event.kind), event.subject, self._seq, event),
-        )
 
     def _record(
         self,
@@ -225,143 +171,83 @@ class _ChannelEngine:
                 )
             )
 
-    def _mark_done(self, state: UavProtocolState) -> None:
-        state.request_draw = None
-        state.reply_draw = None
-        state.active_request = None
-        self._pending -= 1
-        self._finish_us = max(self._finish_us, self._now)
-        self._record(state.uav_id, "done")
-
     def _settle_done(self) -> None:
-        for u in self.members:
+        """Retire the members that want nothing more, recording when each finished."""
+        for u, state in self.states.items():
+            if state.is_done and state.request_draw is None and u not in self._done:
+                self._done.add(u)
+                state.reply_draw = None
+                state.active_request = None
+                self._finish_us = max(self._finish_us, self._now)
+                self._record(u, "done")
+
+    # -- one contention round ----------------------------------------------
+
+    def _round(self, answering: Frame | None = None) -> Frame | None:
+        """Resolve one round among the request draws, or the reply draws to ``answering``.
+
+        The channel idles for DIFS plus the shortest draw; every UAV holding
+        that draw transmits. A lone frame is returned once its air time has
+        passed. Equal draws collide: the round counts one collision, the
+        colliders redraw as their frames end, and None is returned.
+        """
+        if answering is None:
+            draws = {u: s.request_draw for u, s in self.states.items() if s.request_draw}
+        else:
+            draws = {u: s.reply_draw for u, s in self.states.items() if s.reply_draw}
+        if not draws:
+            raise RuntimeError("stalled: pending UAVs without request draws")
+        shortest = min(draw.duration_us for draw in draws.values())
+        self._now += self.timing.difs_us + shortest
+        sent = []
+        for u, draw in draws.items():
+            if draw.duration_us != shortest:
+                continue
             state = self.states[u]
-            if state.is_done and state.request_draw is None and u not in self._done_set:
-                self._done_set.add(u)
-                self._mark_done(state)
+            if answering is None:
+                frame = build_request(state)
+                state.request_draw = None
+                carried = 0
+            else:
+                frame = build_reply(state, answering)
+                state.reply_draw = None
+                state.active_request = None
+                carried = frame.mask.bit_count()
+            sent.append((self._now + frame_duration(frame.kind, carried, self.timing), u, frame))
+        if len(sent) == 1:
+            self._now, _, frame = sent[0]
+            return frame
+        self.collision_count += 1
+        _, second, frame = sent[1]
+        self._record(second, "collision", frame.mask)
+        for end, u, _ in sorted(sent, key=lambda tx: tx[:2]):
+            self._now = end
+            self._redraw_collider(self.states[u], answering)
+        return None
 
-    # -- event handlers ----------------------------------------------------
-
-    def _on_idle_check(self, event: Event) -> None:
-        if event.payload != self._epoch or self._active:
-            return
-        if self._mode is _Mode.IDLE_CONTENTION:
-            contenders = [self.states[u] for u in self.members if self.states[u].request_draw]
-            if not contenders:
-                if self._pending:
-                    raise RuntimeError("stalled: pending UAVs without request draws")
-                return
-            draws = {s.uav_id: s.request_draw.duration_us for s in contenders}
+    def _redraw_collider(self, state: UavProtocolState, answering: Frame | None) -> None:
+        # A collider redraws within its current subwindow; its stake has not
+        # changed, so only the value is refreshed.
+        if answering is None:
+            state.request_draw = decide_request(state, self.timing, self.scheme, self.rng)
         else:
-            contenders = [self.states[u] for u in self.members if self.states[u].reply_draw]
-            if not contenders:
-                # Nobody can supply anything: let the requester give up after
-                # DIFS plus a full window of provable silence.
-                assert self._open_request is not None
-                deadline = self._request_end_us + self.timing.difs_us + self.timing.cw_total_us
-                self._push(
-                    Event(deadline, EventKind.TIMEOUT, self._open_request.sender, self._epoch)
-                )
-                return
-            draws = {s.uav_id: s.reply_draw.duration_us for s in contenders}
-        shortest = min(draws.values())
-        anchor = event.time_us + self.timing.difs_us
-        for uav, duration in sorted(draws.items()):
-            if duration == shortest:
-                self._push(Event(anchor + duration, EventKind.BACKOFF_EXPIRED, uav, self._epoch))
-
-    def _on_backoff_expired(self, event: Event) -> None:
-        if event.payload != self._epoch:
-            return
-        state = self.states[event.subject]
-        if self._mode is _Mode.IDLE_CONTENTION:
-            frame = build_request(state)
-            state.request_draw = None
-        else:
-            assert self._open_request is not None
-            frame = build_reply(state, self._open_request)
-            state.reply_draw = None
-            state.active_request = None
-        self._push(Event(event.time_us, EventKind.TX_START, event.subject, frame))
-
-    def _on_tx_start(self, event: Event) -> None:
-        frame: Frame = event.payload  # type: ignore[assignment]
-        carried = frame.mask.bit_count() if frame.kind is FrameKind.REPLY else 0
-        tx = _Transmission(
-            frame=frame,
-            start_us=event.time_us,
-            end_us=event.time_us + frame_duration(frame.kind, carried, self.timing),
-        )
-        if self._active:
-            # Expiries are only ever scheduled for the joint minimum of a
-            # window, so concurrent transmissions always start the same us.
-            assert all(other.start_us == tx.start_us for other in self._active.values())
-            fresh = not any(other.collided for other in self._active.values())
-            for other in self._active.values():
-                other.collided = True
-            tx.collided = True
-            if fresh:
-                self.collision_count += 1
-                self._record(event.subject, "collision", frame.mask)
-        self._active[event.subject] = tx
-        self._epoch += 1
-        self._push(Event(tx.end_us, EventKind.TX_END, event.subject, tx))
-
-    def _on_tx_end(self, event: Event) -> None:
-        tx: _Transmission = event.payload  # type: ignore[assignment]
-        del self._active[event.subject]
-        if tx.collided:
-            self._redraw_collider(self.states[event.subject], tx.frame)
-            if not self._active:
-                self._epoch += 1
-                self._push(Event(event.time_us, EventKind.CHANNEL_IDLE_CHECK, -1, self._epoch))
-            return
-        assert not self._active, "clean frame overlapped another transmission"
-        if tx.frame.kind is FrameKind.REQUEST:
-            self._open_transaction(tx.frame)
-        else:
-            self._close_transaction(tx.frame)
-        self._epoch += 1
-        self._push(Event(event.time_us, EventKind.CHANNEL_IDLE_CHECK, -1, self._epoch))
-
-    def _on_timeout(self, event: Event) -> None:
-        if event.payload != self._epoch:
-            return
-        assert self._open_request is not None
-        state = self.states[event.subject]
-        mark_unobtainable(state, self._open_request)
-        self._record(event.subject, "unobtainable", self._open_request.mask)
-        self._mode = _Mode.IDLE_CONTENTION
-        self._open_request = None
-        self._settle_done()
-        self._epoch += 1
-        self._push(Event(event.time_us, EventKind.CHANNEL_IDLE_CHECK, -1, self._epoch))
+            state.reply_draw = decide_reply(state, answering, self.timing, self.scheme, self.rng)
+            state.active_request = answering
 
     # -- transaction plumbing ----------------------------------------------
 
-    def _redraw_collider(self, state: UavProtocolState, frame: Frame) -> None:
-        # A collider redraws within its current subwindow; its stake has not
-        # changed, so only the value is refreshed.
-        if frame.kind is FrameKind.REQUEST:
-            state.request_draw = decide_request(state, self.timing, self.scheme, self.rng)
-        else:
-            assert self._open_request is not None
-            state.reply_draw = decide_reply(
-                state, self._open_request, self.timing, self.scheme, self.rng
-            )
-            state.active_request = self._open_request
-
-    def _open_transaction(self, request: Frame) -> None:
+    def _open_transaction(self, request: Frame) -> bool:
+        """Record a clean request and draw the replies; False when nobody can reply."""
         self._record(request.sender, "request", request.mask)
-        self._mode = _Mode.AWAITING_REPLY
-        self._open_request = request
-        self._request_end_us = self._now
+        anyone = False
         for u in self.members:
             state = self.states[u]
             draw = decide_reply(state, request, self.timing, self.scheme, self.rng)
             if draw is not None:
                 state.reply_draw = draw
                 state.active_request = request
+                anyone = True
+        return anyone
 
     def _close_transaction(self, reply: Frame) -> None:
         self.exchange_count += 1
@@ -373,44 +259,41 @@ class _ChannelEngine:
                 continue
             cancel_reply_if_answered(state, reply)
             absorb_reply(state, reply, self.timing, self.scheme, self.rng)
-        if requester.wanted:
+        if requester.wanted_mask:
             requester.request_draw = decide_request(requester, self.timing, self.scheme, self.rng)
-        self._mode = _Mode.IDLE_CONTENTION
-        self._open_request = None
-        self._settle_done()
+
+    def _time_out(self, request: Frame) -> None:
+        # Nobody can supply anything: the requester gives up after DIFS plus
+        # a full window of provable silence.
+        self._now += self.timing.difs_us + self.timing.cw_total_us
+        mark_unobtainable(self.states[request.sender], request)
+        self._record(request.sender, "unobtainable", request.mask)
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> ClusterResult:
-        self._done_set: set[UavId] = set()
-        self._pending = len(self.members)
+        """Run contention rounds until every member is done.
+
+        Each clean exchange shrinks the total wanted count and each timeout
+        retires its requester, so only collisions repeat a round; with every
+        subwindow at least two values wide, colliders separate eventually.
+        """
         for u in self.members:
             state = self.states[u]
             state.request_draw = decide_request(state, self.timing, self.scheme, self.rng)
         self._settle_done()
-        if self._pending:
-            self._push(Event(0, EventKind.CHANNEL_IDLE_CHECK, -1, self._epoch))
-        handlers = {
-            EventKind.TX_END: self._on_tx_end,
-            EventKind.CHANNEL_IDLE_CHECK: self._on_idle_check,
-            EventKind.TIMEOUT: self._on_timeout,
-            EventKind.BACKOFF_EXPIRED: self._on_backoff_expired,
-            EventKind.TX_START: self._on_tx_start,
-        }
-        processed = 0
-        while self._heap and self._pending:
-            _, _, _, _, event = heapq.heappop(self._heap)
-            assert event.time_us >= self._now, "event times must be non-decreasing"
-            self._now = event.time_us
-            handlers[event.kind](event)
-            processed += 1
-            if processed > self.max_events:
-                raise RuntimeError(
-                    f"event budget exceeded ({self.max_events}); "
-                    "likely a degenerate contention window"
-                )
-        if self._pending:
-            raise RuntimeError("event queue drained with UAVs still pending")
+        while len(self._done) < len(self.members):
+            request = self._round()
+            if request is None:
+                continue
+            if self._open_transaction(request):
+                reply = None
+                while reply is None:
+                    reply = self._round(request)
+                self._close_transaction(reply)
+            else:
+                self._time_out(request)
+            self._settle_done()
         completed = all(self.states[u].holdings.is_full() for u in self.members)
         unobtainable = 0
         for u in self.members:

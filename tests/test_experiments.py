@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -263,6 +267,17 @@ class TestCli:
         assert code == 1
         assert "cw_total_us must be at least 8" in err
         assert "Traceback" not in err
+
+    def test_python_dash_m_runs_the_cli(self):
+        tests_dir = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=str(tests_dir.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "uavex", "trace", "--fig1"],
+            capture_output=True, env=env, check=False,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == (tests_dir / "golden" / "trace_fig1.txt").read_bytes()
+        assert proc.stderr == b""
 
     def test_all_infeasible_sweep_exits_two(self, capsys):
         code = cli_main([

@@ -1,11 +1,18 @@
 """Engine behaviour: receipts sampling, the four-UAV golden trace, invariants."""
 
+import contextlib
+import io
+import math
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from uavex.core import IndicatorVector, ScenarioConfig, Scheme, stream
-from uavex.mac import TimingConfig
+from uavex.experiments import cli_main
+from uavex.mac import TimingConfig, subwindow_bounds, subwindow_for_count
 from uavex.protocol import trace_line
 from uavex.simulator import (
     RunResult,
@@ -267,8 +274,20 @@ class TestRunScenario:
 
 
 def _feasible_cluster_count(num_uavs, draw):
-    counts = [n for n in range(1, num_uavs + 1) if n == 1 or n % 2 == 0 or n < num_uavs]
-    return draw(st.sampled_from(counts))
+    return draw(st.sampled_from([n for n in range(1, num_uavs + 1) if _feasible(num_uavs, n)]))
+
+
+def _feasible(num_uavs, num_clusters):
+    # An odd count above 1 needs one spare seed UAV.
+    return num_clusters == 1 or num_clusters % 2 == 0 or num_clusters < num_uavs
+
+
+small_timings = st.builds(
+    TimingConfig,
+    difs_us=st.integers(1, 40),
+    preamble_us=st.integers(1, 25),
+    payload_us_per_packet=st.integers(1, 50),
+)
 
 
 @st.composite
@@ -278,13 +297,13 @@ def small_scenarios(draw):
     config = ScenarioConfig(
         num_uavs,
         num_packets,
-        draw(st.sampled_from([0.2, 0.5, 0.8])),
+        draw(st.floats(0.0, 1.0)),
         _feasible_cluster_count(num_uavs, draw),
         scheme=draw(st.sampled_from(list(Scheme))),
         seed=draw(st.integers(0, 50)),
     )
     window = draw(st.integers(1, 4 * num_packets))
-    return config, window
+    return config, replace(draw(small_timings), cw_total_us=window)
 
 
 class TestContentionWindowGuard:
@@ -300,9 +319,8 @@ class TestContentionWindowGuard:
     @settings(max_examples=150, deadline=None)
     @given(small_scenarios())
     def test_accepted_inputs_terminate_or_are_rejected(self, case):
-        config, window = case
-        timing = TimingConfig(cw_total_us=window)
-        if window < 2 * config.num_packets:
+        config, timing = case
+        if timing.cw_total_us < 2 * config.num_packets:
             with pytest.raises(ValueError):
                 run_scenario(config, 0, timing=timing)
             return
@@ -313,3 +331,104 @@ class TestContentionWindowGuard:
         initial_missing = sum(config.num_packets - v.popcount() for v in receipts)
         result = run_scenario(config, 0, timing=timing)
         assert sum(r.exchange_count for r in result.cluster_results) <= initial_missing
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        num_uavs=st.integers(1, 8),
+        num_packets=st.integers(1, 8),
+        rho=st.floats(0.0, 1.0),
+        extra_clusters=st.integers(0, 8),
+        window=st.integers(1, 32),
+        timing=small_timings,
+        seed=st.integers(0, 50),
+    )
+    def test_cli_exits_zero_one_or_two(
+        self, num_uavs, num_packets, rho, extra_clusters, window, timing, seed
+    ):
+        # Cluster counts run one past the fleet, so every exit path is drawn.
+        num_clusters = min(extra_clusters, num_uavs) + 1
+        argv = [
+            "compare", "--uavs", str(num_uavs), "--packets", str(num_packets),
+            "--rho", repr(rho), "--clusters", str(num_clusters), "--runs", "1",
+            "--seed", str(seed), "--cw-total-us", str(window),
+            "--difs-us", str(timing.difs_us), "--preamble-us", str(timing.preamble_us),
+            "--payload-us", str(timing.payload_us_per_packet),
+        ]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli_main(argv)
+        assert code in (0, 1, 2), err.getvalue()
+        if num_clusters <= num_uavs and _feasible(num_uavs, num_clusters):
+            assert code == (1 if window < 2 * num_packets else 0), err.getvalue()
+
+
+def _first_round_closed_form(k, w):
+    """Exact P(collision), E[min] and Var[min] of k uniform integer draws on 1..w.
+
+    P(min >= v) = ((w - v + 1) / w)^k; the minimum v collides unless exactly
+    one draw takes it and the other k - 1 lie above it.
+    """
+    p_collide = Fraction(0)
+    mean = Fraction(0)
+    second_moment = Fraction(0)
+    for v in range(1, w + 1):
+        at_least, above = w - v + 1, w - v
+        p_collide += Fraction(at_least**k - above**k - k * above ** (k - 1), w**k)
+        mean += Fraction(at_least, w) ** k
+        second_moment += v * v * Fraction(at_least**k - above**k, w**k)
+    return p_collide, mean, second_moment - mean * mean
+
+
+class TestContentionRoundClosedForm:
+    """The engine's first round against exact sums, over 4,000 fixed seeds.
+
+    k UAVs hold the same packets, so their request draws share one window
+    (lo, lo + w]. The first trace record is then a collision at DIFS + lo +
+    min, or a request at DIFS + lo + min + preamble. Tolerance: 4 SE.
+    """
+
+    SEEDS = range(4000)
+
+    @pytest.mark.parametrize("scheme, held, k, window", [
+        (Scheme.BASELINE_CSMA, (0, 0), 3, 12),           # (0, 12]
+        (Scheme.MECHANISM_ONLY, (1, 0, 0, 0), 4, 30),    # subwindow 2: (7, 15]
+        (Scheme.PROPOSED, (1, 1, 0, 0, 0, 0), 2, 40),    # subwindow 3: (13, 20]
+    ])
+    def test_first_round(self, scheme, held, k, window):
+        num_packets = len(held)
+        if scheme.uses_priority_backoff:
+            stake = num_packets - sum(held)
+            lo, hi = subwindow_bounds(
+                num_packets, subwindow_for_count(num_packets, stake), window
+            )
+        else:
+            lo, hi = 0, window
+        w = hi - lo
+        timing = TimingConfig(cw_total_us=window)
+        holdings = {u: IndicatorVector(held) for u in range(k)}
+        collisions = 0
+        total = 0
+        for seed in self.SEEDS:
+            trace = []
+            run_cluster_exchange(range(k), holdings, timing, scheme,
+                                 stream(seed, 0, "backoff/0"), trace=trace)
+            first = trace[0]
+            assert first.event in ("collision", "request")
+            start = first.time_us - (timing.preamble_us if first.event == "request" else 0)
+            shortest = start - timing.difs_us - lo
+            assert 1 <= shortest <= w
+            collisions += first.event == "collision"
+            total += shortest
+        n = len(self.SEEDS)
+        p_collide, mean, variance = _first_round_closed_form(k, w)
+        p = float(p_collide)
+        assert abs(collisions / n - p) <= 4 * math.sqrt(p * (1 - p) / n), (collisions, p)
+        assert abs(total / n - float(mean)) <= 4 * math.sqrt(float(variance) / n), (
+            total / n, float(mean)
+        )
+
+    def test_closed_form_small_cases(self):
+        # Two draws on {1, 2}: a tie half the time; min is 1 unless both are 2.
+        assert _first_round_closed_form(2, 2) == (Fraction(1, 2), Fraction(5, 4), Fraction(3, 16))
+        # One draw never collides.
+        assert _first_round_closed_form(1, 5)[0] == 0
