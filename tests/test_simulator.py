@@ -1,6 +1,7 @@
 """Engine behaviour: receipts sampling, the four-UAV golden trace, invariants."""
 
 import contextlib
+import hashlib
 import io
 import math
 from dataclasses import replace
@@ -10,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavex.core import IndicatorVector, ScenarioConfig, Scheme, stream
+from uavex.core import IndicatorVector, RunStreams, ScenarioConfig, Scheme, stream
 from uavex.experiments import cli_main
 from uavex.mac import TimingConfig, subwindow_bounds, subwindow_for_count
 from uavex.protocol import trace_line
 from uavex.simulator import (
     RunResult,
+    assignment_for_scheme,
     run_cluster_exchange,
     run_scenario,
     sample_initial_receipts,
@@ -432,3 +434,81 @@ class TestContentionRoundClosedForm:
         assert _first_round_closed_form(2, 2) == (Fraction(1, 2), Fraction(5, 4), Fraction(3, 16))
         # One draw never collides.
         assert _first_round_closed_form(1, 5)[0] == 0
+
+
+class _CountingRng:
+    """Forwards ``integers`` to a generator and counts the calls: one per backoff draw."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = 0
+
+    def integers(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+def backoff_consumption(config, run_index, timing=TIMING):
+    """Draw counts per cluster and a digest of each ``backoff/<cluster>`` state after the exchange.
+
+    The goldens catch changed draw values; this also catches an extra or a
+    missing trailing draw, which leaves every printed figure unchanged.
+    """
+    streams = RunStreams(config.seed, run_index)
+    receipts = sample_initial_receipts(
+        config.num_uavs, config.num_packets, config.delivery_rate, streams.stream("bs-delivery")
+    )
+    assignment = assignment_for_scheme(receipts, config, streams.stream("tie-break"))
+    draws = []
+    digest = hashlib.sha256()
+    for cluster_id, group in enumerate(assignment.members):
+        rng = streams.stream(f"backoff/{cluster_id}")
+        counted = _CountingRng(rng)
+        run_cluster_exchange(group, {u: receipts[u] for u in group}, timing,
+                             config.scheme, counted)
+        draws.append(counted.draws)
+        digest.update(repr((counted.draws, rng.bit_generator.state)).encode())
+    return tuple(draws), digest.hexdigest()[:16]
+
+
+def _ref10(scheme):
+    return ScenarioConfig(10, 6, 0.7, 3, scheme=Scheme(scheme), seed=0)
+
+
+# The inputs of the golden traces: (scheme, run index, cw_total_us).
+GOLDEN_TRACE_INPUTS = {
+    ("proposed", 0, 9207): ((9, 10, 7), "5df03f14b2a7ca3c"),
+    ("mechanism_only", 0, 9207): ((30,), "dff2dd6bfbabeb7e"),
+    ("baseline_csma", 0, 9207): ((50,), "38eda309d20272c2"),
+    ("mechanism_only", 0, 24): ((40,), "c2da13e4857c0d60"),
+    ("baseline_csma", 17, 24): ((67,), "cb3d95a83a0d7691"),
+    ("proposed", 106, 9207): ((10, 20, 11), "0db76026c182b76f"),
+}
+
+# REF20 (U=20/M=10/rho=0.6/N=6) seed 0, runs 0..19: total draws of each run
+# and one digest over every run's per-cluster counts and states.
+REF20_RUNS = {
+    "proposed": ([72, 81, 73, 85, 75, 80, 75, 75, 68, 83,
+                  69, 80, 68, 72, 76, 83, 73, 70, 80, 78], "008394aeba31cdcb"),
+    "mechanism_only": ([90, 94, 73, 115, 74, 94, 89, 90, 88, 96,
+                        73, 95, 71, 105, 91, 75, 65, 99, 73, 71], "f4886b03f453141d"),
+    "baseline_csma": ([125, 148, 129, 171, 176, 182, 130, 143, 199, 154,
+                       172, 134, 135, 119, 133, 154, 186, 149, 184, 175], "0276c4735b05b4af"),
+}
+
+
+class TestBackoffStreamConsumption:
+    """Draw counts and end states of the backoff streams, pinned for fixed inputs."""
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_TRACE_INPUTS))
+    def test_golden_trace_inputs(self, key):
+        scheme, run_index, window = key
+        timing = replace(TIMING, cw_total_us=window)
+        assert backoff_consumption(_ref10(scheme), run_index, timing) == GOLDEN_TRACE_INPUTS[key]
+
+    @pytest.mark.parametrize("scheme", sorted(REF20_RUNS))
+    def test_ref20_runs(self, scheme):
+        config = ScenarioConfig(20, 10, 0.6, 6, scheme=Scheme(scheme), seed=0)
+        per_run = [backoff_consumption(config, k) for k in range(20)]
+        digest = hashlib.sha256(repr(per_run).encode()).hexdigest()[:16]
+        assert ([sum(draws) for draws, _ in per_run], digest) == REF20_RUNS[scheme]
