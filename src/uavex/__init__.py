@@ -34,7 +34,6 @@ from .experiments import (
     sweep_full_set_rate,
 )
 from .mac import (
-    BackoffDraw,
     FrameKind,
     TimingConfig,
     draw_backoff,
@@ -50,10 +49,10 @@ from .protocol import (
     absorb_reply,
     build_reply,
     build_request,
-    cancel_reply_if_answered,
-    decide_reply,
-    decide_request,
+    draw_requests,
     mark_unobtainable,
+    open_transaction,
+    redraw_colliders,
     trace_line,
 )
 from .simulator import (
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateRow",
-    "BackoffDraw",
     "ClusterAssignment",
     "ClusterResult",
     "Frame",
@@ -86,20 +84,20 @@ __all__ = [
     "absorb_reply",
     "build_reply",
     "build_request",
-    "cancel_reply_if_answered",
     "cluster_network",
     "compare_schemes",
-    "decide_reply",
-    "decide_request",
     "draw_backoff",
     "draw_baseline_backoff",
+    "draw_requests",
     "frame_duration",
     "full_set_rate_samples",
     "hamming_distance",
     "initialize_clusters",
     "mark_unobtainable",
     "merge_iteration",
+    "open_transaction",
     "packet_label",
+    "redraw_colliders",
     "rows_to_csv",
     "run_cluster_exchange",
     "run_scenario",

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -268,11 +268,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_cluster_values(text: str) -> list[int]:
-    """Accept '3', '1,2,5', or '1..10'."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",")]
+    """Accept '3', '1,2,5', or an ascending range '1..10'."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(part) for part in text.split(",")]
+    except ValueError:
+        values = []
+    if not values:
+        raise ValueError(
+            f"--clusters takes N, N,M,... or a range LO..HI with LO <= HI; got {text!r}"
+        )
+    return values
 
 
 def _load_config_file(path: str) -> dict:
@@ -286,6 +295,21 @@ def _load_config_file(path: str) -> dict:
 _SCENARIO_KEYS = ("num_uavs", "num_packets", "delivery_rate", "num_clusters",
                   "scheme", "seed", "runs")
 _TIMING_KEYS = ("difs_us", "cw_total_us", "preamble_us", "payload_us_per_packet")
+
+
+def _setting(key: str, value: object, kind: type) -> Any:
+    """Setting ``key`` as ``kind`` (int, float or Scheme); a ValueError naming the key otherwise.
+
+    JSON nulls, booleans, lists and objects are refused, and so is a fraction
+    for an integer setting; strings convert as ``kind`` parses them.
+    """
+    fraction = kind is int and isinstance(value, float) and not value.is_integer()
+    if value is None or isinstance(value, (bool, list, dict)) or fraction:
+        raise ValueError(f"setting {key} must be {kind.__name__}, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"setting {key} must be {kind.__name__}, got {value!r}") from None
 
 
 def _gather_settings(args: argparse.Namespace) -> tuple[dict, TimingConfig]:
@@ -311,7 +335,7 @@ def _gather_settings(args: argparse.Namespace) -> tuple[dict, TimingConfig]:
     timing_kwargs = {}
     for key in _TIMING_KEYS:
         if key in settings:
-            timing_kwargs[key] = int(settings.pop(key))
+            timing_kwargs[key] = _setting(key, settings.pop(key), int)
         override = getattr(args, key, None)
         if override is not None:
             timing_kwargs[key] = override
@@ -323,13 +347,13 @@ def _scenario_from(settings: dict, num_clusters: int) -> ScenarioConfig:
     if missing:
         raise ValueError(f"missing scenario settings: {missing} (flags or config file)")
     return ScenarioConfig(
-        num_uavs=int(settings["num_uavs"]),
-        num_packets=int(settings["num_packets"]),
-        delivery_rate=float(settings["delivery_rate"]),
+        num_uavs=_setting("num_uavs", settings["num_uavs"], int),
+        num_packets=_setting("num_packets", settings["num_packets"], int),
+        delivery_rate=_setting("delivery_rate", settings["delivery_rate"], float),
         num_clusters=num_clusters,
-        scheme=Scheme(settings.get("scheme", "proposed")),
-        seed=int(settings.get("seed", 0)),
-        runs=int(settings.get("runs", 500)),
+        scheme=_setting("scheme", settings.get("scheme", "proposed"), Scheme),
+        seed=_setting("seed", settings.get("seed", 0), int),
+        runs=_setting("runs", settings.get("runs", 500), int),
     )
 
 
@@ -392,9 +416,11 @@ def _build_parser() -> _Parser:
 def _cmd_full_set_rate(args: argparse.Namespace) -> int:
     settings, _ = _gather_settings(args)
     cluster_values = _parse_cluster_values(args.clusters)
-    rhos = ([float(r) for r in args.rhos.split(",")] if args.rhos
-            else [float(settings["delivery_rate"])] if "delivery_rate" in settings else None)
-    if rhos is None:
+    if args.rhos:
+        rhos = [float(r) for r in args.rhos.split(",")]
+    elif "delivery_rate" in settings:
+        rhos = [_setting("delivery_rate", settings["delivery_rate"], float)]
+    else:
         raise ValueError("delivery rate required (--rho, --rhos, or config file)")
     rows = []
     for rho in rhos:
@@ -421,7 +447,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     settings, timing = _gather_settings(args)
-    seed = int(settings.get("seed", 0))
+    seed = _setting("seed", settings.get("seed", 0), int)
     if args.fig1:
         trace, result = _fig1_trace(timing, seed)
         results = [result]

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
-from .core import Rng, UavId
+from .core import Rng
 
 
 class FrameKind(Enum):
@@ -42,13 +43,6 @@ class TimingConfig:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class BackoffDraw:
-    duration_us: int
-    subwindow: int | None = None  # None for plain uniform draws
-    owner: UavId | None = None
-
-
 def subwindow_for_count(num_packets: int, relevant_count: int) -> int:
     """Subwindow index (1-based) for a node with the given number of relevant packets."""
     if not 1 <= relevant_count <= num_packets:
@@ -72,31 +66,36 @@ def subwindow_bounds(num_packets: int, subwindow: int, window_us: int) -> tuple[
     return lo, hi
 
 
-def draw_backoff(
-    num_packets: int,
-    relevant_count: int,
-    window_us: int,
-    rng: Rng,
-    owner: UavId | None = None,
-) -> BackoffDraw:
-    """Uniform integer draw inside the priority subwindow for ``relevant_count``."""
-    k = subwindow_for_count(num_packets, relevant_count)
-    lo, hi = subwindow_bounds(num_packets, k, window_us)
-    if hi <= lo:
+@lru_cache(maxsize=128)
+def _draw_ranges(num_packets: int, window_us: int) -> tuple[tuple[int, int], ...]:
+    """Half-open draw range [lo + 1, hi + 1) for each stake, indexed by stake (index 0 unused)."""
+    ranges = [(0, 0)]
+    for stake in range(1, num_packets + 1):
+        lo, hi = subwindow_bounds(num_packets, num_packets - stake + 1, window_us)
+        ranges.append((lo + 1, hi + 1))
+    return tuple(ranges)
+
+
+def draw_backoff(num_packets: int, relevant_count: int, window_us: int, rng: Rng) -> int:
+    """Uniform integer draw, in us, inside the priority subwindow for ``relevant_count``."""
+    if not 1 <= relevant_count <= num_packets:
         raise ValueError(
-            f"subwindow {k} of window {window_us} us is empty; "
+            f"relevant_count must lie in [1, {num_packets}], got {relevant_count}"
+        )
+    low, high = _draw_ranges(num_packets, window_us)[relevant_count]
+    if high <= low:
+        raise ValueError(
+            f"subwindow {num_packets - relevant_count + 1} of window {window_us} us is empty; "
             f"need window_us >= num_packets ({num_packets})"
         )
-    duration = int(rng.integers(lo + 1, hi + 1))
-    return BackoffDraw(duration_us=duration, subwindow=k, owner=owner)
+    return int(rng.integers(low, high))
 
 
-def draw_baseline_backoff(window_us: int, rng: Rng, owner: UavId | None = None) -> BackoffDraw:
-    """Uniform integer draw over the whole window, as plain CSMA/CA would do."""
+def draw_baseline_backoff(window_us: int, rng: Rng) -> int:
+    """Uniform integer draw, in us, over the whole window, as plain CSMA/CA would do."""
     if window_us < 1:
         raise ValueError("window_us must be at least 1")
-    duration = int(rng.integers(1, window_us + 1))
-    return BackoffDraw(duration_us=duration, subwindow=None, owner=owner)
+    return int(rng.integers(1, window_us + 1))
 
 
 def frame_duration(kind: FrameKind, data_packet_count: int, timing: TimingConfig) -> int:

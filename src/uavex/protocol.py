@@ -1,16 +1,26 @@
-"""Per-UAV request/reply behaviour on one shared cluster channel.
+"""Request/reply behaviour of the UAVs on one shared cluster channel.
 
 Each UAV tracks what it holds, which packets it has given up on, and at most
-one pending backoff per role: a request draw sized by how many packets it
-still wants, and a reply draw sized by how many of a heard request's packets
-it can supply. Backoff *values* persist between contention rounds; they are
-replaced only when the owner's stake changes, when a collision forces a
-redraw, or when the draw is consumed by transmitting.
+one pending backoff per role, kept as a plain int of microseconds: a request
+draw sized by how many packets it still wants, and a reply draw sized by how
+many of the open request's packets it can supply. Backoff *values* persist
+between contention rounds; they are replaced only when the owner's stake
+changes, when a collision forces a redraw, or when the draw is consumed by
+transmitting.
+
+The rules are written once per channel event, each applied to the cluster's
+UAV states in uav order: the first request draws (``draw_requests``), a clean
+request (``open_transaction``), a clean reply (``absorb_reply``), a collision
+(``redraw_colliders``) and a request nobody can supply
+(``mark_unobtainable``). Each draw is one call of ``draw_backoff`` or
+``draw_baseline_backoff``, so a cluster's stream is consumed in event order
+and, within an event, in uav order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from .core import (
     IndicatorVector,
@@ -21,7 +31,7 @@ from .core import (
     mask_packets,
     packet_label,
 )
-from .mac import BackoffDraw, FrameKind, TimingConfig, draw_backoff, draw_baseline_backoff
+from .mac import FrameKind, TimingConfig, draw_backoff, draw_baseline_backoff
 
 
 @dataclass(frozen=True)
@@ -51,20 +61,20 @@ class Frame:
         return frozenset(mask_packets(self.mask))
 
 
-@dataclass
+@dataclass(slots=True)
 class UavProtocolState:
     """Mutable per-UAV exchange state, owned by a single cluster's channel engine.
 
     Packets given up on are kept as a bitmask, like the holdings;
-    ``unobtainable`` is its packet-id view.
+    ``unobtainable`` is its packet-id view. A pending draw is its backoff in
+    whole microseconds (always positive), or None when there is none.
     """
 
     uav_id: UavId
     holdings: IndicatorVector
     unobtainable_mask: int = 0
-    request_draw: BackoffDraw | None = None
-    reply_draw: BackoffDraw | None = None
-    active_request: Frame | None = None  # the request the reply draw answers
+    request_draw: int | None = None
+    reply_draw: int | None = None  # answers the request the channel has open
 
     @property
     def unobtainable(self) -> frozenset[PacketId]:
@@ -91,11 +101,7 @@ class UavProtocolState:
     @property
     def pending_backoff(self) -> int:
         """Duration of the draw currently in play (reply duty first), else 0."""
-        if self.reply_draw is not None:
-            return self.reply_draw.duration_us
-        if self.request_draw is not None:
-            return self.request_draw.duration_us
-        return 0
+        return self.reply_draw or self.request_draw or 0
 
     @property
     def phase(self) -> str:
@@ -108,43 +114,103 @@ class UavProtocolState:
         return "idle"
 
 
-def _draw(
-    relevant_count: int,
-    num_packets: int,
-    timing: TimingConfig,
-    scheme: Scheme,
-    rng: Rng,
-    owner: UavId,
-) -> BackoffDraw:
+def _draw(stake: int, num_packets: int, timing: TimingConfig, scheme: Scheme, rng: Rng) -> int:
+    """One backoff for a positive stake: its priority subwindow, or the whole window."""
     if scheme.uses_priority_backoff:
-        return draw_backoff(num_packets, relevant_count, timing.cw_total_us, rng, owner=owner)
-    return draw_baseline_backoff(timing.cw_total_us, rng, owner=owner)
+        return draw_backoff(num_packets, stake, timing.cw_total_us, rng)
+    return draw_baseline_backoff(timing.cw_total_us, rng)
 
 
-def decide_request(
-    state: UavProtocolState, timing: TimingConfig, scheme: Scheme, rng: Rng
-) -> BackoffDraw | None:
-    """Backoff draw for requesting, sized by the wanted-packet count; None when done."""
-    stake = state.wanted_mask.bit_count()
-    if not stake:
-        return None
-    return _draw(stake, len(state.holdings), timing, scheme, rng, state.uav_id)
+def draw_requests(
+    states: Iterable[UavProtocolState], timing: TimingConfig, scheme: Scheme, rng: Rng
+) -> None:
+    """Give every UAV that wants packets a request draw sized by its wanted count."""
+    for state in states:
+        stake = state.wanted_mask.bit_count()
+        state.request_draw = (
+            _draw(stake, state.holdings.length, timing, scheme, rng) if stake else None
+        )
 
 
-def decide_reply(
-    state: UavProtocolState,
+def open_transaction(
+    states: Iterable[UavProtocolState],
     request: Frame,
     timing: TimingConfig,
     scheme: Scheme,
     rng: Rng,
-) -> BackoffDraw | None:
-    """Backoff draw for answering a request, sized by how many of its packets we hold."""
-    if request.sender == state.uav_id:
-        return None
-    stake = (request.mask & state.holdings.mask).bit_count()
-    if not stake:
-        return None
-    return _draw(stake, len(state.holdings), timing, scheme, rng, state.uav_id)
+) -> list[UavProtocolState]:
+    """Draw a reply backoff for every other UAV holding some of a clean request's packets.
+
+    The stake is how many of the requested packets the UAV holds. Returns the
+    repliers in the order they drew; empty when nobody can reply.
+    """
+    repliers = []
+    for state in states:
+        if state.uav_id == request.sender:
+            continue
+        stake = (request.mask & state.holdings.mask).bit_count()
+        if stake:
+            state.reply_draw = _draw(stake, state.holdings.length, timing, scheme, rng)
+            repliers.append(state)
+    return repliers
+
+
+def absorb_reply(
+    states: Mapping[UavId, UavProtocolState],
+    reply: Frame,
+    timing: TimingConfig,
+    scheme: Scheme,
+    rng: Rng,
+) -> None:
+    """Close a transaction: every UAV but the sender takes in an overheard reply.
+
+    The reply answers the open request, so every other pending reply is
+    dropped. Holdings only ever gain packets; anything received stops being
+    unobtainable. A UAV that gains packets while holding a request draw has a
+    smaller wanted count, so its draw is redrawn from the new subwindow, or
+    dropped once nothing is wanted anymore; a stale draw would misstate the
+    priority. Last, the requester draws again if it still wants packets.
+    """
+    for state in states.values():
+        if state.uav_id == reply.sender:
+            continue
+        state.reply_draw = None
+        state.unobtainable_mask &= ~reply.mask
+        holdings = state.holdings
+        if not reply.mask & ~holdings.mask:
+            continue  # nothing new: holdings and stake are unchanged
+        state.holdings = IndicatorVector.from_mask(holdings.mask | reply.mask, holdings.length)
+        if state.request_draw is not None:
+            stake = state.wanted_mask.bit_count()
+            state.request_draw = (
+                _draw(stake, holdings.length, timing, scheme, rng) if stake else None
+            )
+    requester = states[reply.in_reply_to]
+    stake = requester.wanted_mask.bit_count()
+    if stake:
+        requester.request_draw = _draw(stake, requester.holdings.length, timing, scheme, rng)
+
+
+def redraw_colliders(
+    colliders: Iterable[UavProtocolState],
+    answering: Frame | None,
+    timing: TimingConfig,
+    scheme: Scheme,
+    rng: Rng,
+) -> None:
+    """Redraw, in the given order, the draws whose frames collided.
+
+    Request colliders (``answering`` is None) redraw their request, reply
+    colliders their reply to ``answering``. A collision changes no stake, so
+    each redraws within its current subwindow.
+    """
+    for state in colliders:
+        if answering is None:
+            stake = state.wanted_mask.bit_count()
+            state.request_draw = _draw(stake, state.holdings.length, timing, scheme, rng)
+        else:
+            stake = (answering.mask & state.holdings.mask).bit_count()
+            state.reply_draw = _draw(stake, state.holdings.length, timing, scheme, rng)
 
 
 def build_request(state: UavProtocolState) -> Frame:
@@ -161,51 +227,6 @@ def build_reply(state: UavProtocolState, request: Frame) -> Frame:
     if not supply:
         raise ValueError(f"uav {state.uav_id} holds none of the requested packets")
     return Frame(FrameKind.REPLY, state.uav_id, supply, in_reply_to=request.sender)
-
-
-def absorb_reply(
-    state: UavProtocolState,
-    reply: Frame,
-    timing: TimingConfig,
-    scheme: Scheme,
-    rng: Rng,
-) -> None:
-    """Fold an overheard reply into holdings and refresh the request draw if the stake changed.
-
-    Every UAV on the channel absorbs replies, not only the requester. Holdings
-    only ever gain packets; anything received stops being unobtainable. A
-    pending request draw is kept as long as the wanted count is unchanged,
-    discarded outright when nothing is wanted anymore, and redrawn from the
-    new subwindow otherwise since a stale draw would misstate the priority.
-    """
-    state.unobtainable_mask &= ~reply.mask
-    holdings = state.holdings
-    if not reply.mask & ~holdings.mask:
-        return  # nothing new: holdings and stake are unchanged
-    before = state.wanted_mask.bit_count()
-    state.holdings = IndicatorVector.from_mask(holdings.mask | reply.mask, holdings.length)
-    after = state.wanted_mask.bit_count()
-    if state.request_draw is None or after == before:
-        return
-    if after == 0:
-        state.request_draw = None
-    else:
-        state.request_draw = _draw(
-            after, len(state.holdings), timing, scheme, rng, state.uav_id
-        )
-
-
-def cancel_reply_if_answered(state: UavProtocolState, observed: Frame) -> None:
-    """Drop a pending reply once another UAV has answered the same request."""
-    if state.reply_draw is None or state.active_request is None:
-        return
-    if (
-        observed.kind is FrameKind.REPLY
-        and observed.sender != state.uav_id
-        and observed.in_reply_to == state.active_request.sender
-    ):
-        state.reply_draw = None
-        state.active_request = None
 
 
 def mark_unobtainable(state: UavProtocolState, request_sent: Frame) -> None:

@@ -49,7 +49,7 @@ def _check_priority_ordering(rng: np.random.Generator) -> bool:
         a, b = sorted(rng.choice(np.arange(1, m + 1), size=2, replace=False))
         low = draw_backoff(m, int(b), window, rng)  # larger stake, earlier window
         high = draw_backoff(m, int(a), window, rng)
-        if not low.duration_us < high.duration_us:
+        if not low < high:
             return False
     return True
 

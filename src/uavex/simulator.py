@@ -14,6 +14,13 @@ nobody can supply anything, with a timeout after DIFS plus a full window of
 silence), and then contends again, whole, in the next round. Equal shortest
 draws collide: all their frames are lost and the colliders redraw within
 their current subwindows as their frames end.
+
+Draws are plain ints of microseconds. The engine keeps the clock, picks the
+transmitters and records the trace; each protocol rule is one ``protocol``
+call per channel event (first draws, clean request, clean reply, collision,
+timeout) that walks the cluster's states itself. Members that want nothing
+more are retired once and no longer contend for requests, though they keep
+answering them.
 """
 
 from __future__ import annotations
@@ -41,10 +48,10 @@ from .protocol import (
     absorb_reply,
     build_reply,
     build_request,
-    cancel_reply_if_answered,
-    decide_reply,
-    decide_request,
+    draw_requests,
     mark_unobtainable,
+    open_transaction,
+    redraw_colliders,
 )
 
 
@@ -145,7 +152,8 @@ class _ChannelEngine:
         self.cluster_id = cluster_id
 
         self._now = 0
-        self._done: set[UavId] = set()
+        self._pending = list(self.states.values())  # members not yet done, in uav order
+        self._repliers: list[UavProtocolState] = []  # holders of the open request's reply draws
         self._finish_us = 0
         self.exchange_count = 0
         self.collision_count = 0
@@ -173,13 +181,14 @@ class _ChannelEngine:
 
     def _settle_done(self) -> None:
         """Retire the members that want nothing more, recording when each finished."""
-        for u, state in self.states.items():
-            if state.is_done and state.request_draw is None and u not in self._done:
-                self._done.add(u)
-                state.reply_draw = None
-                state.active_request = None
+        pending = []
+        for state in self._pending:
+            if state.request_draw is None and not state.wanted_mask:
                 self._finish_us = max(self._finish_us, self._now)
-                self._record(u, "done")
+                self._record(state.uav_id, "done")
+            else:
+                pending.append(state)
+        self._pending = pending
 
     # -- one contention round ----------------------------------------------
 
@@ -192,18 +201,17 @@ class _ChannelEngine:
         colliders redraw as their frames end, and None is returned.
         """
         if answering is None:
-            draws = {u: s.request_draw for u, s in self.states.items() if s.request_draw}
+            draws = [(s.request_draw, s) for s in self._pending if s.request_draw]
         else:
-            draws = {u: s.reply_draw for u, s in self.states.items() if s.reply_draw}
+            draws = [(s.reply_draw, s) for s in self._repliers]
         if not draws:
             raise RuntimeError("stalled: pending UAVs without request draws")
-        shortest = min(draw.duration_us for draw in draws.values())
+        shortest = min(draw for draw, _ in draws)
         self._now += self.timing.difs_us + shortest
         sent = []
-        for u, draw in draws.items():
-            if draw.duration_us != shortest:
+        for draw, state in draws:
+            if draw != shortest:
                 continue
-            state = self.states[u]
             if answering is None:
                 frame = build_request(state)
                 state.request_draw = None
@@ -211,63 +219,21 @@ class _ChannelEngine:
             else:
                 frame = build_reply(state, answering)
                 state.reply_draw = None
-                state.active_request = None
                 carried = frame.mask.bit_count()
-            sent.append((self._now + frame_duration(frame.kind, carried, self.timing), u, frame))
+            end = self._now + frame_duration(frame.kind, carried, self.timing)
+            sent.append((end, state.uav_id, frame, state))
         if len(sent) == 1:
-            self._now, _, frame = sent[0]
+            self._now, _, frame, _ = sent[0]
             return frame
         self.collision_count += 1
-        _, second, frame = sent[1]
+        _, second, frame, _ = sent[1]
         self._record(second, "collision", frame.mask)
-        for end, u, _ in sorted(sent, key=lambda tx: tx[:2]):
-            self._now = end
-            self._redraw_collider(self.states[u], answering)
+        sent.sort(key=lambda tx: tx[:2])
+        self._now = sent[-1][0]
+        redraw_colliders(
+            [state for *_, state in sent], answering, self.timing, self.scheme, self.rng
+        )
         return None
-
-    def _redraw_collider(self, state: UavProtocolState, answering: Frame | None) -> None:
-        # A collider redraws within its current subwindow; its stake has not
-        # changed, so only the value is refreshed.
-        if answering is None:
-            state.request_draw = decide_request(state, self.timing, self.scheme, self.rng)
-        else:
-            state.reply_draw = decide_reply(state, answering, self.timing, self.scheme, self.rng)
-            state.active_request = answering
-
-    # -- transaction plumbing ----------------------------------------------
-
-    def _open_transaction(self, request: Frame) -> bool:
-        """Record a clean request and draw the replies; False when nobody can reply."""
-        self._record(request.sender, "request", request.mask)
-        anyone = False
-        for u in self.members:
-            state = self.states[u]
-            draw = decide_reply(state, request, self.timing, self.scheme, self.rng)
-            if draw is not None:
-                state.reply_draw = draw
-                state.active_request = request
-                anyone = True
-        return anyone
-
-    def _close_transaction(self, reply: Frame) -> None:
-        self.exchange_count += 1
-        self._record(reply.sender, "reply", reply.mask, peer=reply.in_reply_to)
-        requester = self.states[reply.in_reply_to]
-        for u in self.members:
-            state = self.states[u]
-            if state.uav_id == reply.sender:
-                continue
-            cancel_reply_if_answered(state, reply)
-            absorb_reply(state, reply, self.timing, self.scheme, self.rng)
-        if requester.wanted_mask:
-            requester.request_draw = decide_request(requester, self.timing, self.scheme, self.rng)
-
-    def _time_out(self, request: Frame) -> None:
-        # Nobody can supply anything: the requester gives up after DIFS plus
-        # a full window of provable silence.
-        self._now += self.timing.difs_us + self.timing.cw_total_us
-        mark_unobtainable(self.states[request.sender], request)
-        self._record(request.sender, "unobtainable", request.mask)
 
     # -- main loop ----------------------------------------------------------
 
@@ -277,22 +243,29 @@ class _ChannelEngine:
         Each clean exchange shrinks the total wanted count and each timeout
         retires its requester, so only collisions repeat a round; with every
         subwindow at least two values wide, colliders separate eventually.
+        A request that nobody can supply times out after DIFS plus a full
+        window of provable silence.
         """
-        for u in self.members:
-            state = self.states[u]
-            state.request_draw = decide_request(state, self.timing, self.scheme, self.rng)
+        timing, scheme, rng = self.timing, self.scheme, self.rng
+        draw_requests(self.states.values(), timing, scheme, rng)
         self._settle_done()
-        while len(self._done) < len(self.members):
+        while self._pending:
             request = self._round()
             if request is None:
                 continue
-            if self._open_transaction(request):
+            self._record(request.sender, "request", request.mask)
+            self._repliers = open_transaction(self.states.values(), request, timing, scheme, rng)
+            if self._repliers:
                 reply = None
                 while reply is None:
                     reply = self._round(request)
-                self._close_transaction(reply)
+                self.exchange_count += 1
+                self._record(reply.sender, "reply", reply.mask, peer=reply.in_reply_to)
+                absorb_reply(self.states, reply, timing, scheme, rng)
             else:
-                self._time_out(request)
+                self._now += timing.difs_us + timing.cw_total_us
+                mark_unobtainable(self.states[request.sender], request)
+                self._record(request.sender, "unobtainable", request.mask)
             self._settle_done()
         completed = all(self.states[u].holdings.is_full() for u in self.members)
         unobtainable = 0

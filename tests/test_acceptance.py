@@ -216,7 +216,7 @@ def test_criterion_7_backoff_priority_and_tiling():
         low, high = sorted(rng.choice(np.arange(1, m + 1), size=2, replace=False))
         eager = draw_backoff(m, int(high), window, rng)
         lazy = draw_backoff(m, int(low), window, rng)
-        assert eager.duration_us < lazy.duration_us
+        assert eager < lazy
     for num_packets in range(1, 33):
         for w in (num_packets, 1023, 9207):
             if w < num_packets:

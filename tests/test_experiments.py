@@ -1,13 +1,17 @@
 """Sweep mechanics, CSV output, matched sampling, and the command line."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uavex.core import ScenarioConfig, Scheme, stream
 from uavex.experiments import (
@@ -22,6 +26,19 @@ from uavex.experiments import (
 from uavex.simulator import sample_initial_receipts
 
 from reference import single_cluster_full_rate
+
+
+CONFIG_KEYS = ("num_uavs", "num_packets", "delivery_rate", "num_clusters", "scheme", "seed",
+               "runs", "difs_us", "cw_total_us", "preamble_us", "payload_us_per_packet")
+
+# JSON values of every type but number: null, bool, list, object, string.
+NON_NUMBER_JSON = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(-3, 30), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 30), max_size=2),
+    st.text(st.characters(blacklist_categories=("Nd",)), max_size=8),
+)
 
 
 def base_config(**overrides):
@@ -267,6 +284,44 @@ class TestCli:
         assert code == 1
         assert "cw_total_us must be at least 8" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("delivery_rate", None), ("cw_total_us", [24]), ("num_uavs", 10.7), ("cw_total_us", 24.9),
+    ])
+    def test_config_value_of_wrong_type_exits_one(self, key, value, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"num_uavs": 10, "num_packets": 6, "delivery_rate": 0.7,
+                                    key: value}))
+        code = cli_main(["compare", "--config", str(path), "--clusters", "3", "--runs", "1"])
+        assert code == 1
+        assert f"setting {key} must be" in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None)
+    @given(key=st.sampled_from(CONFIG_KEYS), value=NON_NUMBER_JSON)
+    def test_config_values_of_every_json_type_exit_cleanly(self, key, value):
+        # Strings carry no decimal digit, so none parses as a large run count.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.json"
+            path.write_text(json.dumps({"num_uavs": 10, "num_packets": 6,
+                                        "delivery_rate": 0.7, key: value}))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli_main(["compare", "--config", str(path), "--clusters", "3",
+                                 "--runs", "1"])
+        assert code in (0, 1, 2), err.getvalue()
+        overridden = ("num_clusters", "runs")  # --clusters and --runs win over the file
+        if key not in overridden and not isinstance(value, str):
+            assert code == 1
+            assert f"setting {key} must be" in err.getvalue()
+
+    @pytest.mark.parametrize("clusters", ["3..1", "5..4", "", "a..3", "2,,3"])
+    def test_empty_or_descending_cluster_range_names_the_flag(self, clusters, capsys):
+        code = cli_main([
+            "full-set-rate", "--uavs", "10", "--packets", "6", "--rho", "0.7",
+            "--clusters", clusters, "--runs", "2",
+        ])
+        assert code == 1
+        assert "--clusters" in capsys.readouterr().err
 
     def test_python_dash_m_runs_the_cli(self):
         tests_dir = Path(__file__).resolve().parent

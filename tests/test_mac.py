@@ -6,7 +6,6 @@ from scipy import stats
 
 from uavex.core import stream
 from uavex.mac import (
-    BackoffDraw,
     FrameKind,
     TimingConfig,
     draw_backoff,
@@ -15,6 +14,7 @@ from uavex.mac import (
     subwindow_bounds,
     subwindow_for_count,
 )
+from uavex.mac import _draw_ranges
 
 WINDOW = TimingConfig().cw_total_us  # 9207
 
@@ -89,10 +89,10 @@ class TestSubwindowBounds:
 class TestDrawBackoff:
     def test_draw_within_subwindow(self):
         rng = stream(0, 0, "backoff")
+        lo, hi = subwindow_bounds(6, 1, WINDOW)  # six of six relevant: subwindow 1
         for _ in range(500):
             draw = draw_backoff(6, 6, WINDOW, rng)
-            assert draw.subwindow == 1
-            assert 1 <= draw.duration_us <= 1534
+            assert lo < draw <= hi == 1534
 
     def test_strict_priority_many_pairs(self):
         rng = np.random.default_rng(9)
@@ -101,7 +101,7 @@ class TestDrawBackoff:
             low_count, high_count = sorted(rng.choice(np.arange(1, m + 1), 2, replace=False))
             eager = draw_backoff(m, int(high_count), WINDOW, rng)
             lazy = draw_backoff(m, int(low_count), WINDOW, rng)
-            assert eager.duration_us < lazy.duration_us
+            assert eager < lazy
 
     def test_replay_determinism(self):
         a = draw_backoff(6, 3, WINDOW, stream(2, 1, "backoff"))
@@ -112,7 +112,7 @@ class TestDrawBackoff:
         rng = stream(12, 0, "chi")
         lo, hi = subwindow_bounds(6, 1, WINDOW)
         draws = np.array(
-            [draw_backoff(6, 6, WINDOW, rng).duration_us for _ in range(100_000)]
+            [draw_backoff(6, 6, WINDOW, rng) for _ in range(100_000)]
         )
         counts = np.bincount(draws - (lo + 1), minlength=hi - lo)
         result = stats.chisquare(counts)
@@ -123,22 +123,47 @@ class TestDrawBackoff:
         with pytest.raises(ValueError):
             draw_backoff(10, 10, 7, stream(0, 0, "backoff"))
 
-    def test_owner_passthrough(self):
-        draw = draw_backoff(6, 2, WINDOW, stream(0, 0, "backoff"), owner=4)
-        assert draw.owner == 4
+    @pytest.mark.parametrize("count", [0, 7, -1])
+    def test_rejects_stake_out_of_range(self, count):
+        with pytest.raises(ValueError, match="relevant_count"):
+            draw_backoff(6, count, WINDOW, stream(0, 0, "backoff"))
+
+
+class TestDrawRanges:
+    def test_every_stake_matches_subwindow_bounds(self):
+        for m in range(1, 33):
+            for window in (2 * m, 1023, 9207):
+                ranges = _draw_ranges(m, window)
+                assert len(ranges) == m + 1
+                for stake in range(1, m + 1):
+                    lo, hi = subwindow_bounds(m, m - stake + 1, window)
+                    assert ranges[stake] == (lo + 1, hi + 1)
+
+    def test_interleaved_draws_match_a_twin_generator(self):
+        # Switching (M, W) between draws must not reuse another pair's table.
+        pairs = [(6, 9207), (10, 9207), (6, 24), (10, 20), (32, 1023), (1, 9207)]
+        rng = stream(5, 0, "backoff")
+        twin = stream(5, 0, "backoff")
+        picks = np.random.default_rng(1)
+        for _ in range(3000):
+            m, window = pairs[int(picks.integers(len(pairs)))]
+            stake = int(picks.integers(1, m + 1))
+            lo, hi = subwindow_bounds(m, m - stake + 1, window)
+            assert draw_backoff(m, stake, window, rng) == int(twin.integers(lo + 1, hi + 1))
 
 
 class TestDrawBaseline:
     def test_full_range(self):
         rng = stream(3, 0, "backoff")
-        draws = [draw_baseline_backoff(WINDOW, rng) for _ in range(2000)]
-        values = [d.duration_us for d in draws]
+        values = [draw_baseline_backoff(WINDOW, rng) for _ in range(2000)]
         assert min(values) >= 1
         assert max(values) <= WINDOW
-        assert all(d.subwindow is None for d in draws)
+        # Not confined to one priority subwindow: all six of M=6 are hit.
+        highs = [subwindow_bounds(6, k, WINDOW)[1] for k in range(1, 7)]
+        assert {next(k for k, hi in enumerate(highs) if v <= hi) for v in values} == set(range(6))
 
     def test_window_of_one_is_forced(self):
-        assert draw_baseline_backoff(1, stream(0, 0, "x")).duration_us == 1
+        assert draw_baseline_backoff(1, stream(0, 0, "x")) == 1
 
     def test_replay_determinism(self):
         a = draw_baseline_backoff(WINDOW, stream(4, 7, "backoff"))
@@ -164,6 +189,3 @@ class TestFrameDuration:
         with pytest.raises(ValueError):
             frame_duration(FrameKind.REQUEST, 2, TimingConfig())
 
-
-def test_backoff_draw_is_value_like():
-    assert BackoffDraw(5, 1, 0) == BackoffDraw(5, 1, 0)

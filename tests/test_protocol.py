@@ -3,7 +3,7 @@
 import pytest
 
 from uavex.core import IndicatorVector, Scheme, packet_mask, stream
-from uavex.mac import BackoffDraw, FrameKind, TimingConfig, subwindow_bounds
+from uavex.mac import FrameKind, TimingConfig, draw_backoff, subwindow_bounds
 from uavex.protocol import (
     Frame,
     TraceRecord,
@@ -11,10 +11,10 @@ from uavex.protocol import (
     absorb_reply,
     build_reply,
     build_request,
-    cancel_reply_if_answered,
-    decide_reply,
-    decide_request,
+    draw_requests,
     mark_unobtainable,
+    open_transaction,
+    redraw_colliders,
     trace_line,
 )
 
@@ -54,30 +54,39 @@ class TestFrame:
             Frame(FrameKind.REQUEST, 0, packet_mask({1}), in_reply_to=2)
 
 
+def in_subwindow(draw, subwindow, num_packets=6):
+    lo, hi = subwindow_bounds(num_packets, subwindow, TIMING.cw_total_us)
+    return lo < draw <= hi
+
+
 class TestDecideRequest:
     def test_neediest_uav_gets_subwindow_three(self):
         state = walkthrough_states()[2]  # missing 4 of 6
-        draw = decide_request(state, TIMING, Scheme.PROPOSED, rng())
-        assert draw.subwindow == 3
-        lo, hi = subwindow_bounds(6, 3, TIMING.cw_total_us)
-        assert lo < draw.duration_us <= hi
+        draw_requests([state], TIMING, Scheme.PROPOSED, rng())
+        assert in_subwindow(state.request_draw, 3)
 
     def test_full_uav_declines(self):
         state = UavProtocolState(0, IndicatorVector.ones(6))
-        assert decide_request(state, TIMING, Scheme.PROPOSED, rng()) is None
+        draw_requests([state], TIMING, Scheme.PROPOSED, rng())
+        assert state.request_draw is None
 
     def test_all_missing_unobtainable_means_done(self):
         state = UavProtocolState(0, held(0, 1, 3))
         state.unobtainable_mask = packet_mask({2, 4, 5})
-        assert decide_request(state, TIMING, Scheme.PROPOSED, rng()) is None
+        draw_requests([state], TIMING, Scheme.PROPOSED, rng())
+        assert state.request_draw is None
         assert state.is_done
         assert state.phase == "done"
 
     def test_baseline_draw_has_no_subwindow(self):
-        state = walkthrough_states()[2]
-        draw = decide_request(state, TIMING, Scheme.BASELINE_CSMA, rng())
-        assert draw.subwindow is None
-        assert 1 <= draw.duration_us <= TIMING.cw_total_us
+        draws = []
+        for seed in range(40):
+            state = walkthrough_states()[2]
+            draw_requests([state], TIMING, Scheme.BASELINE_CSMA, stream(seed, 0, "backoff/0"))
+            draws.append(state.request_draw)
+        assert all(1 <= d <= TIMING.cw_total_us for d in draws)
+        # A priority draw for four missing would stay in subwindow 3.
+        assert not all(in_subwindow(d, 3) for d in draws)
 
 
 class TestDecideReply:
@@ -87,29 +96,32 @@ class TestDecideReply:
     def test_best_supplier_always_wins(self):
         request = self.request_from_neediest()
         states = walkthrough_states()
-        best = decide_reply(states[3], request, TIMING, Scheme.PROPOSED, rng())
-        partial = decide_reply(states[0], request, TIMING, Scheme.PROPOSED, rng())
-        assert best.subwindow == 3  # supplies all four requested packets
-        assert partial.subwindow == 4  # supplies three
-        assert best.duration_us < partial.duration_us
+        repliers = open_transaction(states, request, TIMING, Scheme.PROPOSED, rng())
+        assert [s.uav_id for s in repliers] == [0, 1, 3]
+        best, partial = states[3].reply_draw, states[0].reply_draw
+        assert in_subwindow(best, 3)  # supplies all four requested packets
+        assert in_subwindow(partial, 4)  # supplies three
+        assert best < partial
 
     def test_holder_of_nothing_requested_declines(self):
         request = Frame(FrameKind.REQUEST, 9, packet_mask({5}))
         state = UavProtocolState(0, held(0, 1))
-        assert decide_reply(state, request, TIMING, Scheme.PROPOSED, rng()) is None
+        assert open_transaction([state], request, TIMING, Scheme.PROPOSED, rng()) == []
+        assert state.reply_draw is None
 
     def test_own_request_declines(self):
         state = walkthrough_states()[2]
         request = build_request(state)
-        assert decide_reply(state, request, TIMING, Scheme.PROPOSED, rng()) is None
+        assert open_transaction([state], request, TIMING, Scheme.PROPOSED, rng()) == []
+        assert state.reply_draw is None
 
     def test_equal_supply_shares_a_subwindow(self):
         request = Frame(FrameKind.REQUEST, 9, packet_mask({2, 4}))
         full_a = UavProtocolState(0, IndicatorVector.ones(6))
         full_b = UavProtocolState(1, IndicatorVector.ones(6))
-        draw_a = decide_reply(full_a, request, TIMING, Scheme.PROPOSED, rng())
-        draw_b = decide_reply(full_b, request, TIMING, Scheme.PROPOSED, rng())
-        assert draw_a.subwindow == draw_b.subwindow == 5
+        open_transaction([full_a, full_b], request, TIMING, Scheme.PROPOSED, rng())
+        assert in_subwindow(full_a.reply_draw, 5)
+        assert in_subwindow(full_b.reply_draw, 5)
 
 
 class TestBuildFrames:
@@ -142,73 +154,105 @@ class TestBuildFrames:
             build_reply(state, request)
 
 
+def walkthrough_fleet():
+    return {state.uav_id: state for state in walkthrough_states()}
+
+
 class TestAbsorbReply:
     def reply(self, *packets):
         return Frame(FrameKind.REPLY, 3, packet_mask(packets), in_reply_to=2)
 
+    def absorb(self, fleet, *packets):
+        absorb_reply(fleet, self.reply(*packets), TIMING, Scheme.PROPOSED, rng())
+
     def test_partial_absorption_redraws(self):
-        state = walkthrough_states()[0]  # missing {w3,w5,w6} = ids {2,4,5}
-        state.request_draw = decide_request(state, TIMING, Scheme.PROPOSED, rng())
-        assert state.request_draw.subwindow == 4  # three missing
-        absorb_reply(state, self.reply(0, 1, 3, 5), TIMING, Scheme.PROPOSED, rng())
+        fleet = walkthrough_fleet()
+        state = fleet[0]  # missing {w3,w5,w6} = ids {2,4,5}
+        draw_requests([state], TIMING, Scheme.PROPOSED, rng())
+        assert in_subwindow(state.request_draw, 4)  # three missing
+        self.absorb(fleet, 0, 1, 3, 5)
         assert state.missing == {2, 4}
-        assert state.request_draw.subwindow == 5  # redrawn for two missing
+        assert in_subwindow(state.request_draw, 5)  # redrawn for two missing
 
     def test_disjoint_reply_keeps_draw(self):
-        state = walkthrough_states()[0]
-        state.request_draw = decide_request(state, TIMING, Scheme.PROPOSED, rng())
+        fleet = walkthrough_fleet()
+        state = fleet[0]
+        draw_requests([state], TIMING, Scheme.PROPOSED, rng())
         original = state.request_draw
-        absorb_reply(state, self.reply(0, 1), TIMING, Scheme.PROPOSED, rng())
-        assert state.request_draw is original
+        self.absorb(fleet, 0, 1)
+        assert state.request_draw == original
 
     def test_covering_reply_finishes(self):
-        state = walkthrough_states()[0]
-        state.request_draw = decide_request(state, TIMING, Scheme.PROPOSED, rng())
-        absorb_reply(state, self.reply(2, 4, 5), TIMING, Scheme.PROPOSED, rng())
+        fleet = walkthrough_fleet()
+        state = fleet[0]
+        draw_requests([state], TIMING, Scheme.PROPOSED, rng())
+        self.absorb(fleet, 2, 4, 5)
         assert state.is_done
         assert state.request_draw is None
 
     def test_holdings_never_shrink(self):
-        state = walkthrough_states()[1]
+        fleet = walkthrough_fleet()
+        state = fleet[1]
         before = state.holdings
-        absorb_reply(state, self.reply(0, 2), TIMING, Scheme.PROPOSED, rng())
+        self.absorb(fleet, 0, 2)
         assert all(a >= b for a, b in zip(state.holdings.bits, before.bits))
 
     def test_received_packets_leave_unobtainable(self):
-        state = walkthrough_states()[0]
+        fleet = walkthrough_fleet()
+        state = fleet[0]
         state.unobtainable_mask = packet_mask({2})
-        absorb_reply(state, self.reply(2), TIMING, Scheme.PROPOSED, rng())
+        self.absorb(fleet, 2)
         assert state.unobtainable == set()
         assert 2 in state.holdings.held_packets()
+
+    def test_requester_draws_again_only_while_wanting(self):
+        fleet = walkthrough_fleet()  # requester 2 misses {0, 1, 3, 5}
+        self.absorb(fleet, 0, 1)
+        assert in_subwindow(fleet[2].request_draw, 5)  # two still missing
+        self.absorb(fleet, 3, 5)
+        assert fleet[2].request_draw is None
 
 
 class TestCancelReply:
     def arm_replier(self):
-        states = walkthrough_states()
-        request = build_request(states[2])
-        state = states[0]
-        state.reply_draw = decide_reply(state, request, TIMING, Scheme.PROPOSED, rng())
-        state.active_request = request
-        return state
+        fleet = walkthrough_fleet()
+        request = build_request(fleet[2])
+        open_transaction(fleet.values(), request, TIMING, Scheme.PROPOSED, rng())
+        return fleet, fleet[0]
 
     def test_competing_reply_cancels(self):
-        state = self.arm_replier()
+        fleet, state = self.arm_replier()
         competing = Frame(FrameKind.REPLY, 3, packet_mask({0, 1}), in_reply_to=2)
-        cancel_reply_if_answered(state, competing)
+        absorb_reply(fleet, competing, TIMING, Scheme.PROPOSED, rng())
         assert state.reply_draw is None
-        assert state.active_request is None
+        assert fleet[1].reply_draw is None
 
     def test_unrelated_request_does_not_cancel(self):
-        state = self.arm_replier()
-        unrelated = Frame(FrameKind.REQUEST, 1, packet_mask({0}))
-        cancel_reply_if_answered(state, unrelated)
-        assert state.reply_draw is not None
+        # Request colliders redraw their requests; pending replies stay.
+        fleet, state = self.arm_replier()
+        before = state.reply_draw
+        redraw_colliders([fleet[1]], None, TIMING, Scheme.PROPOSED, rng())
+        assert state.reply_draw == before
 
     def test_own_transmission_is_no_op(self):
-        state = self.arm_replier()
+        fleet, state = self.arm_replier()
+        before = state.reply_draw
         own = Frame(FrameKind.REPLY, state.uav_id, packet_mask({0}), in_reply_to=2)
-        cancel_reply_if_answered(state, own)
-        assert state.reply_draw is not None
+        absorb_reply(fleet, own, TIMING, Scheme.PROPOSED, rng())
+        assert state.reply_draw == before
+
+
+class TestRedrawColliders:
+    def test_redraws_in_order_within_current_subwindows(self):
+        fleet = walkthrough_fleet()
+        request = build_request(fleet[2])  # {0, 1, 3, 5}
+        twin = rng()
+        redraw_colliders([fleet[3], fleet[0]], request, TIMING, Scheme.PROPOSED, rng())
+        assert fleet[3].reply_draw == draw_backoff(6, 4, TIMING.cw_total_us, twin)
+        assert fleet[0].reply_draw == draw_backoff(6, 3, TIMING.cw_total_us, twin)
+        redraw_colliders([fleet[1], fleet[0]], None, TIMING, Scheme.PROPOSED, rng())
+        assert in_subwindow(fleet[1].request_draw, 6)  # missing one
+        assert in_subwindow(fleet[0].request_draw, 4)  # missing three
 
 
 class TestMarkUnobtainable:
@@ -231,12 +275,10 @@ class TestMarkUnobtainable:
 class TestPhaseAndBackoffFields:
     def test_backoff_positive_in_backoff_phases(self):
         state = walkthrough_states()[2]
-        state.request_draw = decide_request(state, TIMING, Scheme.PROPOSED, rng())
+        draw_requests([state], TIMING, Scheme.PROPOSED, rng())
         assert state.phase == "request_backoff"
         assert state.pending_backoff > 0
-        request = Frame(FrameKind.REQUEST, 9, packet_mask({2}))
-        state.reply_draw = BackoffDraw(10, 6, state.uav_id)
-        state.active_request = request
+        state.reply_draw = 10
         assert state.phase == "reply_backoff"
         assert state.pending_backoff == 10
 
