@@ -66,6 +66,11 @@ class ClusterAssignment:
                 raise AssertionError("stored cluster vector differs from member OR")
 
 
+def reads_tie_break(num_clusters: int) -> bool:
+    """Whether ``cluster_network`` reads its tie-break stream: only for an odd count above 1."""
+    return num_clusters > 1 and num_clusters % 2 == 1
+
+
 def _check_feasible(num_uavs: int, num_clusters: int) -> None:
     if num_clusters < 1:
         raise InfeasibleClusterCount("cluster count must be at least 1")
@@ -168,12 +173,13 @@ def merge_iteration(
 
 
 def cluster_network(
-    vectors: Sequence[IndicatorVector], num_clusters: int, rng: Rng
+    vectors: Sequence[IndicatorVector], num_clusters: int, rng: Rng | None
 ) -> ClusterAssignment:
     """Partition all UAVs into the requested number of clusters.
 
     Deterministic for a fixed (vectors, num_clusters, rng stream); the stream
-    is consumed only for the odd-count seed drop. A single-cluster request
+    is consumed only for the odd-count seed drop, so it may be None whenever
+    ``reads_tie_break(num_clusters)`` is false. A single-cluster request
     short-circuits to "everyone together", which is what the no-clustering
     exchange variants use.
     """
@@ -182,6 +188,8 @@ def cluster_network(
         for v in vectors[1:]:
             combined = combined | v
         return ClusterAssignment((tuple(range(len(vectors))),), (combined,))
+    if rng is None and reads_tie_break(num_clusters):
+        raise ValueError(f"clustering into {num_clusters} clusters needs a tie-break stream")
     members, pool = initialize_clusters(vectors, num_clusters, rng)
     cluster_vectors = [vectors[group[0]] for group in members]
     while pool:

@@ -18,7 +18,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .clustering import InfeasibleClusterCount, cluster_network
+from .clustering import InfeasibleClusterCount, cluster_network, reads_tie_break
 from .core import RunStreams, ScenarioConfig, Scheme
 from .mac import TimingConfig
 from .protocol import trace_line
@@ -123,7 +123,8 @@ def full_set_rate_samples(config: ScenarioConfig, runs: int) -> np.ndarray:
             config.num_uavs, config.num_packets, config.delivery_rate,
             streams.stream("bs-delivery"),
         )
-        assignment = cluster_network(receipts, config.num_clusters, streams.stream("tie-break"))
+        tie_break = streams.stream("tie-break") if reads_tie_break(config.num_clusters) else None
+        assignment = cluster_network(receipts, config.num_clusters, tie_break)
         fractions[k] = assignment.full_cluster_count() / assignment.num_clusters
     return fractions
 
@@ -284,6 +285,19 @@ def _parse_cluster_values(text: str) -> list[int]:
     return values
 
 
+def _parse_rho_values(text: str) -> list[float]:
+    """Accept a comma list of delivery rates, '0.5,0.7'."""
+    rhos = []
+    for item in text.split(","):
+        try:
+            rhos.append(float(item))
+        except ValueError:
+            raise ValueError(
+                f"--rhos takes a comma list of delivery rates; {item!r} in {text!r} is not a number"
+            ) from None
+    return rhos
+
+
 def _load_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -417,7 +431,7 @@ def _cmd_full_set_rate(args: argparse.Namespace) -> int:
     settings, _ = _gather_settings(args)
     cluster_values = _parse_cluster_values(args.clusters)
     if args.rhos:
-        rhos = [float(r) for r in args.rhos.split(",")]
+        rhos = _parse_rho_values(args.rhos)
     elif "delivery_rate" in settings:
         rhos = [_setting("delivery_rate", settings["delivery_rate"], float)]
     else:

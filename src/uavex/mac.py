@@ -4,7 +4,10 @@ The maximum contention window of ``T`` microseconds is split into as many
 subwindows as there are packets in the scenario. A node whose stake is
 ``m`` relevant packets (lost packets for a requester, suppliable packets for
 a replier) draws uniformly inside subwindow ``M - m + 1``, so a higher stake
-always yields a strictly shorter backoff than a lower one.
+always yields a strictly shorter backoff than a lower one. Each draw is one
+``integers(low, high)`` call; on a plain PCG64 generator the engine makes it
+through ``Pcg64Draws``, which replays numpy's bounded-int algorithm over the
+generator's raw words.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+
+import numpy as np
 
 from .core import Rng
 
@@ -39,7 +44,7 @@ class TimingConfig:
     def __post_init__(self) -> None:
         for name in ("difs_us", "cw_total_us", "preamble_us", "payload_us_per_packet"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
+            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -96,6 +101,92 @@ def draw_baseline_backoff(window_us: int, rng: Rng) -> int:
     if window_us < 1:
         raise ValueError("window_us must be at least 1")
     return int(rng.integers(1, window_us + 1))
+
+
+class Pcg64Draws:
+    """``Generator.integers(low, high)`` for scalar ints, replayed from PCG64's raw words.
+
+    numpy bounds an int64 draw with Lemire's nearly divisionless method
+    (D. Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
+    29(1), 2019): spans up to 2**32 on 32-bit words, which PCG64 serves as the
+    low and then the high half of one raw word, keeping the high half pending
+    in ``has_uint32``/``uinteger``; wider spans on whole raw words. (numpy
+    returns a bare word for a span of exactly 2**32 or 2**64, which is what
+    the method gives there too.) This does the same in Python, one raw word
+    at a time, so each result, each error and the generator's position match
+    numpy's draw for draw, without numpy's per-call overhead; backoff values
+    then rest on PCG64's raw output, not on numpy's choice of draw algorithm.
+    The pending half-word is held here until ``write_back`` returns it to the
+    generator's state.
+    """
+
+    __slots__ = ("bit_generator", "_raw", "has_uint32", "uinteger")
+
+    def __init__(self, bit_generator: np.random.PCG64) -> None:
+        state = bit_generator.state
+        self.bit_generator = bit_generator
+        self._raw = bit_generator.random_raw
+        self.has_uint32 = state["has_uint32"]
+        self.uinteger = state["uinteger"]
+
+    def integers(self, low: int, high: int) -> int:
+        """A uniform int in [low, high), as ``Generator.integers(low, high)`` would draw it."""
+        span = high - low
+        if 1 < span <= 1 << 32 and low >= -(1 << 63) and high <= 1 << 63:
+            if self.has_uint32:  # _next32, inlined: this is the per-draw path
+                self.has_uint32 = 0
+                m = self.uinteger * span
+            else:
+                word = self._raw()
+                self.has_uint32 = 1
+                self.uinteger = word >> 32
+                m = (word & 0xFFFF_FFFF) * span
+            if (m & 0xFFFF_FFFF) < span:
+                threshold = (1 << 32) % span
+                while (m & 0xFFFF_FFFF) < threshold:
+                    m = self._next32() * span
+            return low + (m >> 32)
+        if low < -(1 << 63):
+            raise ValueError("low is out of bounds for int64")
+        if high > 1 << 63:
+            raise ValueError("high is out of bounds for int64")
+        if span < 1:
+            raise ValueError("low >= high")
+        if span == 1:
+            return low  # numpy draws nothing for a single value
+        m = self._raw() * span
+        if (m & 0xFFFF_FFFF_FFFF_FFFF) < span:
+            threshold = (1 << 64) % span
+            while (m & 0xFFFF_FFFF_FFFF_FFFF) < threshold:
+                m = self._raw() * span
+        return low + (m >> 64)
+
+    def _next32(self) -> int:
+        if self.has_uint32:
+            self.has_uint32 = 0
+            return self.uinteger
+        word = self._raw()
+        self.has_uint32 = 1
+        self.uinteger = word >> 32
+        return word & 0xFFFF_FFFF
+
+    def write_back(self) -> None:
+        """Store the pending half-word in the generator's state, where numpy keeps it.
+
+        numpy leaves ``uinteger`` as it was once the half-word is used, so it
+        is written back as is, stale or not.
+        """
+        state = self.bit_generator.state
+        state["has_uint32"] = self.has_uint32
+        state["uinteger"] = self.uinteger
+        self.bit_generator.state = state
+
+
+def draw_source(rng: Rng) -> Rng | Pcg64Draws:
+    """The fast draw source over a plain PCG64 ``Generator``; any other rng unchanged."""
+    if type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64:
+        return Pcg64Draws(rng.bit_generator)
+    return rng
 
 
 def frame_duration(kind: FrameKind, data_packet_count: int, timing: TimingConfig) -> int:

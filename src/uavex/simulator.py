@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .clustering import ClusterAssignment, cluster_network
+from .clustering import ClusterAssignment, cluster_network, reads_tie_break
 from .core import (
     IndicatorVector,
     Rng,
@@ -40,7 +40,7 @@ from .core import (
     UavId,
     mask_packets,
 )
-from .mac import TimingConfig, frame_duration
+from .mac import Pcg64Draws, TimingConfig, draw_source, frame_duration
 from .protocol import (
     Frame,
     TraceRecord,
@@ -147,7 +147,7 @@ class _ChannelEngine:
             )
         self.timing = timing
         self.scheme = scheme
-        self.rng = rng
+        self.rng = draw_source(rng)
         self.trace = trace
         self.cluster_id = cluster_id
 
@@ -244,8 +244,16 @@ class _ChannelEngine:
         retires its requester, so only collisions repeat a round; with every
         subwindow at least two values wide, colliders separate eventually.
         A request that nobody can supply times out after DIFS plus a full
-        window of provable silence.
+        window of provable silence. A PCG64 stream drawn through ``Pcg64Draws``
+        gets its pending half-word back at the end, as if numpy had drawn.
         """
+        try:
+            return self._exchange()
+        finally:
+            if isinstance(self.rng, Pcg64Draws):
+                self.rng.write_back()
+
+    def _exchange(self) -> ClusterResult:
         timing, scheme, rng = self.timing, self.scheme, self.rng
         draw_requests(self.states.values(), timing, scheme, rng)
         self._settle_done()
@@ -301,13 +309,16 @@ def run_cluster_exchange(
     return engine.run()
 
 
+def clusters_for_scheme(config: ScenarioConfig) -> int:
+    """Cluster count the scheme runs: the no-clustering variants use one big cluster."""
+    return config.num_clusters if config.scheme.uses_clustering else 1
+
+
 def assignment_for_scheme(
-    receipts: Sequence[IndicatorVector], config: ScenarioConfig, rng: Rng
+    receipts: Sequence[IndicatorVector], config: ScenarioConfig, rng: Rng | None
 ) -> ClusterAssignment:
-    """Cluster per the scheme: the no-clustering variants use one big cluster."""
-    if config.scheme.uses_clustering:
-        return cluster_network(receipts, config.num_clusters, rng)
-    return cluster_network(receipts, 1, rng)
+    """Cluster per the scheme; ``rng`` is the tie-break stream, read only for an odd count."""
+    return cluster_network(receipts, clusters_for_scheme(config), rng)
 
 
 def run_scenario(
@@ -320,14 +331,18 @@ def run_scenario(
 
     Deterministic in (config, run_index). Each run derives its own receipt,
     tie-break, and per-cluster backoff streams from the master seed, so runs
-    are independent and any single run can be replayed in isolation.
+    are independent and any single run can be replayed in isolation. The
+    tie-break stream is derived only when clustering reads it.
     """
     timing = timing or TimingConfig()
     streams = RunStreams(config.seed, run_index)
     receipts = sample_initial_receipts(
         config.num_uavs, config.num_packets, config.delivery_rate, streams.stream("bs-delivery")
     )
-    assignment = assignment_for_scheme(receipts, config, streams.stream("tie-break"))
+    tie_break = (
+        streams.stream("tie-break") if reads_tie_break(clusters_for_scheme(config)) else None
+    )
+    assignment = assignment_for_scheme(receipts, config, tie_break)
     results = []
     for cluster_id, group in enumerate(assignment.members):
         results.append(

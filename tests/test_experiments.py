@@ -323,6 +323,17 @@ class TestCli:
         assert code == 1
         assert "--clusters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rhos, bad", [("0.5,abc", "abc"), ("0.5,", ""), ("x", "x")])
+    def test_unparsable_rho_list_names_the_flag_and_item(self, rhos, bad, capsys):
+        code = cli_main([
+            "full-set-rate", "--uavs", "10", "--packets", "6", "--rhos", rhos,
+            "--clusters", "2", "--runs", "2",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--rhos" in err
+        assert repr(bad) in err
+
     def test_python_dash_m_runs_the_cli(self):
         tests_dir = Path(__file__).resolve().parent
         env = dict(os.environ, PYTHONPATH=str(tests_dir.parent / "src"))

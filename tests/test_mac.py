@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from uavex.core import stream
 from uavex.mac import (
     FrameKind,
+    Pcg64Draws,
     TimingConfig,
     draw_backoff,
     draw_baseline_backoff,
+    draw_source,
     frame_duration,
     subwindow_bounds,
     subwindow_for_count,
@@ -32,6 +35,12 @@ class TestTimingConfig:
     def test_rejects_non_positive(self, field):
         with pytest.raises(ValueError):
             TimingConfig(**{field: 0})
+
+    @pytest.mark.parametrize("field", ["difs_us", "cw_total_us", "preamble_us",
+                                       "payload_us_per_packet"])
+    def test_rejects_booleans(self, field):
+        with pytest.raises(ValueError, match=field):
+            TimingConfig(**{field: True})
 
 
 class TestSubwindowForCount:
@@ -169,6 +178,92 @@ class TestDrawBaseline:
         a = draw_baseline_backoff(WINDOW, stream(4, 7, "backoff"))
         b = draw_baseline_backoff(WINDOW, stream(4, 7, "backoff"))
         assert a == b
+
+
+INT64_MIN = -(1 << 63)
+INT64_END = 1 << 63  # one past the largest int64
+
+
+@st.composite
+def valid_bounds(draw, span):
+    """(low, high) of the given span, placed anywhere numpy's int64 draw accepts it."""
+    span = draw(span)
+    low = draw(st.integers(INT64_MIN, INT64_END - span))
+    return low, low + span
+
+
+def near(value, radius):
+    return st.integers(max(1, value - radius), value + radius)
+
+
+# Spans of every branch of numpy's bounded draw: 1 (no word), small and
+# near 2**32 (32-bit Lemire; above 2**31 its rejection loop runs often),
+# exactly 2**32 (a bare 32-bit word), near 2**63 (64-bit Lemire) and the
+# whole int64 range, 2**64 (a bare raw word); plus pairs numpy refuses.
+BOUNDS = st.one_of(
+    valid_bounds(st.integers(1, 5000)),
+    valid_bounds(st.sampled_from([1, 2, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, 1 << 64])),
+    valid_bounds(near(1 << 32, 1 << 20)),
+    valid_bounds(near(1 << 63, 1 << 20)),
+    st.sampled_from([(INT64_MIN, INT64_END - 1), (INT64_MIN, INT64_END), (0, INT64_END)]),
+    st.integers(-5, 5).map(lambda d: (7, 7 - abs(d))),  # low >= high
+    st.integers(1, 1 << 40).map(lambda d: (INT64_MIN - d, 0)),  # low out of range
+    st.integers(1, 1 << 40).map(lambda d: (0, INT64_END + d)),  # high out of range
+)
+
+
+def _outcome(source, low, high):
+    try:
+        return int(source.integers(low, high))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestPcg64Draws:
+    """The raw-word draw source against ``Generator.integers`` on a twin generator."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), warmup=st.integers(0, 3),
+           pairs=st.lists(BOUNDS, min_size=1, max_size=12))
+    def test_matches_generator_integers(self, seed, warmup, pairs):
+        # An odd warmup leaves a half-word pending; an even one above zero
+        # leaves the stale ``uinteger`` numpy keeps after using it.
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(warmup):
+            assert ours.integers(0, 7) == theirs.integers(0, 7)
+        source = Pcg64Draws(ours.bit_generator)
+        assert [_outcome(source, *p) for p in pairs] == [_outcome(theirs, *p) for p in pairs]
+        source.write_back()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_rejection_path_runs(self):
+        # 2**32 mod (2**31 + 1) rejects nearly half the words, each retry
+        # taking one more half-word.
+        ours, theirs = stream(9, 0, "backoff"), stream(9, 0, "backoff")
+        source = Pcg64Draws(ours.bit_generator)
+        raw, words = source._raw, []
+        source._raw = lambda: words.append(1) or raw()
+        span = (1 << 31) + 1
+        values = [source.integers(0, span) for _ in range(400)]
+        assert values == [int(theirs.integers(0, span)) for _ in range(400)]
+        assert len(words) > 300  # 200 words serve 400 draws without rejection
+        source.write_back()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_span_of_one_consumes_nothing(self):
+        rng = stream(2, 0, "backoff")
+        before = rng.bit_generator.state
+        source = Pcg64Draws(rng.bit_generator)
+        assert source.integers(5, 6) == 5
+        source.write_back()
+        assert rng.bit_generator.state == before
+
+    def test_draw_source_wraps_only_plain_pcg64_generators(self):
+        assert isinstance(draw_source(np.random.default_rng(0)), Pcg64Draws)
+        for other in (np.random.Generator(np.random.PCG64DXSM(0)),
+                      np.random.Generator(np.random.MT19937(0)),
+                      np.random.RandomState(0)):
+            assert draw_source(other) is other
 
 
 class TestFrameDuration:

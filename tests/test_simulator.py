@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uavex import core, protocol
+from uavex.clustering import cluster_network, reads_tie_break
 from uavex.core import IndicatorVector, RunStreams, ScenarioConfig, Scheme, stream
-from uavex.experiments import cli_main
-from uavex.mac import TimingConfig, subwindow_bounds, subwindow_for_count
+from uavex.experiments import cli_main, full_set_rate_samples
+from uavex.mac import Pcg64Draws, TimingConfig, subwindow_bounds, subwindow_for_count
 from uavex.protocol import trace_line
 from uavex.simulator import (
     RunResult,
@@ -512,3 +514,123 @@ class TestBackoffStreamConsumption:
         per_run = [backoff_consumption(config, k) for k in range(20)]
         digest = hashlib.sha256(repr(per_run).encode()).hexdigest()[:16]
         assert ([sum(draws) for draws, _ in per_run], digest) == REF20_RUNS[scheme]
+
+
+def _exchanges_on_both_paths(config, run_index, timing=TIMING):
+    """Each cluster's exchange on a bare ``Generator`` and through ``_CountingRng``.
+
+    A bare PCG64 generator takes the engine's raw-word draw source; the proxy
+    keeps numpy's own ``integers``. Returns (fast, slow) lists of the result,
+    the trace lines and the end state of each ``backoff/<cluster>`` stream.
+    """
+    streams = RunStreams(config.seed, run_index)
+    receipts = sample_initial_receipts(
+        config.num_uavs, config.num_packets, config.delivery_rate, streams.stream("bs-delivery")
+    )
+    assignment = assignment_for_scheme(receipts, config, streams.stream("tie-break"))
+    paths = ([], [])
+    for cluster_id, group in enumerate(assignment.members):
+        for outcomes, wrap in zip(paths, (lambda rng: rng, _CountingRng)):
+            rng = streams.stream(f"backoff/{cluster_id}")
+            trace = []
+            result = run_cluster_exchange(group, {u: receipts[u] for u in group}, timing,
+                                          config.scheme, wrap(rng), trace=trace)
+            outcomes.append((result, [trace_line(r) for r in trace], rng.bit_generator.state))
+    return paths
+
+
+class TestFastDrawPath:
+    """The engine's raw-word draws replay numpy's on every input the consumption pins cover."""
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_TRACE_INPUTS))
+    def test_golden_trace_inputs(self, key):
+        scheme, run_index, window = key
+        fast, slow = _exchanges_on_both_paths(
+            _ref10(scheme), run_index, replace(TIMING, cw_total_us=window)
+        )
+        assert fast == slow
+
+    @pytest.mark.parametrize("scheme", sorted(REF20_RUNS))
+    def test_ref20_runs(self, scheme):
+        config = ScenarioConfig(20, 10, 0.6, 6, scheme=Scheme(scheme), seed=0)
+        for k in range(20):
+            fast, slow = _exchanges_on_both_paths(config, k)
+            assert fast == slow, k
+
+
+class TestDrawCallsPerRun:
+    @pytest.mark.parametrize("scheme", sorted(REF20_RUNS))
+    def test_ref20_draw_calls_through_protocol_globals(self, scheme, monkeypatch):
+        # perfbench counts draws at these globals, so each draw must still be one call.
+        sources = set()
+        calls = []
+        for name in ("draw_backoff", "draw_baseline_backoff"):
+            original = getattr(protocol, name)
+
+            def counted(*args, _original=original):
+                calls.append(1)
+                sources.add(type(args[-1]))
+                return _original(*args)
+
+            monkeypatch.setattr(protocol, name, counted)
+        config = ScenarioConfig(20, 10, 0.6, 6, scheme=Scheme(scheme), seed=0)
+        totals = []
+        for k in range(20):
+            before = len(calls)
+            run_scenario(config, k)
+            totals.append(len(calls) - before)
+        assert totals == REF20_RUNS[scheme][0]
+        assert sources == {Pcg64Draws}
+
+
+class TestTieBreakStream:
+    @staticmethod
+    def _labels(monkeypatch, fn, *args):
+        labels = []
+        original = core.stream
+
+        def recorded(seed, run_index, label):
+            labels.append(label)
+            return original(seed, run_index, label)
+
+        monkeypatch.setattr(core, "stream", recorded)
+        fn(*args)
+        return labels
+
+    @pytest.mark.parametrize("scheme, clusters, derived", [
+        (Scheme.PROPOSED, 3, True),
+        (Scheme.PROPOSED, 5, True),
+        (Scheme.PROPOSED, 2, False),
+        (Scheme.PROPOSED, 1, False),
+        (Scheme.MECHANISM_ONLY, 3, False),
+        (Scheme.BASELINE_CSMA, 5, False),
+    ])
+    def test_run_scenario_derives_it_only_for_odd_clustering(
+        self, scheme, clusters, derived, monkeypatch
+    ):
+        config = ScenarioConfig(10, 6, 0.7, clusters, scheme=scheme, seed=0)
+        labels = self._labels(monkeypatch, run_scenario, config, 0)
+        assert ("tie-break" in labels) == derived
+        assert labels[0] == "bs-delivery"
+
+    @pytest.mark.parametrize("clusters", range(1, 10))
+    def test_full_set_rate_samples_derive_it_only_when_read(self, clusters, monkeypatch):
+        config = ScenarioConfig(10, 6, 0.7, clusters, seed=0)
+        labels = self._labels(monkeypatch, full_set_rate_samples, config, 3)
+        assert labels.count("tie-break") == (3 if reads_tie_break(clusters) else 0)
+        assert labels.count("bs-delivery") == 3
+
+    @pytest.mark.parametrize("clusters", range(1, 10))
+    def test_rule_matches_what_clustering_consumes(self, clusters):
+        receipts = sample_initial_receipts(10, 6, 0.7, stream(3, 0, "bs-delivery"))
+        counted = _CountingRng(stream(3, 0, "tie-break"))
+        cluster_network(receipts, clusters, counted)
+        assert (counted.draws > 0) == reads_tie_break(clusters)
+
+    def test_odd_count_without_a_stream_is_refused(self):
+        receipts = sample_initial_receipts(10, 6, 0.7, stream(3, 0, "bs-delivery"))
+        with pytest.raises(ValueError, match="tie-break"):
+            cluster_network(receipts, 3, None)
+        assert cluster_network(receipts, 4, None) == cluster_network(
+            receipts, 4, stream(3, 0, "tie-break")
+        )
