@@ -1,12 +1,23 @@
 """Independent straight-line oracles used by the tests.
 
-Deliberately dumb: plain tuples of bits, explicit nested loops, no imports
-from the library under test. Tie-breaks match the library's documented rules
+Deliberately dumb: plain tuples of bits, explicit nested loops, nothing from
+the library under test except in the sweep oracles at the end, which call only
+its single-run functions. Tie-breaks match the library's documented rules
 (lexicographically smallest pair wins), and the odd-count seed drop consumes
 exactly one integers(0, n_seeds) draw so a shared stream stays aligned.
 """
 
 from __future__ import annotations
+
+import sys
+from dataclasses import replace
+
+import numpy as np
+
+from uavex.clustering import InfeasibleClusterCount, cluster_network, reads_tie_break
+from uavex.core import Scheme, stream
+from uavex.experiments import AggregateRow
+from uavex.simulator import run_scenario, sample_initial_receipts
 
 
 def hamming(a, b):
@@ -121,3 +132,93 @@ def replay_trace(members, holdings, trace):
             open_request = None
     assert all(n <= 1 for n in replies_per_request), "duplicate reply to one request"
     return current, total_missing
+
+
+# -- per-point sweep loops ---------------------------------------------------
+#
+# The harness oracles below call the library's single-run functions (streams,
+# receipt sampling, clustering, run_scenario) but none of its sweep loops:
+# each sweep point runs all of its run indices before the next point starts,
+# and every run samples its own receipts.
+
+
+def per_point_scheme_samples(config, runs, timing=None):
+    results = [run_scenario(config, k, timing=timing) for k in range(runs)]
+    return {
+        "exchanges": [r.reported_exchanges for r in results],
+        "delay_us": [r.reported_delay_us for r in results],
+        "completed": [r.all_completed for r in results],
+        "full_fraction": [r.full_cluster_fraction for r in results],
+    }
+
+
+def per_point_full_set_fractions(config, runs):
+    fractions = []
+    for k in range(runs):
+        receipts = sample_initial_receipts(
+            config.num_uavs, config.num_packets, config.delivery_rate,
+            stream(config.seed, k, "bs-delivery"),
+        )
+        tie_break = (
+            stream(config.seed, k, "tie-break") if reads_tie_break(config.num_clusters) else None
+        )
+        assignment = cluster_network(receipts, config.num_clusters, tie_break)
+        fractions.append(assignment.full_cluster_count() / assignment.num_clusters)
+    return fractions
+
+
+def _sd(values):
+    return float(np.std(values, ddof=1)) if len(values) >= 2 else None
+
+
+def per_point_compare(spec, timing=None):
+    """``compare_schemes`` rows, one scheme's runs after another."""
+    rows = []
+    for value in spec.values:
+        scheme = value if isinstance(value, Scheme) else Scheme(value)
+        config = replace(spec.base, scheme=scheme)
+        samples = per_point_scheme_samples(config, spec.runs, timing)
+        delays = [d for d, done in zip(samples["delay_us"], samples["completed"]) if done]
+        rows.append(AggregateRow(
+            param=f"rho={config.delivery_rate:g};N={config.num_clusters}",
+            scheme=scheme.value,
+            mean_exchanges=float(np.mean(np.array(samples["exchanges"], dtype=float))),
+            sd_exchanges=_sd(np.array(samples["exchanges"], dtype=float)),
+            mean_delay_us=float(np.mean(np.array(delays, dtype=float))) if delays else None,
+            sd_delay_us=_sd(np.array(delays, dtype=float)),
+            full_set_rate=float(np.mean(np.array(samples["full_fraction"]))),
+            completion_rate=float(np.mean(np.array(samples["completed"], dtype=bool))),
+            runs=spec.runs,
+            seed=config.seed,
+        ))
+    return rows
+
+
+def per_point_full_set_rate(spec):
+    """``sweep_full_set_rate`` rows and warnings, one cluster count's runs after another."""
+    def skipped(tag, exc):
+        print(f"warning: skipping {tag}: {exc}", file=sys.stderr)
+        return AggregateRow(tag, spec.base.scheme.value, None, None, None, None,
+                            None, None, 0, spec.base.seed)
+
+    rows = []
+    for value in spec.values:
+        tag = f"rho={spec.base.delivery_rate:g};N={int(value)}"
+        try:
+            config = replace(spec.base, num_clusters=int(value))  # N > U fails here
+        except ValueError as exc:
+            rows.append(skipped(tag, exc))
+            continue
+        try:
+            fractions = np.array(per_point_full_set_fractions(config, spec.runs))
+        except InfeasibleClusterCount as exc:
+            rows.append(skipped(tag, exc))
+            continue
+        rows.append(AggregateRow(
+            param=tag, scheme=config.scheme.value, mean_exchanges=None, sd_exchanges=None,
+            mean_delay_us=None, sd_delay_us=None,
+            full_set_rate=float(fractions.mean()),
+            completion_rate=float((fractions == 1.0).mean()),
+            runs=spec.runs, seed=config.seed,
+        ))
+    return rows

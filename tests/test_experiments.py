@@ -23,9 +23,10 @@ from uavex.experiments import (
     scheme_metric_samples,
     sweep_full_set_rate,
 )
+from uavex.mac import TimingConfig
 from uavex.simulator import sample_initial_receipts
 
-from reference import single_cluster_full_rate
+from reference import per_point_compare, per_point_full_set_rate, single_cluster_full_rate
 
 
 CONFIG_KEYS = ("num_uavs", "num_packets", "delivery_rate", "num_clusters", "scheme", "seed",
@@ -144,6 +145,65 @@ class TestCompareSchemes:
         samples = scheme_metric_samples(base_config(), 7)
         assert samples["exchanges"].shape == (7,)
         assert samples["completed"].dtype == bool
+
+
+def outcome_and_stderr(sweep, *args):
+    """The rows a sweep returns (or the error it raises) and what it writes to stderr."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            outcome = sweep(*args)
+        except ValueError as exc:
+            outcome = (type(exc).__name__, str(exc))
+    return outcome, err.getvalue()
+
+
+@st.composite
+def small_scenarios(draw):
+    num_uavs = draw(st.integers(1, 7))
+    return ScenarioConfig(
+        num_uavs=num_uavs,
+        num_packets=draw(st.integers(1, 5)),
+        delivery_rate=draw(st.floats(0.0, 1.0)),
+        num_clusters=draw(st.integers(1, num_uavs)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestSweepsMatchPerPointLoops:
+    """Sweep rows, errors and warnings equal those of per-point loops over the same runs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=small_scenarios(), runs=st.integers(1, 4),
+           schemes=st.lists(st.sampled_from(list(Scheme)), min_size=1, max_size=4),
+           window=st.sampled_from([9207, 40, 6]))
+    def test_compare_schemes(self, base, runs, schemes, window):
+        # Schemes come in any order, repeats included; a 6 us window is too
+        # short for more than 3 packets, and the odd N = U is infeasible.
+        spec = SweepSpec(base, "scheme", tuple(schemes), runs=runs)
+        timing = TimingConfig(cw_total_us=window)
+        assert outcome_and_stderr(compare_schemes, spec, timing) == \
+            outcome_and_stderr(per_point_compare, spec, timing)
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=small_scenarios(), runs=st.integers(1, 4),
+           counts=st.lists(st.integers(0, 9), min_size=1, max_size=6))
+    def test_sweep_full_set_rate(self, base, runs, counts):
+        # Counts 0 and above U fail the config; an odd count with no spare
+        # seed UAV fails in clustering; repeats are allowed.
+        spec = SweepSpec(base, "num_clusters", tuple(counts), runs=runs)
+        assert outcome_and_stderr(sweep_full_set_rate, spec) == \
+            outcome_and_stderr(per_point_full_set_rate, spec)
+
+    def test_warnings_follow_the_requested_counts(self):
+        spec = SweepSpec(ScenarioConfig(9, 4, 0.5, 1), "num_clusters", tuple(range(1, 12)),
+                         runs=5)
+        rows, err = outcome_and_stderr(sweep_full_set_rate, spec)
+        assert [row.runs for row in rows] == [5] * 8 + [0] * 3
+        assert err == (
+            "warning: skipping rho=0.5;N=9: odd cluster count 9 needs 10 seed UAVs, got 9\n"
+            "warning: skipping rho=0.5;N=10: num_clusters must lie in [1, num_uavs]\n"
+            "warning: skipping rho=0.5;N=11: num_clusters must lie in [1, num_uavs]\n"
+        )
 
 
 class TestCsv:
