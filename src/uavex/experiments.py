@@ -1,8 +1,9 @@
 """Monte-Carlo sweeps over scenario parameters, CSV reporting, and the CLI.
 
-Run-to-run receipt samples depend only on (seed, run index), never on the
-scheme or sweep point, so comparisons across schemes are automatically
-matched-sample: run k of every scheme starts from identical holdings.
+A sweep loops over run indices once. A run's receipts depend only on (seed,
+run index) and the fleet, never on the scheme or cluster count, so each run's
+receipts are sampled once and handed to every sweep point: run k of every
+scheme, and of every cluster count, starts from the very same holdings.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .clustering import InfeasibleClusterCount, cluster_network, reads_tie_break
-from .core import RunStreams, ScenarioConfig, Scheme
+from .core import IndicatorVector, RunStreams, ScenarioConfig, Scheme
 from .mac import TimingConfig
 from .protocol import trace_line
 from .simulator import run_scenario, sample_initial_receipts
@@ -111,44 +112,82 @@ def _param_tag(config: ScenarioConfig) -> str:
     return f"rho={config.delivery_rate:g};N={config.num_clusters}"
 
 
+def _run_receipts(config: ScenarioConfig, streams: RunStreams) -> list[IndicatorVector]:
+    """The receipts of one run, shared by every scheme and cluster count swept at it."""
+    return sample_initial_receipts(
+        config.num_uavs, config.num_packets, config.delivery_rate, streams.stream("bs-delivery")
+    )
+
+
+def _full_set_fractions(
+    config: ScenarioConfig, counts: Sequence[int | ValueError], runs: int
+) -> list[np.ndarray | ValueError]:
+    """Per-run full-cluster fraction of ``config``'s fleet at each cluster count.
+
+    A count given as an error is passed through. A count that clustering
+    finds infeasible gives its ``InfeasibleClusterCount`` and is not
+    clustered again.
+    """
+    outcomes: list = [n if isinstance(n, ValueError) else np.empty(runs) for n in counts]
+    live = [i for i, n in enumerate(counts) if not isinstance(n, ValueError)]
+    for k in range(runs):
+        if not live:
+            break
+        streams = RunStreams(config.seed, k)
+        receipts = _run_receipts(config, streams)
+        for i in list(live):
+            tie_break = streams.stream("tie-break") if reads_tie_break(counts[i]) else None
+            try:
+                assignment = cluster_network(receipts, counts[i], tie_break)
+            except InfeasibleClusterCount as exc:
+                outcomes[i] = exc
+                live.remove(i)
+                continue
+            outcomes[i][k] = assignment.full_cluster_count() / assignment.num_clusters
+    return outcomes
+
+
 def full_set_rate_samples(config: ScenarioConfig, runs: int) -> np.ndarray:
     """Per-run fraction of clusters whose combined holdings are complete.
 
     Runs the clustering stage only; no exchange is simulated.
     """
-    fractions = np.empty(runs)
-    for k in range(runs):
-        streams = RunStreams(config.seed, k)
-        receipts = sample_initial_receipts(
-            config.num_uavs, config.num_packets, config.delivery_rate,
-            streams.stream("bs-delivery"),
-        )
-        tie_break = streams.stream("tie-break") if reads_tie_break(config.num_clusters) else None
-        assignment = cluster_network(receipts, config.num_clusters, tie_break)
-        fractions[k] = assignment.full_cluster_count() / assignment.num_clusters
+    (fractions,) = _full_set_fractions(config, [config.num_clusters], runs)
+    if isinstance(fractions, InfeasibleClusterCount):
+        raise fractions
     return fractions
+
+
+def _scheme_samples(
+    config: ScenarioConfig, schemes: Sequence[Scheme], runs: int, timing: TimingConfig | None
+) -> list[dict[str, np.ndarray]]:
+    """Per-run samples of ``config`` under each scheme, all from each run's receipts."""
+    configs = [replace(config, scheme=scheme) for scheme in schemes]
+    samples = [
+        {
+            "exchanges": np.empty(runs),
+            "delay_us": np.empty(runs),
+            "completed": np.empty(runs, dtype=bool),
+            "full_fraction": np.empty(runs),
+        }
+        for _ in configs
+    ]
+    for k in range(runs):
+        receipts = _run_receipts(config, RunStreams(config.seed, k))
+        for scheme_config, sample in zip(configs, samples):
+            result = run_scenario(scheme_config, k, timing=timing, receipts=receipts)
+            sample["exchanges"][k] = result.reported_exchanges
+            sample["delay_us"][k] = result.reported_delay_us
+            sample["completed"][k] = result.all_completed
+            sample["full_fraction"][k] = result.full_cluster_fraction
+    return samples
 
 
 def scheme_metric_samples(
     config: ScenarioConfig, runs: int, timing: TimingConfig | None = None
 ) -> dict[str, np.ndarray]:
     """Per-run reported exchanges, delay, and completion for one scheme."""
-    exchanges = np.empty(runs)
-    delays = np.empty(runs)
-    completed = np.empty(runs, dtype=bool)
-    full_fraction = np.empty(runs)
-    for k in range(runs):
-        result = run_scenario(config, k, timing=timing)
-        exchanges[k] = result.reported_exchanges
-        delays[k] = result.reported_delay_us
-        completed[k] = result.all_completed
-        full_fraction[k] = result.full_cluster_fraction
-    return {
-        "exchanges": exchanges,
-        "delay_us": delays,
-        "completed": completed,
-        "full_fraction": full_fraction,
-    }
+    return _scheme_samples(config, [config.scheme], runs, timing)[0]
 
 
 def sweep_full_set_rate(spec: SweepSpec) -> list[AggregateRow]:
@@ -165,23 +204,22 @@ def sweep_full_set_rate(spec: SweepSpec) -> list[AggregateRow]:
         return AggregateRow(tag, spec.base.scheme.value, None, None, None, None,
                             None, None, 0, spec.base.seed)
 
-    rows = []
+    counts: list[int | ValueError] = []
     for value in spec.values:
-        tag = f"rho={spec.base.delivery_rate:g};N={int(value)}"
         try:
-            config = replace(spec.base, num_clusters=int(value))  # N > U fails here
+            counts.append(replace(spec.base, num_clusters=int(value)).num_clusters)  # N > U fails
         except ValueError as exc:
-            rows.append(skipped(tag, exc))
-            continue
-        try:
-            fractions = full_set_rate_samples(config, spec.runs)
-        except InfeasibleClusterCount as exc:
-            rows.append(skipped(tag, exc))
+            counts.append(exc)
+    rows = []
+    for value, fractions in zip(spec.values, _full_set_fractions(spec.base, counts, spec.runs)):
+        tag = f"rho={spec.base.delivery_rate:g};N={int(value)}"
+        if isinstance(fractions, ValueError):
+            rows.append(skipped(tag, fractions))
             continue
         rows.append(
             AggregateRow(
                 param=tag,
-                scheme=config.scheme.value,
+                scheme=spec.base.scheme.value,
                 mean_exchanges=None,
                 sd_exchanges=None,
                 mean_delay_us=None,
@@ -189,7 +227,7 @@ def sweep_full_set_rate(spec: SweepSpec) -> list[AggregateRow]:
                 full_set_rate=float(fractions.mean()),
                 completion_rate=float((fractions == 1.0).mean()),
                 runs=spec.runs,
-                seed=config.seed,
+                seed=spec.base.seed,
             )
         )
     return rows
@@ -204,16 +242,14 @@ def compare_schemes(spec: SweepSpec, timing: TimingConfig | None = None) -> list
     """
     if spec.parameter != "scheme":
         raise ValueError("compare sweeps vary the scheme")
+    schemes = [value if isinstance(value, Scheme) else Scheme(value) for value in spec.values]
     rows = []
-    for value in spec.values:
-        scheme = value if isinstance(value, Scheme) else Scheme(value)
-        config = replace(spec.base, scheme=scheme)
-        samples = scheme_metric_samples(config, spec.runs, timing=timing)
+    for scheme, samples in zip(schemes, _scheme_samples(spec.base, schemes, spec.runs, timing)):
         finished = samples["completed"]
         delays = samples["delay_us"][finished]
         rows.append(
             AggregateRow(
-                param=_param_tag(config),
+                param=_param_tag(spec.base),
                 scheme=scheme.value,
                 mean_exchanges=float(samples["exchanges"].mean()),
                 sd_exchanges=_sd(samples["exchanges"]),
@@ -222,7 +258,7 @@ def compare_schemes(spec: SweepSpec, timing: TimingConfig | None = None) -> list
                 full_set_rate=float(samples["full_fraction"].mean()),
                 completion_rate=float(finished.mean()),
                 runs=spec.runs,
-                seed=config.seed,
+                seed=spec.base.seed,
             )
         )
     return rows
@@ -244,7 +280,7 @@ FIG1_HOLDINGS = ((1, 1, 0, 1, 0, 0), (0, 1, 1, 1, 1, 1), (0, 0, 1, 0, 1, 0), (1,
 
 def _fig1_trace(timing: TimingConfig, seed: int) -> tuple[list, object]:
     """Run the built-in four-UAV walkthrough as a single cluster and trace it."""
-    from .core import IndicatorVector, stream
+    from .core import stream
     from .simulator import run_cluster_exchange
 
     holdings = {u: IndicatorVector(bits) for u, bits in enumerate(FIG1_HOLDINGS)}
@@ -356,6 +392,15 @@ def _gather_settings(args: argparse.Namespace) -> tuple[dict, TimingConfig]:
     return settings, TimingConfig(**timing_kwargs)
 
 
+def _cluster_count(flag: int | None, settings: dict) -> int:
+    """``--clusters`` if given, else the config file's ``num_clusters``."""
+    if flag is not None:
+        return flag
+    if "num_clusters" not in settings:
+        raise ValueError("cluster count required: pass --clusters or set num_clusters in --config")
+    return _setting("num_clusters", settings["num_clusters"], int)
+
+
 def _scenario_from(settings: dict, num_clusters: int) -> ScenarioConfig:
     missing = [k for k in ("num_uavs", "num_packets", "delivery_rate") if k not in settings]
     if missing:
@@ -402,20 +447,23 @@ def _build_parser() -> _Parser:
 
     p_rate = sub.add_parser("full-set-rate", parents=[], help="cluster-count sweep")
     _add_common_flags(p_rate)
-    p_rate.add_argument("--clusters", required=True,
-                        help="cluster counts: '3', '1,3,5', or '1..10'")
+    p_rate.add_argument("--clusters",
+                        help="cluster counts: '3', '1,3,5', or '1..10' "
+                             "(default: num_clusters from --config)")
     p_rate.add_argument("--rhos", help="optional comma list of delivery rates to cross")
 
     p_cmp = sub.add_parser("compare", help="scheme comparison at one scenario")
     _add_common_flags(p_cmp)
-    p_cmp.add_argument("--clusters", type=int, required=True,
-                       help="cluster count for the proposed scheme")
+    p_cmp.add_argument("--clusters", type=int,
+                       help="cluster count for the proposed scheme "
+                            "(default: num_clusters from --config)")
     p_cmp.add_argument("--schemes", default="proposed,mechanism_only,baseline_csma",
                        help="comma list of schemes to compare")
 
     p_trace = sub.add_parser("trace", help="single run with the full event trace")
     _add_common_flags(p_trace)
-    p_trace.add_argument("--clusters", type=int, help="cluster count")
+    p_trace.add_argument("--clusters", type=int,
+                         help="cluster count (default: num_clusters from --config)")
     p_trace.add_argument("--scheme", help="scheme for the traced run")
     p_trace.add_argument("--run-index", type=int, default=0, help="which run to replay")
     p_trace.add_argument("--fig1", action="store_true",
@@ -429,7 +477,10 @@ def _build_parser() -> _Parser:
 
 def _cmd_full_set_rate(args: argparse.Namespace) -> int:
     settings, _ = _gather_settings(args)
-    cluster_values = _parse_cluster_values(args.clusters)
+    if args.clusters is not None:
+        cluster_values = _parse_cluster_values(args.clusters)
+    else:
+        cluster_values = [_cluster_count(None, settings)]
     if args.rhos:
         rhos = _parse_rho_values(args.rhos)
     elif "delivery_rate" in settings:
@@ -451,7 +502,7 @@ def _cmd_full_set_rate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     settings, timing = _gather_settings(args)
-    base = _scenario_from(settings, num_clusters=args.clusters)
+    base = _scenario_from(settings, num_clusters=_cluster_count(args.clusters, settings))
     schemes = tuple(Scheme(s) for s in args.schemes.split(","))
     spec = SweepSpec(base, "scheme", schemes, runs=base.runs)
     rows = compare_schemes(spec, timing=timing)
@@ -468,11 +519,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         exchanges, delay = result.exchange_count, result.delay_us
         completed = result.completed
     else:
-        if args.clusters is None:
-            raise ValueError("--clusters is required without --fig1")
+        clusters = _cluster_count(args.clusters, settings)
         if args.scheme:
             settings["scheme"] = args.scheme
-        config = _scenario_from(settings, num_clusters=args.clusters)
+        config = _scenario_from(settings, num_clusters=clusters)
         trace = []
         run = run_scenario(config, args.run_index, timing=timing, trace=trace)
         results = list(run.cluster_results)

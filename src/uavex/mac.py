@@ -122,12 +122,24 @@ class Pcg64Draws:
 
     __slots__ = ("bit_generator", "_raw", "has_uint32", "uinteger")
 
-    def __init__(self, bit_generator: np.random.PCG64) -> None:
-        state = bit_generator.state
+    def __init__(
+        self, bit_generator: np.random.PCG64, pending: tuple[int, int] | None = None
+    ) -> None:
+        """``pending`` is ``(has_uint32, uinteger)``; read from the state when not given."""
+        if pending is None:
+            state = bit_generator.state
+            pending = state["has_uint32"], state["uinteger"]
         self.bit_generator = bit_generator
         self._raw = bit_generator.random_raw
-        self.has_uint32 = state["has_uint32"]
-        self.uinteger = state["uinteger"]
+        self.has_uint32, self.uinteger = pending
+
+    @classmethod
+    def fresh(cls, bit_generator: np.random.PCG64) -> Pcg64Draws:
+        """Source over a PCG64 seeded just now, which holds no pending half-word.
+
+        Nothing is read from the state (a read costs a few microseconds).
+        """
+        return cls(bit_generator, (0, 0))
 
     def integers(self, low: int, high: int) -> int:
         """A uniform int in [low, high), as ``Generator.integers(low, high)`` would draw it."""

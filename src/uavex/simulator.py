@@ -127,7 +127,7 @@ class _ChannelEngine:
         holdings: Mapping[UavId, IndicatorVector],
         timing: TimingConfig,
         scheme: Scheme,
-        rng: Rng,
+        rng: Rng | Pcg64Draws,
         trace: list[TraceRecord] | None = None,
         cluster_id: int = 0,
     ):
@@ -148,6 +148,9 @@ class _ChannelEngine:
         self.timing = timing
         self.scheme = scheme
         self.rng = draw_source(rng)
+        # A source wrapped here hands its pending half-word back to the
+        # caller's generator at the end; a source handed in stays the caller's.
+        self._write_back = self.rng is not rng
         self.trace = trace
         self.cluster_id = cluster_id
 
@@ -244,13 +247,14 @@ class _ChannelEngine:
         retires its requester, so only collisions repeat a round; with every
         subwindow at least two values wide, colliders separate eventually.
         A request that nobody can supply times out after DIFS plus a full
-        window of provable silence. A PCG64 stream drawn through ``Pcg64Draws``
-        gets its pending half-word back at the end, as if numpy had drawn.
+        window of provable silence. A PCG64 generator that the engine wrapped
+        in ``Pcg64Draws`` gets its pending half-word back at the end, as if
+        numpy had drawn.
         """
         try:
             return self._exchange()
         finally:
-            if isinstance(self.rng, Pcg64Draws):
+            if self._write_back:
                 self.rng.write_back()
 
     def _exchange(self) -> ClusterResult:
@@ -293,7 +297,7 @@ def run_cluster_exchange(
     holdings: Mapping[UavId, IndicatorVector],
     timing: TimingConfig,
     scheme: Scheme,
-    rng: Rng,
+    rng: Rng | Pcg64Draws,
     trace: list[TraceRecord] | None = None,
     cluster_id: int = 0,
 ) -> ClusterResult:
@@ -301,7 +305,8 @@ def run_cluster_exchange(
 
     Members that cannot complete (their cluster holds no copy of a wanted
     packet) end by declaring those packets unobtainable; that is reported in
-    the result, not raised.
+    the result, not raised. A plain PCG64 ``rng`` ends in the state numpy's
+    own draws would leave; a ``Pcg64Draws`` is drawn from and left as it is.
     """
     engine = _ChannelEngine(
         members, holdings, timing, scheme, rng, trace=trace, cluster_id=cluster_id
@@ -326,6 +331,7 @@ def run_scenario(
     run_index: int = 0,
     timing: TimingConfig | None = None,
     trace: list[TraceRecord] | None = None,
+    receipts: Sequence[IndicatorVector] | None = None,
 ) -> RunResult:
     """One full scenario run: sample receipts, cluster, exchange, aggregate.
 
@@ -333,25 +339,34 @@ def run_scenario(
     tie-break, and per-cluster backoff streams from the master seed, so runs
     are independent and any single run can be replayed in isolation. The
     tie-break stream is derived only when clustering reads it.
+
+    Receipts depend on the seed, the run index and the fleet only, so a sweep
+    samples them once per run index and passes them as ``receipts`` to every
+    scheme it runs there; without them the run samples its own.
     """
     timing = timing or TimingConfig()
     streams = RunStreams(config.seed, run_index)
-    receipts = sample_initial_receipts(
-        config.num_uavs, config.num_packets, config.delivery_rate, streams.stream("bs-delivery")
-    )
+    if receipts is None:
+        receipts = sample_initial_receipts(
+            config.num_uavs, config.num_packets, config.delivery_rate,
+            streams.stream("bs-delivery"),
+        )
     tie_break = (
         streams.stream("tie-break") if reads_tie_break(clusters_for_scheme(config)) else None
     )
     assignment = assignment_for_scheme(receipts, config, tie_break)
     results = []
     for cluster_id, group in enumerate(assignment.members):
+        # The backoff stream is seeded just now and dropped after the exchange,
+        # so its draw source starts empty and never writes back.
+        backoffs = Pcg64Draws.fresh(streams.stream(f"backoff/{cluster_id}").bit_generator)
         results.append(
             run_cluster_exchange(
                 group,
                 {u: receipts[u] for u in group},
                 timing,
                 config.scheme,
-                streams.stream(f"backoff/{cluster_id}"),
+                backoffs,
                 trace=trace,
                 cluster_id=cluster_id,
             )

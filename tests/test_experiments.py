@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uavex import experiments, simulator
 from uavex.core import ScenarioConfig, Scheme, stream
 from uavex.experiments import (
     SweepSpec,
@@ -206,6 +207,42 @@ class TestSweepsMatchPerPointLoops:
         )
 
 
+class TestReceiptsSampledOncePerRun:
+    @staticmethod
+    def _sampling_calls(monkeypatch):
+        calls = []
+        for module in (experiments, simulator):
+            original = module.sample_initial_receipts
+
+            def counted(*args, _original=original):
+                calls.append(args[:3])
+                return _original(*args)
+
+            monkeypatch.setattr(module, "sample_initial_receipts", counted)
+        return calls
+
+    def test_compare_samples_each_run_once_for_every_scheme(self, monkeypatch):
+        calls = self._sampling_calls(monkeypatch)
+        compare_schemes(SweepSpec(base_config(num_clusters=3), "scheme", tuple(Scheme) * 2, runs=4))
+        assert calls == [(8, 5, 0.6)] * 4
+
+    def test_full_set_rate_samples_each_run_once_for_every_count(self, monkeypatch):
+        calls = self._sampling_calls(monkeypatch)
+        sweep_full_set_rate(SweepSpec(base_config(), "num_clusters", (1, 2, 3, 9), runs=4))
+        assert calls == [(8, 5, 0.6)] * 4
+
+    def test_sampling_stops_once_every_count_is_infeasible(self, monkeypatch):
+        # At U=3, N=5 fails the config and the odd N=3 fails run 0's clustering.
+        calls = self._sampling_calls(monkeypatch)
+        spec = SweepSpec(base_config(num_uavs=3), "num_clusters", (3, 5), runs=4)
+        rows, _ = outcome_and_stderr(sweep_full_set_rate, spec)
+        assert [row.runs for row in rows] == [0, 0]
+        assert calls == [(3, 5, 0.6)]
+        spec = SweepSpec(base_config(num_uavs=3), "num_clusters", (5,), runs=4)
+        outcome_and_stderr(sweep_full_set_rate, spec)
+        assert calls == [(3, 5, 0.6)]
+
+
 class TestCsv:
     def test_schema_and_reproducibility(self):
         spec = SweepSpec(base_config(), "num_clusters", (1, 2), runs=15)
@@ -393,6 +430,51 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--rhos" in err
         assert repr(bad) in err
+
+    SCENARIO_FLAGS = {
+        "compare": ["--runs", "3"],
+        "trace": ["--scheme", "proposed"],
+        "full-set-rate": ["--runs", "3"],
+    }
+
+    def _run_with_config(self, command, tmp_path, capsys, extra=(), **config):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"num_uavs": 7, "num_packets": 4, "delivery_rate": 0.6,
+                                    "seed": 5, **config}))
+        code = cli_main([command, "--config", str(path), *self.SCENARIO_FLAGS[command], *extra])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("command", sorted(SCENARIO_FLAGS))
+    def test_config_cluster_count_stands_in_for_the_flag(self, command, tmp_path, capsys):
+        by_key = self._run_with_config(command, tmp_path, capsys, num_clusters=3)
+        by_flag = self._run_with_config(command, tmp_path, capsys, extra=["--clusters", "3"])
+        assert by_key == by_flag
+        assert by_key[0] == 0 and by_key[1]
+        if command != "trace":
+            assert "N=3" in by_key[1]
+
+    @pytest.mark.parametrize("command", sorted(SCENARIO_FLAGS))
+    def test_cluster_flag_wins_over_the_config(self, command, tmp_path, capsys):
+        both = self._run_with_config(command, tmp_path, capsys, extra=["--clusters", "2"],
+                                     num_clusters=3)
+        flag = self._run_with_config(command, tmp_path, capsys, extra=["--clusters", "2"])
+        assert both == flag
+        assert both[0] == 0
+
+    @pytest.mark.parametrize("command", sorted(SCENARIO_FLAGS))
+    def test_no_cluster_count_names_flag_and_key(self, command, tmp_path, capsys):
+        code, _, err = self._run_with_config(command, tmp_path, capsys)
+        assert code == 1
+        assert "--clusters" in err and "num_clusters" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", sorted(SCENARIO_FLAGS))
+    @pytest.mark.parametrize("value", ["three", None, True, [3], 2.5])
+    def test_cluster_count_of_wrong_type_names_the_key(self, command, value, tmp_path, capsys):
+        code, _, err = self._run_with_config(command, tmp_path, capsys, num_clusters=value)
+        assert code == 1
+        assert "setting num_clusters must be int" in err
 
     def test_python_dash_m_runs_the_cli(self):
         tests_dir = Path(__file__).resolve().parent

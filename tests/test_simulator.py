@@ -6,6 +6,7 @@ import io
 import math
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -581,6 +582,90 @@ class TestDrawCallsPerRun:
             totals.append(len(calls) - before)
         assert totals == REF20_RUNS[scheme][0]
         assert sources == {Pcg64Draws}
+
+
+class TestGivenReceipts:
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_the_run_own_receipts_give_the_same_run(self, scheme):
+        config = ScenarioConfig(10, 6, 0.7, 3, scheme=scheme, seed=4)
+        for k in range(5):
+            receipts = sample_initial_receipts(10, 6, 0.7, stream(4, k, "bs-delivery"))
+            assert run_scenario(config, k, receipts=receipts) == run_scenario(config, k)
+
+
+class _StateCounter:
+    """A PCG64 stand-in that counts reads and writes of ``state``."""
+
+    def __init__(self, bit_generator):
+        self._bit_generator = bit_generator
+        self.random_raw = bit_generator.random_raw
+        self.reads = self.writes = 0
+
+    @property
+    def state(self):
+        self.reads += 1
+        return self._bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self.writes += 1
+        self._bit_generator.state = value
+
+
+class TestBackoffSourceOwnership:
+    """A run's own backoff stream is drawn without touching its state; a caller's gets it back."""
+
+    @pytest.mark.parametrize("label", ["backoff/0", "backoff/5", "tie-break"])
+    def test_a_just_derived_stream_holds_no_half_word(self, label):
+        state = stream(7, 3, label).bit_generator.state
+        assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+
+    def test_fresh_source_reads_no_state_and_draws_as_a_state_read_one(self):
+        counted = _StateCounter(stream(7, 3, "backoff/0").bit_generator)
+        fresh = Pcg64Draws.fresh(counted)
+        read = Pcg64Draws(stream(7, 3, "backoff/0").bit_generator)
+        assert (fresh.has_uint32, fresh.uinteger) == (read.has_uint32, read.uinteger)
+        # A span of 1024 divides 2**32, so no draw is rejected: a stray pending
+        # half-word would show in the very first value.
+        bounds = [(0, 1024), (1, 1536), (1, 9208), (3069, 4604), (1, 25), (1, 2**40)] * 8
+        assert [fresh.integers(*b) for b in bounds] == [read.integers(*b) for b in bounds]
+        assert (fresh.has_uint32, fresh.uinteger) == (read.has_uint32, read.uinteger)
+        assert (counted.reads, counted.writes) == (0, 0)
+
+    def test_engine_writes_back_a_source_it_wrapped(self):
+        rng = stream(1, 0, "backoff/0")
+        twin = Pcg64Draws(stream(1, 0, "backoff/0").bit_generator)
+        run_cluster_exchange(list(FIG_HOLDINGS), FIG_HOLDINGS, TIMING, Scheme.MECHANISM_ONLY, rng)
+        run_cluster_exchange(list(FIG_HOLDINGS), FIG_HOLDINGS, TIMING, Scheme.MECHANISM_ONLY, twin)
+        assert twin.has_uint32 == 1  # the exchange ends on a pending half-word
+        state = rng.bit_generator.state
+        assert (state["has_uint32"], state["uinteger"]) == (1, twin.uinteger)
+
+    def test_engine_never_writes_back_a_source_it_was_handed(self):
+        counted = _StateCounter(stream(1, 0, "backoff/0").bit_generator)
+        source = Pcg64Draws.fresh(counted)
+        run_cluster_exchange(list(FIG_HOLDINGS), FIG_HOLDINGS, TIMING, Scheme.MECHANISM_ONLY,
+                             source)
+        assert source.has_uint32 == 1
+        assert (counted.reads, counted.writes) == (0, 0)
+
+    def test_run_scenario_reads_and_writes_no_backoff_state(self, monkeypatch):
+        config = ScenarioConfig(10, 6, 0.7, 3, seed=0)
+        expected = run_scenario(config, 0)
+        counters = []
+        original = core.stream
+
+        def counted_stream(seed, run_index, label):
+            rng = original(seed, run_index, label)
+            if not label.startswith("backoff/"):
+                return rng
+            counters.append(_StateCounter(rng.bit_generator))
+            return SimpleNamespace(bit_generator=counters[-1])
+
+        monkeypatch.setattr(core, "stream", counted_stream)
+        assert run_scenario(config, 0) == expected
+        assert len(counters) == 3
+        assert all((c.reads, c.writes) == (0, 0) for c in counters)
 
 
 class TestTieBreakStream:
