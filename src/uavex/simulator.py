@@ -342,7 +342,8 @@ def run_scenario(
 
     Receipts depend on the seed, the run index and the fleet only, so a sweep
     samples them once per run index and passes them as ``receipts`` to every
-    scheme it runs there; without them the run samples its own.
+    scheme it runs there; they must be the ones this run would sample itself,
+    which it does when none are given.
     """
     timing = timing or TimingConfig()
     streams = RunStreams(config.seed, run_index)
