@@ -41,12 +41,6 @@ class ClusterAssignment:
     def num_clusters(self) -> int:
         return len(self.members)
 
-    def cluster_of(self, uav: UavId) -> ClusterId:
-        for n, group in enumerate(self.members):
-            if uav in group:
-                return n
-        raise KeyError(f"uav {uav} is not assigned")
-
     def full_cluster_count(self) -> int:
         return sum(1 for v in self.cluster_vectors if v.is_full())
 

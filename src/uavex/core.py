@@ -137,10 +137,6 @@ class IndicatorVector:
         """Packet ids whose bit is 0 (the complement of the held set)."""
         return frozenset(mask_packets(self.missing_mask))
 
-    def with_packets(self, packets: Iterable[PacketId]) -> IndicatorVector:
-        """New vector with the given packet ids switched on."""
-        return self | IndicatorVector.from_packets(packets, self.length)
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -188,14 +184,3 @@ def stream(seed: int, run_index: int, label: str) -> Rng:
         raise ValueError("seed and run_index must be non-negative")
     seq = np.random.SeedSequence(entropy=(seed, run_index, _label_entropy(label)))
     return np.random.default_rng(seq)
-
-
-class RunStreams:
-    """Per-purpose random streams for one Monte-Carlo run."""
-
-    def __init__(self, seed: int, run_index: int = 0):
-        self.seed = seed
-        self.run_index = run_index
-
-    def stream(self, label: str) -> Rng:
-        return stream(self.seed, self.run_index, label)

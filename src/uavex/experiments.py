@@ -19,8 +19,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from . import core  # core.stream is read at call time, so rebinding it reaches every call
 from .clustering import InfeasibleClusterCount, cluster_network, reads_tie_break
-from .core import IndicatorVector, RunStreams, ScenarioConfig, Scheme
+from .core import IndicatorVector, ScenarioConfig, Scheme
 from .mac import TimingConfig
 from .protocol import trace_line
 from .simulator import run_scenario, sample_initial_receipts
@@ -44,12 +45,12 @@ class SweepSpec:
     """One sweep: a base scenario, the parameter swept, and the values to visit."""
 
     base: ScenarioConfig
-    parameter: str  # "num_clusters" | "delivery_rate" | "scheme"
+    parameter: str  # "num_clusters" | "scheme"
     values: tuple
     runs: int = 500
 
     def __post_init__(self) -> None:
-        if self.parameter not in ("num_clusters", "delivery_rate", "scheme"):
+        if self.parameter not in ("num_clusters", "scheme"):
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
         if not self.values:
             raise ValueError("sweep needs at least one value")
@@ -112,10 +113,11 @@ def _param_tag(config: ScenarioConfig) -> str:
     return f"rho={config.delivery_rate:g};N={config.num_clusters}"
 
 
-def _run_receipts(config: ScenarioConfig, streams: RunStreams) -> list[IndicatorVector]:
+def _run_receipts(config: ScenarioConfig, run_index: int) -> list[IndicatorVector]:
     """The receipts of one run, shared by every scheme and cluster count swept at it."""
     return sample_initial_receipts(
-        config.num_uavs, config.num_packets, config.delivery_rate, streams.stream("bs-delivery")
+        config.num_uavs, config.num_packets, config.delivery_rate,
+        core.stream(config.seed, run_index, "bs-delivery"),
     )
 
 
@@ -133,10 +135,11 @@ def _full_set_fractions(
     for k in range(runs):
         if not live:
             break
-        streams = RunStreams(config.seed, k)
-        receipts = _run_receipts(config, streams)
+        receipts = _run_receipts(config, k)
         for i in list(live):
-            tie_break = streams.stream("tie-break") if reads_tie_break(counts[i]) else None
+            tie_break = (
+                core.stream(config.seed, k, "tie-break") if reads_tie_break(counts[i]) else None
+            )
             try:
                 assignment = cluster_network(receipts, counts[i], tie_break)
             except InfeasibleClusterCount as exc:
@@ -173,7 +176,7 @@ def _scheme_samples(
         for _ in configs
     ]
     for k in range(runs):
-        receipts = _run_receipts(config, RunStreams(config.seed, k))
+        receipts = _run_receipts(config, k)
         for scheme_config, sample in zip(configs, samples):
             result = run_scenario(scheme_config, k, timing=timing, receipts=receipts)
             sample["exchanges"][k] = result.reported_exchanges
@@ -280,7 +283,6 @@ FIG1_HOLDINGS = ((1, 1, 0, 1, 0, 0), (0, 1, 1, 1, 1, 1), (0, 0, 1, 0, 1, 0), (1,
 
 def _fig1_trace(timing: TimingConfig, seed: int) -> tuple[list, object]:
     """Run the built-in four-UAV walkthrough as a single cluster and trace it."""
-    from .core import stream
     from .simulator import run_cluster_exchange
 
     holdings = {u: IndicatorVector(bits) for u, bits in enumerate(FIG1_HOLDINGS)}
@@ -290,7 +292,7 @@ def _fig1_trace(timing: TimingConfig, seed: int) -> tuple[list, object]:
         holdings=holdings,
         timing=timing,
         scheme=Scheme.MECHANISM_ONLY,
-        rng=stream(seed, 0, "backoff/0"),
+        rng=core.stream(seed, 0, "backoff/0"),
         trace=trace,
     )
     return trace, result
@@ -520,7 +522,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         completed = result.completed
     else:
         clusters = _cluster_count(args.clusters, settings)
-        if args.scheme:
+        if args.scheme is not None:
             settings["scheme"] = args.scheme
         config = _scenario_from(settings, num_clusters=clusters)
         trace = []

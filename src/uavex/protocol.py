@@ -28,7 +28,6 @@ from .core import (
     Rng,
     Scheme,
     UavId,
-    mask_packets,
     packet_label,
 )
 from .mac import FrameKind, TimingConfig, draw_backoff, draw_baseline_backoff
@@ -40,7 +39,7 @@ class Frame:
 
     A request lists the sender's wanted packets; a reply lists the data
     packets it carries and names the requester it answers. The packets are a
-    bitmask, bit m for packet m; ``packet_ids`` is its packet-id view.
+    bitmask, bit m for packet m.
     """
 
     kind: FrameKind
@@ -56,18 +55,14 @@ class Frame:
         if self.kind is FrameKind.REQUEST and self.in_reply_to is not None:
             raise ValueError("request frames answer nobody")
 
-    @property
-    def packet_ids(self) -> frozenset[PacketId]:
-        return frozenset(mask_packets(self.mask))
-
 
 @dataclass(slots=True)
 class UavProtocolState:
     """Mutable per-UAV exchange state, owned by a single cluster's channel engine.
 
-    Packets given up on are kept as a bitmask, like the holdings;
-    ``unobtainable`` is its packet-id view. A pending draw is its backoff in
-    whole microseconds (always positive), or None when there is none.
+    Packets given up on are kept as a bitmask, like the holdings. A pending
+    draw is its backoff in whole microseconds (always positive), or None when
+    there is none.
     """
 
     uav_id: UavId
@@ -77,41 +72,14 @@ class UavProtocolState:
     reply_draw: int | None = None  # answers the request the channel has open
 
     @property
-    def unobtainable(self) -> frozenset[PacketId]:
-        return frozenset(mask_packets(self.unobtainable_mask))
-
-    @property
-    def missing(self) -> frozenset[PacketId]:
-        return self.holdings.missing_packets()
-
-    @property
     def wanted_mask(self) -> int:
         """Packets still worth requesting: missing and not declared unobtainable."""
         holdings = self.holdings
         return ((1 << holdings.length) - 1) & ~(holdings.mask | self.unobtainable_mask)
 
     @property
-    def wanted(self) -> frozenset[PacketId]:
-        return frozenset(mask_packets(self.wanted_mask))
-
-    @property
     def is_done(self) -> bool:
         return not self.wanted_mask
-
-    @property
-    def pending_backoff(self) -> int:
-        """Duration of the draw currently in play (reply duty first), else 0."""
-        return self.reply_draw or self.request_draw or 0
-
-    @property
-    def phase(self) -> str:
-        if self.is_done:
-            return "done"
-        if self.reply_draw is not None:
-            return "reply_backoff"
-        if self.request_draw is not None:
-            return "request_backoff"
-        return "idle"
 
 
 def _draw(stake: int, num_packets: int, timing: TimingConfig, scheme: Scheme, rng: Rng) -> int:

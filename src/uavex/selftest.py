@@ -1,117 +1,185 @@
-"""Quick self-contained invariant battery behind the ``selftest`` subcommand.
+"""The invariant checks behind ``uavex selftest`` and acceptance criteria 6-8.
 
-Each check prints one PASS/FAIL line. These are smoke-level versions of the
-full test suite, runnable without pytest in a deployed environment.
+Each checker draws its instances from the generator it is given, checks them,
+and raises ``AssertionError`` naming the first instance that fails. The
+acceptance tests call them at full size and compare the instances that the
+clustering and exchange checkers return with independent oracles;
+``run_all`` calls them at smoke size, without pytest.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .clustering import cluster_network
-from .core import IndicatorVector, Scheme, stream
+from .clustering import ClusterAssignment, cluster_network
+from .core import IndicatorVector, Scheme, UavId, stream
 from .mac import TimingConfig, draw_backoff, subwindow_bounds
-from .simulator import run_cluster_exchange, sample_initial_receipts
+from .protocol import TraceRecord
+from .simulator import ClusterResult, _ChannelEngine, sample_initial_receipts
 
 
-def _check_indicator_algebra(rng: np.random.Generator) -> bool:
-    for _ in range(200):
+class ClusteringCase(NamedTuple):
+    """One checked fleet, clustered with the tie-break stream ``stream(trial, 0, "tie-break")``."""
+
+    trial: int
+    vectors: list[IndicatorVector]
+    num_clusters: int
+    assignment: ClusterAssignment
+
+
+class ExchangeCase(NamedTuple):
+    """One checked single-cluster exchange: its inputs, trace, result and final holdings."""
+
+    holdings: dict[UavId, IndicatorVector]
+    trace: list[TraceRecord]
+    result: ClusterResult
+    final: dict[UavId, IndicatorVector]
+
+
+def check_indicator_algebra(rng: np.random.Generator, pairs: int) -> None:
+    """OR is commutative and idempotent and never clears a bit, on random vector pairs."""
+    for trial in range(pairs):
         m = int(rng.integers(1, 20))
         a = IndicatorVector(tuple(int(b) for b in rng.integers(0, 2, m)))
         b = IndicatorVector(tuple(int(b) for b in rng.integers(0, 2, m)))
+        where = f"pair {trial} ({a.bits} | {b.bits})"
         if a | b != b | a:
-            return False
+            raise AssertionError(f"{where}: OR is not commutative")
         if a | a != a:
-            return False
-        if any(x < y for x, y in zip((a | b).bits, a.bits)):
-            return False
-    return True
+            raise AssertionError(f"{where}: OR is not idempotent")
+        if (a | b).mask & a.mask != a.mask:
+            raise AssertionError(f"{where}: OR cleared a bit")
 
 
-def _check_subwindow_tiling() -> bool:
-    for num_packets in range(1, 33):
-        for window in (num_packets, 257, 9207):
+def check_subwindow_tiling(max_packets: int) -> None:
+    """Subwindows 1..M are non-empty, ordered and tile (0, W] for M = 1..max_packets.
+
+    The windows are W = M, 1023 and 9207 us, where at least M.
+    """
+    for num_packets in range(1, max_packets + 1):
+        for window in (num_packets, 1023, 9207):
             if window < num_packets:
                 continue
-            covered = []
+            edge = 0
             for k in range(1, num_packets + 1):
                 lo, hi = subwindow_bounds(num_packets, k, window)
-                covered.extend(range(lo + 1, hi + 1))
-            if covered != list(range(1, window + 1)):
-                return False
-    return True
+                if not lo == edge < hi:
+                    raise AssertionError(
+                        f"M={num_packets}, W={window}: subwindow {k} is ({lo}, {hi}], "
+                        f"expected a non-empty range from {edge}"
+                    )
+                edge = hi
+            if edge != window:
+                raise AssertionError(f"M={num_packets}, W={window}: subwindows end at {edge}")
 
 
-def _check_priority_ordering(rng: np.random.Generator) -> bool:
+def check_backoff_priority(rng: np.random.Generator, pairs: int) -> None:
+    """A larger stake always draws a strictly shorter backoff, on random stake pairs."""
     window = TimingConfig().cw_total_us
-    for _ in range(10_000):
+    for trial in range(pairs):
         m = int(rng.integers(2, 17))
-        a, b = sorted(rng.choice(np.arange(1, m + 1), size=2, replace=False))
-        low = draw_backoff(m, int(b), window, rng)  # larger stake, earlier window
-        high = draw_backoff(m, int(a), window, rng)
-        if not low < high:
-            return False
-    return True
+        low, high = sorted(rng.choice(np.arange(1, m + 1), size=2, replace=False))
+        eager = draw_backoff(m, int(high), window, rng)
+        lazy = draw_backoff(m, int(low), window, rng)
+        if not eager < lazy:
+            raise AssertionError(
+                f"pair {trial} (M={m}): stake {high} drew {eager} us, "
+                f"not below stake {low}'s {lazy} us"
+            )
 
 
-def _check_clustering_invariants(rng: np.random.Generator) -> bool:
-    for trial in range(200):
+def _feasible_cluster_count(rng: np.random.Generator, num_uavs: int) -> int:
+    while True:
+        n = int(rng.integers(1, num_uavs + 1))
+        if n == 1 or n % 2 == 0 or n + 1 <= num_uavs:
+            return n
+
+
+def check_clustering(rng: np.random.Generator, fleets: int) -> list[ClusteringCase]:
+    """Partition, balance, cluster-vector and replay invariants on random fleets.
+
+    Returns every fleet checked, in order.
+    """
+    cases = []
+    for trial in range(fleets):
         num_uavs = int(rng.integers(2, 31))
         num_packets = int(rng.integers(1, 17))
         rho = float(rng.uniform(0.3, 0.9))
-        receipts = sample_initial_receipts(num_uavs, num_packets, rho, rng)
-        while True:
-            n = int(rng.integers(1, num_uavs + 1))
-            if n == 1 or n % 2 == 0 or n + 1 <= num_uavs:
-                break
-        assignment = cluster_network(receipts, n, stream(7, trial, "tie-break"))
+        vectors = sample_initial_receipts(num_uavs, num_packets, rho, rng)
+        n = _feasible_cluster_count(rng, num_uavs)
+        where = f"fleet {trial} (U={num_uavs}, M={num_packets}, N={n})"
+        assignment = cluster_network(vectors, n, stream(trial, 0, "tie-break"))
         try:
-            assignment.validate(receipts)
-        except AssertionError:
-            return False
-        replay = cluster_network(receipts, n, stream(7, trial, "tie-break"))
-        if replay != assignment:
-            return False
-    return True
+            assignment.validate(vectors)
+        except AssertionError as exc:
+            raise AssertionError(f"{where}: {exc}") from None
+        if cluster_network(vectors, n, stream(trial, 0, "tie-break")) != assignment:
+            raise AssertionError(f"{where}: clustering is not deterministic")
+        cases.append(ClusteringCase(trial, vectors, n, assignment))
+    return cases
 
 
-def _check_protocol_invariants(rng: np.random.Generator) -> bool:
+def check_exchanges(rng: np.random.Generator, clusters: int) -> list[ExchangeCase]:
+    """Termination, exchange-count, holdings and completion invariants on random clusters.
+
+    Each cluster runs the schemes in turn on the stream ``stream(trial, 1,
+    "backoff/0")``. Returns every exchange checked, in order.
+    """
     timing = TimingConfig()
-    for trial in range(100):
+    schemes = (Scheme.MECHANISM_ONLY, Scheme.BASELINE_CSMA, Scheme.PROPOSED)
+    cases = []
+    for trial in range(clusters):
         num_uavs = int(rng.integers(1, 9))
         num_packets = int(rng.integers(1, 9))
         rho = float(rng.uniform(0.2, 0.95))
-        scheme = Scheme.MECHANISM_ONLY if trial % 2 == 0 else Scheme.BASELINE_CSMA
+        scheme = schemes[trial % 3]
         receipts = sample_initial_receipts(num_uavs, num_packets, rho, rng)
         holdings = dict(enumerate(receipts))
-        initial_missing = sum(num_packets - v.popcount() for v in receipts)
-        result = run_cluster_exchange(
-            list(range(num_uavs)), holdings, timing, scheme,
-            stream(11, trial, "backoff/0"),
+        where = f"cluster {trial} (U={num_uavs}, M={num_packets}, {scheme.value})"
+        trace: list[TraceRecord] = []
+        engine = _ChannelEngine(
+            list(holdings), holdings, timing, scheme, stream(trial, 1, "backoff/0"), trace=trace
         )
+        result = engine.run()  # termination: run() returned
+        initial_missing = sum(num_packets - v.popcount() for v in receipts)
         if result.exchange_count > initial_missing:
-            return False
-        union = receipts[0]
-        for v in receipts[1:]:
-            union = union | v
-        if result.completed != union.is_full():
-            return False
-    return True
+            raise AssertionError(
+                f"{where}: {result.exchange_count} exchanges for {initial_missing} missing packets"
+            )
+        final = {u: state.holdings for u, state in engine.states.items()}
+        if any(holdings[u].mask & ~final[u].mask for u in holdings):
+            raise AssertionError(f"{where}: holdings shrank")
+        union = 0
+        for v in receipts:
+            union |= v.mask
+        full_union = union == (1 << num_packets) - 1
+        if result.completed != full_union:
+            raise AssertionError(
+                f"{where}: completed={result.completed}, but full union={full_union}"
+            )
+        cases.append(ExchangeCase(holdings, trace, result, final))
+    return cases
 
 
 def run_all(seed: int = 0) -> int:
-    """Run every check; returns the number of failures."""
+    """Run every check at smoke size, printing one PASS/FAIL line each; returns the failures."""
     rng = np.random.default_rng(seed)
-    checks = [
-        ("indicator-vector algebra", lambda: _check_indicator_algebra(rng)),
-        ("subwindow tiling", _check_subwindow_tiling),
-        ("backoff priority ordering", lambda: _check_priority_ordering(rng)),
-        ("clustering invariants", lambda: _check_clustering_invariants(rng)),
-        ("exchange invariants", lambda: _check_protocol_invariants(rng)),
-    ]
+    checks = (
+        ("indicator-vector algebra", lambda: check_indicator_algebra(rng, 200)),
+        ("subwindow tiling", lambda: check_subwindow_tiling(32)),
+        ("backoff priority ordering", lambda: check_backoff_priority(rng, 10_000)),
+        ("clustering invariants", lambda: check_clustering(rng, 200)),
+        ("exchange invariants", lambda: check_exchanges(rng, 100)),
+    )
     failures = 0
     for name, check in checks:
-        ok = check()
-        print(f"{'PASS' if ok else 'FAIL'}: {name}")
-        failures += 0 if ok else 1
+        try:
+            check()
+        except AssertionError as exc:
+            print(f"FAIL: {name}: {exc}")
+            failures += 1
+        else:
+            print(f"PASS: {name}")
     return failures

@@ -30,16 +30,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .clustering import ClusterAssignment, cluster_network, reads_tie_break
-from .core import (
-    IndicatorVector,
-    Rng,
-    RunStreams,
-    ScenarioConfig,
-    Scheme,
-    UavId,
-    mask_packets,
-)
+from . import core  # core.stream is read at call time, so rebinding it reaches every call
+from .clustering import cluster_network, reads_tie_break
+from .core import IndicatorVector, Rng, ScenarioConfig, Scheme, UavId, mask_packets
 from .mac import Pcg64Draws, TimingConfig, draw_source, frame_duration
 from .protocol import (
     Frame,
@@ -319,13 +312,6 @@ def clusters_for_scheme(config: ScenarioConfig) -> int:
     return config.num_clusters if config.scheme.uses_clustering else 1
 
 
-def assignment_for_scheme(
-    receipts: Sequence[IndicatorVector], config: ScenarioConfig, rng: Rng | None
-) -> ClusterAssignment:
-    """Cluster per the scheme; ``rng`` is the tie-break stream, read only for an odd count."""
-    return cluster_network(receipts, clusters_for_scheme(config), rng)
-
-
 def run_scenario(
     config: ScenarioConfig,
     run_index: int = 0,
@@ -346,28 +332,29 @@ def run_scenario(
     which it does when none are given.
     """
     timing = timing or TimingConfig()
-    streams = RunStreams(config.seed, run_index)
+    seed = config.seed
     if receipts is None:
         receipts = sample_initial_receipts(
             config.num_uavs, config.num_packets, config.delivery_rate,
-            streams.stream("bs-delivery"),
+            core.stream(seed, run_index, "bs-delivery"),
         )
+    num_clusters = clusters_for_scheme(config)
     tie_break = (
-        streams.stream("tie-break") if reads_tie_break(clusters_for_scheme(config)) else None
+        core.stream(seed, run_index, "tie-break") if reads_tie_break(num_clusters) else None
     )
-    assignment = assignment_for_scheme(receipts, config, tie_break)
+    assignment = cluster_network(receipts, num_clusters, tie_break)
     results = []
     for cluster_id, group in enumerate(assignment.members):
         # The backoff stream is seeded just now and dropped after the exchange,
         # so its draw source starts empty and never writes back.
-        backoffs = Pcg64Draws.fresh(streams.stream(f"backoff/{cluster_id}").bit_generator)
+        backoff = core.stream(seed, run_index, f"backoff/{cluster_id}")
         results.append(
             run_cluster_exchange(
                 group,
                 {u: receipts[u] for u in group},
                 timing,
                 config.scheme,
-                backoffs,
+                Pcg64Draws.fresh(backoff.bit_generator),
                 trace=trace,
                 cluster_id=cluster_id,
             )

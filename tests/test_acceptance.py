@@ -20,12 +20,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uavex.clustering import cluster_network
 from uavex.core import IndicatorVector, ScenarioConfig, Scheme, stream
 from uavex.experiments import full_set_rate_samples, scheme_metric_samples
-from uavex.mac import TimingConfig, draw_backoff, subwindow_bounds
+from uavex.mac import TimingConfig
 from uavex.protocol import trace_line
-from uavex.simulator import _ChannelEngine, sample_initial_receipts
+from uavex.selftest import (
+    check_backoff_priority,
+    check_clustering,
+    check_exchanges,
+    check_subwindow_tiling,
+)
+from uavex.simulator import _ChannelEngine
 
 from reference import brute_force_cluster, replay_trace, single_cluster_full_rate
 
@@ -49,13 +54,6 @@ def criterion(number, description):
         return wrapper
 
     return decorate
-
-
-def random_feasible_cluster_count(rng, num_uavs):
-    while True:
-        n = int(rng.integers(1, num_uavs + 1))
-        if n == 1 or n % 2 == 0 or n + 1 <= num_uavs:
-            return n
 
 
 @criterion(1, "full-set rate >= 0.95 at both reference optima (500 runs)")
@@ -185,75 +183,36 @@ def test_criterion_5_golden_walkthrough():
 
 @criterion(6, "clustering invariants on 10^3 random fleets, oracle-equal when small")
 def test_criterion_6_clustering_invariants():
-    rng = np.random.default_rng(2024)
+    # Partition, balance, vector consistency and determinism, then the oracle.
     oracle_checked = 0
-    for trial in range(1000):
-        num_uavs = int(rng.integers(2, 31))
-        num_packets = int(rng.integers(1, 17))
-        rho = float(rng.uniform(0.3, 0.9))
-        vectors = sample_initial_receipts(num_uavs, num_packets, rho, rng)
-        n = random_feasible_cluster_count(rng, num_uavs)
-        assignment = cluster_network(vectors, n, stream(trial, 0, "tie-break"))
-        assignment.validate(vectors)  # partition, balance, vector consistency
-        replay = cluster_network(vectors, n, stream(trial, 0, "tie-break"))
-        assert replay == assignment, "clustering not deterministic"
-        if num_uavs <= 6 and num_packets <= 6:
+    for case in check_clustering(np.random.default_rng(2024), 1000):
+        vectors, assignment = case.vectors, case.assignment
+        if len(vectors) <= 6 and len(vectors[0]) <= 6:
             ref_members, ref_vectors = brute_force_cluster(
-                [v.bits for v in vectors], n, stream(trial, 0, "tie-break")
+                [v.bits for v in vectors], case.num_clusters, stream(case.trial, 0, "tie-break")
             )
-            assert [list(m) for m in assignment.members] == ref_members
-            assert [v.bits for v in assignment.cluster_vectors] == ref_vectors
+            assert [list(m) for m in assignment.members] == ref_members, case.trial
+            assert [v.bits for v in assignment.cluster_vectors] == ref_vectors, case.trial
             oracle_checked += 1
     assert oracle_checked >= 30, f"only {oracle_checked} small instances hit the oracle"
 
 
 @criterion(7, "strict backoff priority over 10^4 pairs; exact tiling for M=1..32")
 def test_criterion_7_backoff_priority_and_tiling():
-    rng = np.random.default_rng(99)
-    window = TIMING.cw_total_us
-    for _ in range(10_000):
-        m = int(rng.integers(2, 17))
-        low, high = sorted(rng.choice(np.arange(1, m + 1), size=2, replace=False))
-        eager = draw_backoff(m, int(high), window, rng)
-        lazy = draw_backoff(m, int(low), window, rng)
-        assert eager < lazy
-    for num_packets in range(1, 33):
-        for w in (num_packets, 1023, 9207):
-            if w < num_packets:
-                continue
-            edge = 0
-            for k in range(1, num_packets + 1):
-                lo, hi = subwindow_bounds(num_packets, k, w)
-                assert lo == edge and hi > lo
-                edge = hi
-            assert edge == w
+    check_backoff_priority(np.random.default_rng(99), 10_000)
+    check_subwindow_tiling(32)
 
 
 @criterion(8, "exchange invariants over 10^3 simulated clusters")
 def test_criterion_8_protocol_invariants():
-    rng = np.random.default_rng(555)
-    for trial in range(1000):
-        num_uavs = int(rng.integers(1, 9))
-        num_packets = int(rng.integers(1, 9))
-        rho = float(rng.uniform(0.2, 0.95))
-        scheme = (Scheme.MECHANISM_ONLY, Scheme.BASELINE_CSMA, Scheme.PROPOSED)[trial % 3]
-        receipts = sample_initial_receipts(num_uavs, num_packets, rho, rng)
-        holdings = dict(enumerate(receipts))
-        members = list(range(num_uavs))
-        initial_missing = sum(num_packets - v.popcount() for v in receipts)
-        trace = []
-        engine = _ChannelEngine(
-            members, holdings, TIMING, scheme,
-            stream(trial, 1, "backoff/0"), trace=trace,
-        )
-        result = engine.run()  # termination: run() returned
-        assert result.exchange_count <= initial_missing
-        final, remaining = replay_trace(members, holdings, trace)
+    # Termination, exchange count, holdings never shrink, then the trace replay.
+    for trial, case in enumerate(check_exchanges(np.random.default_rng(555), 1000)):
+        members = list(case.holdings)
+        final, remaining = replay_trace(members, case.holdings, case.trace)
         for u in members:
-            held = engine.states[u].holdings.held_packets()
-            assert held >= receipts[u].held_packets(), "holdings shrank"
-            assert held == final[u], "engine holdings diverge from trace replay"
-        assert result.completed == (remaining == 0)
+            held = case.final[u].held_packets()
+            assert held == final[u], f"cluster {trial}: engine holdings diverge from trace replay"
+        assert case.result.completed == (remaining == 0), trial
 
 
 if __name__ == "__main__":

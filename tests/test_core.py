@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from uavex.core import (
     IndicatorVector,
-    RunStreams,
     ScenarioConfig,
     Scheme,
     packet_label,
@@ -199,11 +198,6 @@ class TestStreams:
         a = stream(99, 3, "backoff").integers(0, 1_000_000, 32)
         b = stream(99, 3, "tie-break").integers(0, 1_000_000, 32)
         assert not np.array_equal(a, b)
-
-    def test_run_streams_wrapper(self):
-        streams = RunStreams(5, run_index=2)
-        direct = stream(5, 2, "bs-delivery").random(8)
-        assert np.array_equal(streams.stream("bs-delivery").random(8), direct)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavex import experiments, simulator
+from uavex import experiments, selftest, simulator
 from uavex.core import ScenarioConfig, Scheme, stream
 from uavex.experiments import (
     SweepSpec,
@@ -52,8 +52,9 @@ def base_config(**overrides):
 
 class TestSweepSpec:
     def test_rejects_unknown_parameter(self):
-        with pytest.raises(ValueError):
-            SweepSpec(base_config(), "delivery", (0.5,))
+        for parameter in ("delivery", "delivery_rate"):
+            with pytest.raises(ValueError):
+                SweepSpec(base_config(), parameter, (0.5,))
 
     def test_rejects_empty_values(self):
         with pytest.raises(ValueError):
@@ -340,6 +341,8 @@ class TestCli:
     def test_usage_error_exits_one(self, capsys):
         assert cli_main(["compare", "--uavs", "6"]) == 1
         assert cli_main(["no-such-command"]) == 1
+        assert cli_main(["trace", "--uavs", "6", "--packets", "4", "--rho", "0.7",
+                         "--clusters", "2", "--scheme", ""]) == 1
         capsys.readouterr()
 
     def test_malformed_config_exits_one(self, tmp_path, capsys):
@@ -500,3 +503,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("PASS") == 5
         assert "FAIL" not in out
+
+    def test_selftest_failure_exits_one(self, capsys, monkeypatch):
+        def planted(rng, fleets):
+            raise AssertionError("fleet 0: planted")
+
+        monkeypatch.setattr(selftest, "check_clustering", planted)
+        assert cli_main(["selftest"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL: clustering invariants: fleet 0: planted"
+        ]
+        assert sum(line.startswith("PASS: ") for line in lines) == 4

@@ -76,7 +76,6 @@ class TestDecideRequest:
         draw_requests([state], TIMING, Scheme.PROPOSED, rng())
         assert state.request_draw is None
         assert state.is_done
-        assert state.phase == "done"
 
     def test_baseline_draw_has_no_subwindow(self):
         draws = []
@@ -128,24 +127,24 @@ class TestBuildFrames:
     def test_request_lists_wanted(self):
         state = walkthrough_states()[2]
         request = build_request(state)
-        assert request.packet_ids == {0, 1, 3, 5}
+        assert request.mask == packet_mask({0, 1, 3, 5})
 
     def test_reply_carries_exact_intersection(self):
         states = walkthrough_states()
         request = build_request(states[2])
         reply = build_reply(states[3], request)
-        assert reply.packet_ids == {0, 1, 3, 5}
+        assert reply.mask == packet_mask({0, 1, 3, 5})
         assert reply.in_reply_to == 2
 
     def test_full_set_uav_answers_whole_request(self):
         request = Frame(FrameKind.REQUEST, 9, packet_mask({2, 4}))
         state = UavProtocolState(0, IndicatorVector.ones(6))
-        assert build_reply(state, request).packet_ids == {2, 4}
+        assert build_reply(state, request).mask == packet_mask({2, 4})
 
     def test_single_packet_supplier(self):
         request = Frame(FrameKind.REQUEST, 9, packet_mask({2, 4}))
         state = UavProtocolState(0, held(2))
-        assert build_reply(state, request).packet_ids == {2}
+        assert build_reply(state, request).mask == packet_mask({2})
 
     def test_no_supply_is_an_error(self):
         request = Frame(FrameKind.REQUEST, 9, packet_mask({5}))
@@ -171,7 +170,7 @@ class TestAbsorbReply:
         draw_requests([state], TIMING, Scheme.PROPOSED, rng())
         assert in_subwindow(state.request_draw, 4)  # three missing
         self.absorb(fleet, 0, 1, 3, 5)
-        assert state.missing == {2, 4}
+        assert state.holdings.missing_packets() == {2, 4}
         assert in_subwindow(state.request_draw, 5)  # redrawn for two missing
 
     def test_disjoint_reply_keeps_draw(self):
@@ -202,7 +201,7 @@ class TestAbsorbReply:
         state = fleet[0]
         state.unobtainable_mask = packet_mask({2})
         self.absorb(fleet, 2)
-        assert state.unobtainable == set()
+        assert state.unobtainable_mask == 0
         assert 2 in state.holdings.held_packets()
 
     def test_requester_draws_again_only_while_wanting(self):
@@ -260,32 +259,29 @@ class TestMarkUnobtainable:
         state = UavProtocolState(0, held(0, 1, 2, 3, 4))  # missing {5}
         request = build_request(state)
         mark_unobtainable(state, request)
-        assert state.unobtainable == {5}
+        assert state.unobtainable_mask == packet_mask({5})
         assert state.is_done
         assert not state.holdings.is_full()
 
     def test_only_still_missing_ids_are_marked(self):
         state = UavProtocolState(0, held(0, 1, 2, 3))
         request = build_request(state)  # {4, 5}
-        state.holdings = state.holdings.with_packets({4})
+        state.holdings = state.holdings | held(4)
         mark_unobtainable(state, request)
-        assert state.unobtainable == {5}
+        assert state.unobtainable_mask == packet_mask({5})
 
 
 class TestPhaseAndBackoffFields:
     def test_backoff_positive_in_backoff_phases(self):
         state = walkthrough_states()[2]
         draw_requests([state], TIMING, Scheme.PROPOSED, rng())
-        assert state.phase == "request_backoff"
-        assert state.pending_backoff > 0
-        state.reply_draw = 10
-        assert state.phase == "reply_backoff"
-        assert state.pending_backoff == 10
+        assert state.request_draw > 0
+        assert state.reply_draw is None
 
     def test_idle_without_draws(self):
         state = walkthrough_states()[2]
-        assert state.phase == "idle"
-        assert state.pending_backoff == 0
+        assert not state.is_done
+        assert state.request_draw is None and state.reply_draw is None
 
 
 def test_trace_line_format_is_stable():

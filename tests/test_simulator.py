@@ -14,13 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from uavex import core, protocol
 from uavex.clustering import cluster_network, reads_tie_break
-from uavex.core import IndicatorVector, RunStreams, ScenarioConfig, Scheme, stream
+from uavex.core import IndicatorVector, ScenarioConfig, Scheme, stream
 from uavex.experiments import cli_main, full_set_rate_samples
 from uavex.mac import Pcg64Draws, TimingConfig, subwindow_bounds, subwindow_for_count
 from uavex.protocol import trace_line
 from uavex.simulator import (
     RunResult,
-    assignment_for_scheme,
+    clusters_for_scheme,
     run_cluster_exchange,
     run_scenario,
     sample_initial_receipts,
@@ -457,15 +457,18 @@ def backoff_consumption(config, run_index, timing=TIMING):
     The goldens catch changed draw values; this also catches an extra or a
     missing trailing draw, which leaves every printed figure unchanged.
     """
-    streams = RunStreams(config.seed, run_index)
+    seed = config.seed
     receipts = sample_initial_receipts(
-        config.num_uavs, config.num_packets, config.delivery_rate, streams.stream("bs-delivery")
+        config.num_uavs, config.num_packets, config.delivery_rate,
+        stream(seed, run_index, "bs-delivery"),
     )
-    assignment = assignment_for_scheme(receipts, config, streams.stream("tie-break"))
+    assignment = cluster_network(
+        receipts, clusters_for_scheme(config), stream(seed, run_index, "tie-break")
+    )
     draws = []
     digest = hashlib.sha256()
     for cluster_id, group in enumerate(assignment.members):
-        rng = streams.stream(f"backoff/{cluster_id}")
+        rng = stream(seed, run_index, f"backoff/{cluster_id}")
         counted = _CountingRng(rng)
         run_cluster_exchange(group, {u: receipts[u] for u in group}, timing,
                              config.scheme, counted)
@@ -524,15 +527,18 @@ def _exchanges_on_both_paths(config, run_index, timing=TIMING):
     keeps numpy's own ``integers``. Returns (fast, slow) lists of the result,
     the trace lines and the end state of each ``backoff/<cluster>`` stream.
     """
-    streams = RunStreams(config.seed, run_index)
+    seed = config.seed
     receipts = sample_initial_receipts(
-        config.num_uavs, config.num_packets, config.delivery_rate, streams.stream("bs-delivery")
+        config.num_uavs, config.num_packets, config.delivery_rate,
+        stream(seed, run_index, "bs-delivery"),
     )
-    assignment = assignment_for_scheme(receipts, config, streams.stream("tie-break"))
+    assignment = cluster_network(
+        receipts, clusters_for_scheme(config), stream(seed, run_index, "tie-break")
+    )
     paths = ([], [])
     for cluster_id, group in enumerate(assignment.members):
         for outcomes, wrap in zip(paths, (lambda rng: rng, _CountingRng)):
-            rng = streams.stream(f"backoff/{cluster_id}")
+            rng = stream(seed, run_index, f"backoff/{cluster_id}")
             trace = []
             result = run_cluster_exchange(group, {u: receipts[u] for u in group}, timing,
                                           config.scheme, wrap(rng), trace=trace)
