@@ -110,11 +110,6 @@ class IndicatorVector:
     def bits(self) -> tuple[int, ...]:
         return tuple((self.mask >> m) & 1 for m in range(self.length))
 
-    @property
-    def missing_mask(self) -> int:
-        """Bitmask of the positions that hold 0."""
-        return ((1 << self.length) - 1) & ~self.mask
-
     def __len__(self) -> int:
         return self.length
 
@@ -135,7 +130,7 @@ class IndicatorVector:
 
     def missing_packets(self) -> frozenset[PacketId]:
         """Packet ids whose bit is 0 (the complement of the held set)."""
-        return frozenset(mask_packets(self.missing_mask))
+        return frozenset(mask_packets(((1 << self.length) - 1) & ~self.mask))
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,10 @@ def _full_set_fractions(
     A count given as an error is passed through. A count that clustering
     finds infeasible gives its ``InfeasibleClusterCount`` and is not
     clustered again.
+
+    A run's tie-break stream is derived at its first count that reads one,
+    and every further such count reads it again from the start, as a fresh
+    derivation would give it. Counts that read none leave it untouched.
     """
     outcomes: list = [n if isinstance(n, ValueError) else np.empty(runs) for n in counts]
     live = [i for i, n in enumerate(counts) if not isinstance(n, ValueError)]
@@ -136,10 +140,14 @@ def _full_set_fractions(
         if not live:
             break
         receipts = _run_receipts(config, k)
+        tie_break = None
         for i in list(live):
-            tie_break = (
-                core.stream(config.seed, k, "tie-break") if reads_tie_break(counts[i]) else None
-            )
+            if reads_tie_break(counts[i]):
+                if tie_break is None:
+                    tie_break = core.stream(config.seed, k, "tie-break")
+                    start = tie_break.bit_generator.state
+                else:
+                    tie_break.bit_generator.state = start
             try:
                 assignment = cluster_network(receipts, counts[i], tie_break)
             except InfeasibleClusterCount as exc:

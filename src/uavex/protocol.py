@@ -1,12 +1,12 @@
 """Request/reply behaviour of the UAVs on one shared cluster channel.
 
-Each UAV tracks what it holds, which packets it has given up on, and at most
-one pending backoff per role, kept as a plain int of microseconds: a request
-draw sized by how many packets it still wants, and a reply draw sized by how
-many of the open request's packets it can supply. Backoff *values* persist
-between contention rounds; they are replaced only when the owner's stake
-changes, when a collision forces a redraw, or when the draw is consumed by
-transmitting.
+Each UAV tracks what it holds and which packets it has given up on, as int
+bitmasks, and at most one pending backoff per role, kept as a plain int of
+microseconds: a request draw sized by how many packets it still wants, and a
+reply draw sized by how many of the open request's packets it can supply.
+Backoff *values* persist between contention rounds; they are replaced only
+when the owner's stake changes, when a collision forces a redraw, or when
+the draw is consumed by transmitting.
 
 The rules are written once per channel event, each applied to the cluster's
 UAV states in uav order: the first request draws (``draw_requests``), a clean
@@ -20,20 +20,12 @@ and, within an event, in uav order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Collection, Mapping
 
-from .core import (
-    IndicatorVector,
-    PacketId,
-    Rng,
-    Scheme,
-    UavId,
-    packet_label,
-)
+from .core import IndicatorVector, PacketId, Rng, Scheme, UavId, packet_label
 from .mac import FrameKind, TimingConfig, draw_backoff, draw_baseline_backoff
 
 
-@dataclass(frozen=True)
 class Frame:
     """One broadcast on a cluster channel.
 
@@ -42,69 +34,88 @@ class Frame:
     bitmask, bit m for packet m.
     """
 
-    kind: FrameKind
-    sender: UavId
-    mask: int
-    in_reply_to: UavId | None = None
+    __slots__ = ("kind", "sender", "mask", "in_reply_to")
 
-    def __post_init__(self) -> None:
-        if self.mask <= 0:
+    def __init__(
+        self, kind: FrameKind, sender: UavId, mask: int, in_reply_to: UavId | None = None
+    ) -> None:
+        if mask <= 0:
             raise ValueError("frames must name at least one packet")
-        if self.kind is FrameKind.REPLY and self.in_reply_to is None:
+        if kind is FrameKind.REPLY and in_reply_to is None:
             raise ValueError("reply frames must name the requester")
-        if self.kind is FrameKind.REQUEST and self.in_reply_to is not None:
+        if kind is FrameKind.REQUEST and in_reply_to is not None:
             raise ValueError("request frames answer nobody")
+        self.kind, self.sender, self.mask, self.in_reply_to = kind, sender, mask, in_reply_to
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class UavProtocolState:
     """Mutable per-UAV exchange state, owned by a single cluster's channel engine.
 
-    Packets given up on are kept as a bitmask, like the holdings. A pending
-    draw is its backoff in whole microseconds (always positive), or None when
-    there is none.
+    What the UAV holds and the packets it has given up on are plain bitmasks,
+    bit m for packet m, and ``full`` has a bit for every packet of the
+    scenario. A pending draw is its backoff in whole microseconds (always
+    positive), or None when there is none.
     """
 
     uav_id: UavId
-    holdings: IndicatorVector
-    unobtainable_mask: int = 0
-    request_draw: int | None = None
-    reply_draw: int | None = None  # answers the request the channel has open
+    held: int
+    full: int
+    unobtainable_mask: int
+    request_draw: int | None
+    reply_draw: int | None  # answers the request the channel has open
+
+    def __init__(self, uav_id: UavId, holdings: IndicatorVector) -> None:
+        self.uav_id = uav_id
+        self.held = holdings.mask
+        self.full = (1 << holdings.length) - 1
+        self.unobtainable_mask = 0
+        self.request_draw = None
+        self.reply_draw = None
+
+    @property
+    def holdings(self) -> IndicatorVector:
+        """What the UAV holds, as a vector (a read-only view of ``held``)."""
+        return IndicatorVector.from_mask(self.held, self.full.bit_length())
 
     @property
     def wanted_mask(self) -> int:
         """Packets still worth requesting: missing and not declared unobtainable."""
-        holdings = self.holdings
-        return ((1 << holdings.length) - 1) & ~(holdings.mask | self.unobtainable_mask)
+        return self.full & ~(self.held | self.unobtainable_mask)
 
     @property
     def is_done(self) -> bool:
         return not self.wanted_mask
 
 
-def _draw(stake: int, num_packets: int, timing: TimingConfig, scheme: Scheme, rng: Rng) -> int:
-    """One backoff for a positive stake: its priority subwindow, or the whole window."""
-    if scheme.uses_priority_backoff:
-        return draw_backoff(num_packets, stake, timing.cw_total_us, rng)
-    return draw_baseline_backoff(timing.cw_total_us, rng)
+def _drawer(
+    states: Collection[UavProtocolState], timing: TimingConfig, scheme: Scheme, rng: Rng
+) -> Callable[[int], int]:
+    """One backoff per call for a positive stake: its priority subwindow, or the whole window.
+
+    Resolved once per channel event; the states of a cluster share one packet
+    count. Each call is one call of the module's ``draw_backoff`` or
+    ``draw_baseline_backoff``, looked up when it is made.
+    """
+    window = timing.cw_total_us
+    if not scheme.uses_priority_backoff:
+        return lambda stake: draw_baseline_backoff(window, rng)
+    num_packets = next(iter(states)).full.bit_length() if states else 0
+    return lambda stake: draw_backoff(num_packets, stake, window, rng)
 
 
 def draw_requests(
-    states: Iterable[UavProtocolState], timing: TimingConfig, scheme: Scheme, rng: Rng
+    states: Collection[UavProtocolState], timing: TimingConfig, scheme: Scheme, rng: Rng
 ) -> None:
     """Give every UAV that wants packets a request draw sized by its wanted count."""
+    draw = _drawer(states, timing, scheme, rng)
     for state in states:
-        stake = state.wanted_mask.bit_count()
-        state.request_draw = (
-            _draw(stake, state.holdings.length, timing, scheme, rng) if stake else None
-        )
+        stake = (state.full & ~(state.held | state.unobtainable_mask)).bit_count()
+        state.request_draw = draw(stake) if stake else None
 
 
 def open_transaction(
-    states: Iterable[UavProtocolState],
-    request: Frame,
-    timing: TimingConfig,
-    scheme: Scheme,
+    states: Collection[UavProtocolState], request: Frame, timing: TimingConfig, scheme: Scheme,
     rng: Rng,
 ) -> list[UavProtocolState]:
     """Draw a reply backoff for every other UAV holding some of a clean request's packets.
@@ -112,22 +123,21 @@ def open_transaction(
     The stake is how many of the requested packets the UAV holds. Returns the
     repliers in the order they drew; empty when nobody can reply.
     """
+    draw = _drawer(states, timing, scheme, rng)
+    sender, mask = request.sender, request.mask
     repliers = []
     for state in states:
-        if state.uav_id == request.sender:
+        if state.uav_id == sender:
             continue
-        stake = (request.mask & state.holdings.mask).bit_count()
+        stake = (mask & state.held).bit_count()
         if stake:
-            state.reply_draw = _draw(stake, state.holdings.length, timing, scheme, rng)
+            state.reply_draw = draw(stake)
             repliers.append(state)
     return repliers
 
 
 def absorb_reply(
-    states: Mapping[UavId, UavProtocolState],
-    reply: Frame,
-    timing: TimingConfig,
-    scheme: Scheme,
+    states: Mapping[UavId, UavProtocolState], reply: Frame, timing: TimingConfig, scheme: Scheme,
     rng: Rng,
 ) -> None:
     """Close a transaction: every UAV but the sender takes in an overheard reply.
@@ -138,33 +148,34 @@ def absorb_reply(
     smaller wanted count, so its draw is redrawn from the new subwindow, or
     dropped once nothing is wanted anymore; a stale draw would misstate the
     priority. Last, the requester draws again if it still wants packets.
+    A reply naming a packet outside the scenario raises ``ValueError`` and
+    changes no state.
     """
+    requester = states[reply.in_reply_to]
+    full, mask, sender = requester.full, reply.mask, reply.sender
+    if mask & ~full:
+        raise ValueError(f"reply mask {mask} does not fit {full.bit_length()} packets")
+    draw = _drawer(states.values(), timing, scheme, rng)
     for state in states.values():
-        if state.uav_id == reply.sender:
+        if state.uav_id == sender:
             continue
         state.reply_draw = None
-        state.unobtainable_mask &= ~reply.mask
-        holdings = state.holdings
-        if not reply.mask & ~holdings.mask:
+        state.unobtainable_mask &= ~mask
+        held = state.held
+        if not mask & ~held:
             continue  # nothing new: holdings and stake are unchanged
-        state.holdings = IndicatorVector.from_mask(holdings.mask | reply.mask, holdings.length)
+        state.held = held = held | mask
         if state.request_draw is not None:
-            stake = state.wanted_mask.bit_count()
-            state.request_draw = (
-                _draw(stake, holdings.length, timing, scheme, rng) if stake else None
-            )
-    requester = states[reply.in_reply_to]
+            stake = (full & ~(held | state.unobtainable_mask)).bit_count()
+            state.request_draw = draw(stake) if stake else None
     stake = requester.wanted_mask.bit_count()
     if stake:
-        requester.request_draw = _draw(stake, requester.holdings.length, timing, scheme, rng)
+        requester.request_draw = draw(stake)
 
 
 def redraw_colliders(
-    colliders: Iterable[UavProtocolState],
-    answering: Frame | None,
-    timing: TimingConfig,
-    scheme: Scheme,
-    rng: Rng,
+    colliders: Collection[UavProtocolState], answering: Frame | None, timing: TimingConfig,
+    scheme: Scheme, rng: Rng,
 ) -> None:
     """Redraw, in the given order, the draws whose frames collided.
 
@@ -172,13 +183,12 @@ def redraw_colliders(
     colliders their reply to ``answering``. A collision changes no stake, so
     each redraws within its current subwindow.
     """
+    draw = _drawer(colliders, timing, scheme, rng)
     for state in colliders:
         if answering is None:
-            stake = state.wanted_mask.bit_count()
-            state.request_draw = _draw(stake, state.holdings.length, timing, scheme, rng)
+            state.request_draw = draw(state.wanted_mask.bit_count())
         else:
-            stake = (answering.mask & state.holdings.mask).bit_count()
-            state.reply_draw = _draw(stake, state.holdings.length, timing, scheme, rng)
+            state.reply_draw = draw((answering.mask & state.held).bit_count())
 
 
 def build_request(state: UavProtocolState) -> Frame:
@@ -191,15 +201,15 @@ def build_request(state: UavProtocolState) -> Frame:
 
 def build_reply(state: UavProtocolState, request: Frame) -> Frame:
     """Reply frame carrying exactly the requested packets this UAV holds."""
-    supply = request.mask & state.holdings.mask
+    supply = request.mask & state.held
     if not supply:
         raise ValueError(f"uav {state.uav_id} holds none of the requested packets")
-    return Frame(FrameKind.REPLY, state.uav_id, supply, in_reply_to=request.sender)
+    return Frame(FrameKind.REPLY, state.uav_id, supply, request.sender)
 
 
 def mark_unobtainable(state: UavProtocolState, request_sent: Frame) -> None:
     """Give up on every still-missing packet of an own request that drew no reply."""
-    state.unobtainable_mask |= request_sent.mask & state.holdings.missing_mask
+    state.unobtainable_mask |= request_sent.mask & state.full & ~state.held
 
 
 @dataclass(frozen=True)

@@ -156,24 +156,10 @@ class _ChannelEngine:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _record(
-        self,
-        uav: UavId,
-        event: str,
-        packets_mask: int = 0,
-        peer: UavId | None = None,
-    ) -> None:
+    def _record(self, uav: UavId, event: str, mask: int = 0, peer: UavId | None = None) -> None:
         if self.trace is not None:
-            self.trace.append(
-                TraceRecord(
-                    time_us=self._now,
-                    uav=uav,
-                    event=event,
-                    packets=mask_packets(packets_mask),
-                    peer=peer,
-                    cluster=self.cluster_id,
-                )
-            )
+            packets = mask_packets(mask)
+            self.trace.append(TraceRecord(self._now, uav, event, packets, peer, self.cluster_id))
 
     def _settle_done(self) -> None:
         """Retire the members that want nothing more, recording when each finished."""
@@ -272,7 +258,7 @@ class _ChannelEngine:
                 mark_unobtainable(self.states[request.sender], request)
                 self._record(request.sender, "unobtainable", request.mask)
             self._settle_done()
-        completed = all(self.states[u].holdings.is_full() for u in self.members)
+        completed = all(state.held == state.full for state in self.states.values())
         unobtainable = 0
         for u in self.members:
             unobtainable |= self.states[u].unobtainable_mask

@@ -1,5 +1,7 @@
 """State-machine decisions built around the four-UAV walkthrough."""
 
+from dataclasses import astuple
+
 import pytest
 
 from uavex.core import IndicatorVector, Scheme, packet_mask, stream
@@ -42,16 +44,23 @@ def walkthrough_states():
 
 class TestFrame:
     def test_request_requires_packets(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^frames must name at least one packet$"):
             Frame(FrameKind.REQUEST, 0, packet_mask(()))
 
     def test_reply_requires_target(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^reply frames must name the requester$"):
             Frame(FrameKind.REPLY, 0, packet_mask({1}))
 
     def test_request_cannot_reply(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^request frames answer nobody$"):
             Frame(FrameKind.REQUEST, 0, packet_mask({1}), in_reply_to=2)
+
+    def test_fields(self):
+        reply = Frame(FrameKind.REPLY, 3, packet_mask({0, 2}), 1)
+        assert (reply.kind, reply.sender, reply.mask, reply.in_reply_to) == (
+            FrameKind.REPLY, 3, 0b101, 1
+        )
+        assert Frame(FrameKind.REQUEST, 0, 1).in_reply_to is None
 
 
 def in_subwindow(draw, subwindow, num_packets=6):
@@ -204,6 +213,16 @@ class TestAbsorbReply:
         assert state.unobtainable_mask == 0
         assert 2 in state.holdings.held_packets()
 
+    def test_reply_naming_a_packet_beyond_the_scenario_is_refused(self):
+        fleet = walkthrough_fleet()
+        draw_requests(fleet.values(), TIMING, Scheme.PROPOSED, rng())
+        fleet[0].unobtainable_mask = packet_mask({2})
+        before = {u: astuple(state) for u, state in fleet.items()}
+        for packets in ((6,), (2, 6), (0, 9)):
+            with pytest.raises(ValueError, match="does not fit 6 packets"):
+                self.absorb(fleet, *packets)
+            assert {u: astuple(state) for u, state in fleet.items()} == before
+
     def test_requester_draws_again_only_while_wanting(self):
         fleet = walkthrough_fleet()  # requester 2 misses {0, 1, 3, 5}
         self.absorb(fleet, 0, 1)
@@ -266,7 +285,7 @@ class TestMarkUnobtainable:
     def test_only_still_missing_ids_are_marked(self):
         state = UavProtocolState(0, held(0, 1, 2, 3))
         request = build_request(state)  # {4, 5}
-        state.holdings = state.holdings | held(4)
+        state.held |= packet_mask({4})
         mark_unobtainable(state, request)
         assert state.unobtainable_mask == packet_mask({5})
 

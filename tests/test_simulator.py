@@ -15,18 +15,24 @@ from hypothesis import given, settings, strategies as st
 from uavex import core, protocol
 from uavex.clustering import cluster_network, reads_tie_break
 from uavex.core import IndicatorVector, ScenarioConfig, Scheme, stream
-from uavex.experiments import cli_main, full_set_rate_samples
+from uavex.experiments import (
+    SweepSpec,
+    cli_main,
+    full_set_rate_samples,
+    sweep_full_set_rate,
+)
 from uavex.mac import Pcg64Draws, TimingConfig, subwindow_bounds, subwindow_for_count
 from uavex.protocol import trace_line
 from uavex.simulator import (
     RunResult,
+    _ChannelEngine,
     clusters_for_scheme,
     run_cluster_exchange,
     run_scenario,
     sample_initial_receipts,
 )
 
-from reference import replay_trace
+from reference import per_point_full_set_rate, replay_trace
 
 TIMING = TimingConfig()
 
@@ -212,10 +218,17 @@ class TestProtocolInvariantsViaReplay:
             members = list(range(num_uavs))
             initial_missing = sum(num_packets - v.popcount() for v in receipts)
             trace = []
-            result = run_cluster_exchange(
-                members, holdings, TIMING, scheme,
-                stream(12, trial, "backoff/0"), trace=trace,
+            engine = _ChannelEngine(
+                members, holdings, TIMING, scheme, stream(12, trial, "backoff/0"), trace=trace
             )
+            result = engine.run()
+            full = (1 << num_packets) - 1
+            for u, state in engine.states.items():
+                assert state.full == full
+                assert state.held & ~full == 0
+                assert state.held & state.unobtainable_mask == 0
+                assert holdings[u].mask & ~state.held == 0
+                assert state.holdings == IndicatorVector.from_mask(state.held, num_packets)
             assert result.exchange_count <= initial_missing
             times = [r.time_us for r in trace]
             assert times == sorted(times)
@@ -710,6 +723,20 @@ class TestTieBreakStream:
         labels = self._labels(monkeypatch, full_set_rate_samples, config, 3)
         assert labels.count("tie-break") == (3 if reads_tie_break(clusters) else 0)
         assert labels.count("bs-delivery") == 3
+
+    def test_full_set_rate_sweep_derives_it_once_per_run(self, monkeypatch):
+        # N = 3, 5, 7 and 9 read it; each replays the one stream of its run.
+        spec = SweepSpec(ScenarioConfig(20, 10, 0.6, 1, seed=5), "num_clusters",
+                         tuple(range(1, 10)), runs=4)
+        expected = per_point_full_set_rate(spec)
+        labels = self._labels(monkeypatch, sweep_full_set_rate, spec)
+        assert labels == ["bs-delivery", "tie-break"] * 4
+        assert sweep_full_set_rate(spec) == expected
+
+    def test_full_set_rate_sweep_without_odd_counts_derives_none(self, monkeypatch):
+        spec = SweepSpec(ScenarioConfig(20, 10, 0.6, 1, seed=5), "num_clusters",
+                         (1, 2, 4, 6), runs=3)
+        assert "tie-break" not in self._labels(monkeypatch, sweep_full_set_rate, spec)
 
     @pytest.mark.parametrize("clusters", range(1, 10))
     def test_rule_matches_what_clustering_consumes(self, clusters):
