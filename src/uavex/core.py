@@ -5,9 +5,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 UavId = int
 ClusterId = int
@@ -168,14 +169,128 @@ def _label_entropy(label: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-def stream(seed: int, run_index: int, label: str) -> Rng:
+# numpy's SeedSequence (NEP 19) over a pool of four uint32 words. Its hash
+# constants step the same way whatever the data, so each call's pair is fixed:
+# call i xors with _HASH_A[i] and multiplies by _HASH_A[i + 1].
+_MASK32 = 0xFFFFFFFF
+
+
+def _constant_chain(init: int, mult: int, count: int) -> np.ndarray:
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint32)[:, None]
+
+
+_HASH_A = _constant_chain(0x43B0D7E5, 0x931E8875, 16)  # mix_entropy: 4 fills, 12 cross mixes
+_HASH_B = _constant_chain(0x8B51F9DD, 0x58F38DED, 8)   # generate_state: 8 output words
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(value: np.ndarray, chain: np.ndarray, first: int, calls: int) -> np.ndarray:
+    """Hash calls ``first`` to ``first + calls - 1`` of ``chain``, one per row of the result."""
+    value = (value ^ chain[first:first + calls]) * chain[first + 1:first + calls + 1]
+    return value ^ (value >> 16)
+
+
+def _int_words(value: int) -> list[int]:
+    """Little-endian uint32 words of a non-negative int, one zero word for 0, as numpy splits it."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def mix_seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy=row).generate_state(4, np.uint64)`` for each row of ``entropy``.
+
+    ``entropy`` is an ``(n, 4)`` uint32 array, each row a word list of at
+    most four words padded with zeros, which is exact: numpy hashes a 0 for
+    each pool word its entropy does not reach. Returns ``(n, 4)`` uint64.
+    """
+    pool = _hashmix(entropy.T, _HASH_A, 0, 4)
+    # numpy mixes each source word into the other three in turn; the source
+    # does not change meanwhile, so its three hash calls run as one.
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        mixed = pool[dst] * _MIX_L - _hashmix(pool[src], _HASH_A, 4 + 3 * src, 3) * _MIX_R
+        pool[dst] = mixed ^ (mixed >> 16)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B, 0, 8)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """Seeds PCG64 with four uint64 words that a ``StreamBlock`` mixed."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("block seed words serve only PCG64's generate_state(4, uint64)")
+        return self.words
+
+
+class StreamBlock:
+    """The seed words of every (run index, label) stream of a block of run indices.
+
+    Mixes what ``SeedSequence(entropy=(seed, run_index, _label_entropy(label)))``
+    would for each pair, in one pass of uint32 array arithmetic instead of one
+    ``SeedSequence`` per stream, so ``stream(..., block=)`` gives the very
+    same generators. Run indices of 2**32 or more, and pairs whose entropy
+    exceeds four words (in practice a seed of 2**32 or more), take numpy's
+    own ``SeedSequence``.
+    """
+
+    def __init__(self, seed: int, run_indices: range, labels: Sequence[str]) -> None:
+        if seed < 0 or run_indices.start < 0 or run_indices.step != 1:
+            raise ValueError("a block covers non-negative run indices in steps of 1 "
+                             "under a non-negative seed")
+        self.seed = seed
+        self.run_indices = run_indices
+        self._columns = {label: j for j, label in enumerate(labels)}
+        start, stop = run_indices.start, run_indices.stop
+        # Run indices below 2**32 are one entropy word; numpy mixes the others.
+        one_word = np.arange(min(start, 1 << 32), min(stop, 1 << 32)).astype(np.uint32)
+        entropy = np.zeros((len(run_indices), len(labels), 4), dtype=np.uint32)
+        seed_words = _int_words(seed)
+        numpy_pairs = []
+        for j, label in enumerate(labels):
+            words = [*seed_words, one_word, *_int_words(_label_entropy(label))]
+            mixed = len(one_word) if len(words) <= 4 else 0
+            for c, word in enumerate(words if mixed else []):
+                entropy[:mixed, j, c] = word
+            numpy_pairs += [(k, j) for k in range(start + mixed, stop)]
+        self._words = mix_seed_words(entropy.reshape(-1, 4)).reshape(entropy.shape)
+        for k, j in numpy_pairs:
+            seq = np.random.SeedSequence(entropy=(seed, k, _label_entropy(labels[j])))
+            self._words[k - start, j] = seq.generate_state(4, np.uint64)
+
+    def seed_words(self, seed: int, run_index: int, label: str) -> np.ndarray:
+        """The four uint64 seed words of one stream; ValueError for a stream outside the block."""
+        column = self._columns.get(label)
+        if seed != self.seed or run_index not in self.run_indices or column is None:
+            raise ValueError(
+                f"stream ({seed}, {run_index}, {label!r}) is outside the block of seed "
+                f"{self.seed}, run indices {self.run_indices} and labels {list(self._columns)}"
+            )
+        return self._words[run_index - self.run_indices.start, column]
+
+
+def stream(seed: int, run_index: int, label: str, block: StreamBlock | None = None) -> Rng:
     """Deterministic generator for one (master seed, run index, purpose) triple.
 
     Identical triples yield identical streams; distinct run indices or labels
     yield statistically independent streams, so adding a consumer under a new
-    label never perturbs existing ones.
+    label never perturbs existing ones. A ``block`` covering the triple hands
+    over the seed words it mixed in advance; the stream is the same.
     """
     if seed < 0 or run_index < 0:
         raise ValueError("seed and run_index must be non-negative")
-    seq = np.random.SeedSequence(entropy=(seed, run_index, _label_entropy(label)))
-    return np.random.default_rng(seq)
+    if block is None:
+        seq = np.random.SeedSequence(entropy=(seed, run_index, _label_entropy(label)))
+    else:
+        seq = _SeedWords(block.seed_words(seed, run_index, label))
+    return np.random.Generator(np.random.PCG64(seq))

@@ -4,6 +4,10 @@ A sweep loops over run indices once. A run's receipts depend only on (seed,
 run index) and the fleet, never on the scheme or cluster count, so each run's
 receipts are sampled once and handed to every sweep point: run k of every
 scheme, and of every cluster count, starts from the very same holdings.
+
+A sweep seeds the streams its runs read one block of run indices at a time
+(``core.StreamBlock``); every stream is the one ``core.stream`` derives alone,
+so any run still replays from its seed and run index.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -24,7 +28,10 @@ from .clustering import InfeasibleClusterCount, cluster_network, reads_tie_break
 from .core import IndicatorVector, ScenarioConfig, Scheme
 from .mac import TimingConfig
 from .protocol import trace_line
-from .simulator import run_scenario, sample_initial_receipts
+from .simulator import clusters_for_scheme, run_scenario, sample_initial_receipts
+
+# Run indices whose streams one StreamBlock seeds.
+_BLOCK_RUNS = 256
 
 CSV_COLUMNS = (
     "param",
@@ -113,11 +120,23 @@ def _param_tag(config: ScenarioConfig) -> str:
     return f"rho={config.delivery_rate:g};N={config.num_clusters}"
 
 
-def _run_receipts(config: ScenarioConfig, run_index: int) -> list[IndicatorVector]:
+def _blocks(
+    seed: int, runs: int, labels: Sequence[str]
+) -> Iterator[tuple[int, core.StreamBlock]]:
+    """Each run index below ``runs`` with the StreamBlock that seeds its ``labels``."""
+    for start in range(0, runs, _BLOCK_RUNS):
+        block = core.StreamBlock(seed, range(start, min(start + _BLOCK_RUNS, runs)), labels)
+        for k in block.run_indices:
+            yield k, block
+
+
+def _run_receipts(
+    config: ScenarioConfig, run_index: int, block: core.StreamBlock
+) -> list[IndicatorVector]:
     """The receipts of one run, shared by every scheme and cluster count swept at it."""
     return sample_initial_receipts(
         config.num_uavs, config.num_packets, config.delivery_rate,
-        core.stream(config.seed, run_index, "bs-delivery"),
+        core.stream(config.seed, run_index, "bs-delivery", block=block),
     )
 
 
@@ -136,15 +155,18 @@ def _full_set_fractions(
     """
     outcomes: list = [n if isinstance(n, ValueError) else np.empty(runs) for n in counts]
     live = [i for i, n in enumerate(counts) if not isinstance(n, ValueError)]
-    for k in range(runs):
+    labels = ["bs-delivery"]
+    if any(reads_tie_break(counts[i]) for i in live):
+        labels.append("tie-break")
+    for k, block in _blocks(config.seed, runs, labels):
         if not live:
             break
-        receipts = _run_receipts(config, k)
+        receipts = _run_receipts(config, k, block)
         tie_break = None
         for i in list(live):
             if reads_tie_break(counts[i]):
                 if tie_break is None:
-                    tie_break = core.stream(config.seed, k, "tie-break")
+                    tie_break = core.stream(config.seed, k, "tie-break", block=block)
                     start = tie_break.bit_generator.state
                 else:
                     tie_break.bit_generator.state = start
@@ -183,10 +205,16 @@ def _scheme_samples(
         }
         for _ in configs
     ]
-    for k in range(runs):
-        receipts = _run_receipts(config, k)
+    counts = [clusters_for_scheme(c) for c in configs]
+    labels = ["bs-delivery", *(f"backoff/{i}" for i in range(max(counts)))]
+    if any(reads_tie_break(n) for n in counts):
+        labels.append("tie-break")
+    for k, block in _blocks(config.seed, runs, labels):
+        receipts = _run_receipts(config, k, block)
         for scheme_config, sample in zip(configs, samples):
-            result = run_scenario(scheme_config, k, timing=timing, receipts=receipts)
+            result = run_scenario(
+                scheme_config, k, timing=timing, receipts=receipts, block=block
+            )
             sample["exchanges"][k] = result.reported_exchanges
             sample["delay_us"][k] = result.reported_delay_us
             sample["completed"][k] = result.all_completed
@@ -499,8 +527,8 @@ def _cmd_full_set_rate(args: argparse.Namespace) -> int:
         raise ValueError("delivery rate required (--rho, --rhos, or config file)")
     rows = []
     for rho in rhos:
-        settings_rho = dict(settings, delivery_rate=rho)
-        base = _scenario_from(settings_rho, num_clusters=max(cluster_values))
+        # One cluster fits every fleet; the sweep checks each count itself.
+        base = _scenario_from(dict(settings, delivery_rate=rho), num_clusters=1)
         spec = SweepSpec(base, "num_clusters", tuple(cluster_values), runs=base.runs)
         rows.extend(sweep_full_set_rate(spec))
     if all(row.runs == 0 for row in rows):

@@ -304,6 +304,7 @@ def run_scenario(
     timing: TimingConfig | None = None,
     trace: list[TraceRecord] | None = None,
     receipts: Sequence[IndicatorVector] | None = None,
+    block: core.StreamBlock | None = None,
 ) -> RunResult:
     """One full scenario run: sample receipts, cluster, exchange, aggregate.
 
@@ -315,25 +316,27 @@ def run_scenario(
     Receipts depend on the seed, the run index and the fleet only, so a sweep
     samples them once per run index and passes them as ``receipts`` to every
     scheme it runs there; they must be the ones this run would sample itself,
-    which it does when none are given.
+    which it does when none are given. A sweep likewise hands over the
+    ``block`` that seeded its streams in advance; the streams are the same.
     """
     timing = timing or TimingConfig()
     seed = config.seed
     if receipts is None:
         receipts = sample_initial_receipts(
             config.num_uavs, config.num_packets, config.delivery_rate,
-            core.stream(seed, run_index, "bs-delivery"),
+            core.stream(seed, run_index, "bs-delivery", block=block),
         )
     num_clusters = clusters_for_scheme(config)
     tie_break = (
-        core.stream(seed, run_index, "tie-break") if reads_tie_break(num_clusters) else None
+        core.stream(seed, run_index, "tie-break", block=block)
+        if reads_tie_break(num_clusters) else None
     )
     assignment = cluster_network(receipts, num_clusters, tie_break)
     results = []
     for cluster_id, group in enumerate(assignment.members):
         # The backoff stream is seeded just now and dropped after the exchange,
         # so its draw source starts empty and never writes back.
-        backoff = core.stream(seed, run_index, f"backoff/{cluster_id}")
+        backoff = core.stream(seed, run_index, f"backoff/{cluster_id}", block=block)
         results.append(
             run_cluster_exchange(
                 group,

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from uavex import core
 from uavex.core import (
     IndicatorVector,
     ScenarioConfig,
     Scheme,
+    StreamBlock,
+    mix_seed_words,
     packet_label,
     stream,
 )
@@ -202,3 +205,81 @@ class TestStreams:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             stream(-1, 0, "x")
+
+
+REAL_LABELS = ["bs-delivery", "tie-break", *(f"backoff/{i}" for i in range(12))]
+
+
+def numpy_seed_words(seed, run_index, label):
+    entropy = (seed, run_index, core._label_entropy(label))
+    return np.random.SeedSequence(entropy=entropy).generate_state(4, np.uint64)
+
+
+def assert_block_replays_numpy(block, seed, run_indices, labels):
+    for k in run_indices:
+        for label in labels:
+            assert np.array_equal(block.seed_words(seed, k, label),
+                                  numpy_seed_words(seed, k, label)), (seed, k, label)
+            fast, alone = stream(seed, k, label, block), stream(seed, k, label)
+            assert fast.bit_generator.state == alone.bit_generator.state
+            assert np.array_equal(fast.bit_generator.random_raw(3),
+                                  alone.bit_generator.random_raw(3))
+
+
+class TestStreamBlock:
+    """A block's seed words and streams equal numpy's SeedSequence pair by pair."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(0, 2**32 + 2), st.integers(0, 2**70)),
+        start=st.one_of(st.integers(0, 2**40), st.integers(2**32 - 6, 2**32 + 1)),
+        length=st.integers(1, 8),
+        labels=st.lists(st.one_of(st.sampled_from(REAL_LABELS), st.text(max_size=12)),
+                        min_size=1, max_size=4, unique=True),
+    )
+    def test_matches_seed_sequence(self, seed, start, length, labels):
+        run_indices = range(start, start + length)
+        block = StreamBlock(seed, run_indices, labels)
+        assert_block_replays_numpy(block, seed, run_indices, labels)
+
+    def test_range_across_two_to_the_32(self):
+        # Run indices below 2**32 are mixed in the block, the rest by numpy.
+        run_indices = range(2**32 - 3, 2**32 + 3)
+        for seed in (0, 914, 2**32 - 1):
+            block = StreamBlock(seed, run_indices, REAL_LABELS[:4])
+            assert_block_replays_numpy(block, seed, run_indices, REAL_LABELS[:4])
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 + 1, 2**64 - 1])
+    def test_short_label_entropy_pads_exactly(self, seed, monkeypatch):
+        # Label entropy of one zero word, one word and two words, against
+        # seeds of one and two words and run indices of one and two words.
+        monkeypatch.setattr(core, "_label_entropy", int)
+        labels = ["0", "7", str(2**32 - 1), str(2**32), str(2**64 - 1)]
+        run_indices = range(2**32 - 2, 2**32 + 2)
+        block = StreamBlock(seed, run_indices, labels)
+        assert_block_replays_numpy(block, seed, run_indices, labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(words=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    def test_word_mix_matches_seed_sequence(self, words):
+        entropy = np.zeros((1, 4), dtype=np.uint32)
+        entropy[0, :len(words)] = words
+        expected = np.random.SeedSequence(entropy=words).generate_state(4, np.uint64)
+        assert np.array_equal(mix_seed_words(entropy)[0], expected)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**70), start=st.integers(1, 2**40), length=st.integers(1, 8))
+    def test_refuses_streams_outside_the_block(self, seed, start, length):
+        block = StreamBlock(seed, range(start, start + length), ["bs-delivery", "backoff/0"])
+        for k in (start - 1, start + length):
+            with pytest.raises(ValueError, match="outside the block"):
+                stream(seed, k, "bs-delivery", block)
+        with pytest.raises(ValueError, match="outside the block"):
+            stream(seed, start, "backoff/1", block)
+        with pytest.raises(ValueError, match="outside the block"):
+            stream(seed + 1, start, "bs-delivery", block)
+
+    def test_refuses_negative_or_strided_indices(self):
+        for seed, run_indices in [(-1, range(3)), (0, range(-1, 3)), (0, range(0, 6, 2))]:
+            with pytest.raises(ValueError):
+                StreamBlock(seed, run_indices, ["bs-delivery"])

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavex import experiments, selftest, simulator
+from uavex import core, experiments, selftest, simulator
 from uavex.core import ScenarioConfig, Scheme, stream
 from uavex.experiments import (
     SweepSpec,
@@ -206,6 +206,40 @@ class TestSweepsMatchPerPointLoops:
             "warning: skipping rho=0.5;N=10: num_clusters must lie in [1, num_uavs]\n"
             "warning: skipping rho=0.5;N=11: num_clusters must lie in [1, num_uavs]\n"
         )
+
+
+class TestRunsAcrossStreamBlocks:
+    """Sweeps whose runs span several stream blocks give the rows of standalone runs."""
+
+    @staticmethod
+    def _blocks(monkeypatch):
+        monkeypatch.setattr(experiments, "_BLOCK_RUNS", 4)
+        blocks = []
+        original = core.StreamBlock
+
+        def recorded(seed, run_indices, labels):
+            blocks.append(run_indices)
+            return original(seed, run_indices, labels)
+
+        monkeypatch.setattr(core, "StreamBlock", recorded)
+        return blocks
+
+    @pytest.mark.parametrize("seed", [23, 2**32 + 5])
+    def test_compare_schemes(self, seed, monkeypatch):
+        blocks = self._blocks(monkeypatch)
+        spec = SweepSpec(ScenarioConfig(10, 6, 0.7, 3, seed=seed), "scheme", tuple(Scheme),
+                         runs=9)
+        assert compare_schemes(spec) == per_point_compare(spec)
+        assert blocks == [range(0, 4), range(4, 8), range(8, 9)]
+
+    @pytest.mark.parametrize("seed", [23, 2**32 + 5])
+    def test_sweep_full_set_rate(self, seed, monkeypatch):
+        blocks = self._blocks(monkeypatch)
+        spec = SweepSpec(ScenarioConfig(10, 6, 0.7, 1, seed=seed), "num_clusters",
+                         tuple(range(1, 8)), runs=6)
+        assert outcome_and_stderr(sweep_full_set_rate, spec) == \
+            outcome_and_stderr(per_point_full_set_rate, spec)
+        assert blocks == [range(0, 4), range(4, 6)]
 
 
 class TestReceiptsSampledOncePerRun:
@@ -497,6 +531,32 @@ class TestCli:
         ])
         assert code == 2
         capsys.readouterr()
+
+    def test_counts_above_the_fleet_warn_and_the_rest_print(self, capsys):
+        code = cli_main([
+            "full-set-rate", "--uavs", "5", "--packets", "4", "--rho", "0.5",
+            "--clusters", "1..6", "--runs", "2",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [(row[0], row[8]) for row in rows] == [
+            (f"rho=0.5;N={n}", "2") for n in range(1, 5)
+        ] + [("rho=0.5;N=5", "0"), ("rho=0.5;N=6", "0")]
+        assert err == (
+            "warning: skipping rho=0.5;N=5: odd cluster count 5 needs 6 seed UAVs, got 5\n"
+            "warning: skipping rho=0.5;N=6: num_clusters must lie in [1, num_uavs]\n"
+        )
+
+    def test_counts_all_above_the_fleet_exit_two(self, capsys):
+        code = cli_main([
+            "full-set-rate", "--uavs", "5", "--packets", "4", "--rho", "0.5",
+            "--clusters", "6,7", "--runs", "2",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.endswith("error: every requested cluster count was infeasible\n")
 
     def test_selftest_passes(self, capsys):
         assert cli_main(["selftest"]) == 0

@@ -674,8 +674,8 @@ class TestBackoffSourceOwnership:
         counters = []
         original = core.stream
 
-        def counted_stream(seed, run_index, label):
-            rng = original(seed, run_index, label)
+        def counted_stream(seed, run_index, label, block=None):
+            rng = original(seed, run_index, label, block=block)
             if not label.startswith("backoff/"):
                 return rng
             counters.append(_StateCounter(rng.bit_generator))
@@ -693,9 +693,9 @@ class TestTieBreakStream:
         labels = []
         original = core.stream
 
-        def recorded(seed, run_index, label):
+        def recorded(seed, run_index, label, block=None):
             labels.append(label)
-            return original(seed, run_index, label)
+            return original(seed, run_index, label, block=block)
 
         monkeypatch.setattr(core, "stream", recorded)
         fn(*args)
