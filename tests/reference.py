@@ -1,10 +1,12 @@
 """Independent straight-line oracles used by the tests.
 
-Deliberately dumb: plain tuples of bits, explicit nested loops, nothing from
-the library under test except in the sweep oracles at the end, which call only
-its single-run functions. Tie-breaks match the library's documented rules
-(lexicographically smallest pair wins), and the odd-count seed drop consumes
-exactly one integers(0, n_seeds) draw so a shared stream stays aligned.
+Deliberately dumb: plain tuples of bits and sets of packet ids, explicit
+nested loops, nothing from the library under test except in the sweep oracles
+at the end, which call only its single-run functions. Tie-breaks match the
+library's documented rules (lexicographically smallest pair wins), and the
+odd-count seed drop consumes exactly one integers(0, n_seeds) draw so a shared
+stream stays aligned. The exchange oracle makes one ``rng.integers(lo, hi)``
+per backoff draw, in the order the simulator documents.
 """
 
 from __future__ import annotations
@@ -132,6 +134,141 @@ def replay_trace(members, holdings, trace):
             open_request = None
     assert all(n <= 1 for n in replies_per_request), "duplicate reply to one request"
     return current, total_missing
+
+
+def _backoff_bounds(scheme, num_packets, stake, window):
+    """``integers`` bounds of one draw: the stake's subwindow (lo, hi], or the whole window."""
+    if scheme == "baseline_csma":
+        return 1, window + 1
+    k = num_packets - stake + 1
+    return (k - 1) * window // num_packets + 1, k * window // num_packets + 1
+
+
+def reference_exchange(members, holdings, timing, scheme, rng, cluster_id=0):
+    """One cluster's exchange, contention round by contention round, from the docs alone.
+
+    Each round the channel idles for DIFS plus the shortest pending draw, and
+    every UAV holding that draw transmits: request draws while no request is
+    open, otherwise the open request's reply draws. Equal shortest draws
+    collide; the colliders redraw in order of (frame end, uav) once the last
+    frame ends. A clean request makes every other holder of some of it draw a
+    reply (in uav order); a clean reply ends the transaction: every other UAV
+    takes the packets in, one that gains packets redraws its request draw (in
+    uav order), and then the requester draws again if it still wants packets.
+    A request nobody can supply times out after DIFS plus the whole window,
+    and its packets are given up. A UAV that wants nothing and holds no draw
+    is done.
+
+    Returns ``(exchange_count, delay_us, completed, collision_count,
+    unobtainable)`` and the trace as text lines.
+    """
+    uavs = sorted(members)
+    num_packets = len(holdings[uavs[0]])
+    every = set(range(num_packets))
+    have = {u: set(holdings[u].held_packets()) for u in uavs}
+    gone = {u: set() for u in uavs}
+    request_draw = {u: None for u in uavs}
+    window = timing.cw_total_us
+    scheme = getattr(scheme, "value", scheme)
+    lines = []
+    now = finish = exchanges = collisions = 0
+
+    def wanted(u):
+        return every - have[u] - gone[u]
+
+    def draw(stake):
+        lo, hi = _backoff_bounds(scheme, num_packets, stake, window)
+        return int(rng.integers(lo, hi))
+
+    def log(uav, event, packets=(), peer=None):
+        line = f"t={now:>8}us cluster={cluster_id} uav={uav} {event}"
+        if packets:
+            line += " [" + ",".join(f"w{p + 1}" for p in sorted(packets)) + "]"
+        if peer is not None:
+            line += f" peer={peer}"
+        lines.append(line)
+
+    pending = list(uavs)
+
+    def settle():
+        nonlocal pending, finish
+        still = []
+        for u in pending:
+            if request_draw[u] is None and not wanted(u):
+                finish = now
+                log(u, "done")
+            else:
+                still.append(u)
+        pending = still
+
+    for u in uavs:
+        if wanted(u):
+            request_draw[u] = draw(len(wanted(u)))
+    settle()
+    while pending:
+        contenders = [u for u in pending if request_draw[u] is not None]
+        shortest = min(request_draw[u] for u in contenders)
+        now += timing.difs_us + shortest
+        winners = [u for u in contenders if request_draw[u] == shortest]
+        if len(winners) > 1:
+            collisions += 1
+            log(winners[1], "collision", wanted(winners[1]))
+            now += timing.preamble_us  # request frames all end together
+            for u in winners:
+                request_draw[u] = draw(len(wanted(u)))
+            continue
+        requester = winners[0]
+        asked = wanted(requester)
+        request_draw[requester] = None
+        now += timing.preamble_us
+        log(requester, "request", asked)
+        reply_draw = {}
+        for u in uavs:
+            if u != requester and have[u] & asked:
+                reply_draw[u] = draw(len(have[u] & asked))
+        if not reply_draw:
+            now += timing.difs_us + window
+            gone[requester] |= asked
+            log(requester, "unobtainable", asked)
+            settle()
+            continue
+        while True:
+            shortest = min(reply_draw.values())
+            now += timing.difs_us + shortest
+            winners = sorted(u for u in reply_draw if reply_draw[u] == shortest)
+            if len(winners) == 1:
+                break
+            collisions += 1
+            log(winners[1], "collision", have[winners[1]] & asked)
+            ends = []
+            for u in winners:
+                air = timing.preamble_us + timing.payload_us_per_packet * len(have[u] & asked)
+                ends.append((now + air, u))
+            ends.sort()
+            now = ends[-1][0]
+            for _, u in ends:
+                reply_draw[u] = draw(len(have[u] & asked))
+        sender = winners[0]
+        data = have[sender] & asked
+        now += timing.preamble_us + timing.payload_us_per_packet * len(data)
+        exchanges += 1
+        log(sender, "reply", data, peer=requester)
+        for u in uavs:
+            if u == sender:
+                continue
+            gone[u] -= data
+            if data - have[u]:
+                have[u] |= data
+                if request_draw[u] is not None:
+                    request_draw[u] = draw(len(wanted(u))) if wanted(u) else None
+        if wanted(requester):
+            request_draw[requester] = draw(len(wanted(requester)))
+        settle()
+    unobtainable = set()
+    for u in uavs:
+        unobtainable |= gone[u]
+    completed = all(have[u] == every for u in uavs)
+    return (exchanges, finish, completed, collisions, frozenset(unobtainable)), lines
 
 
 # -- per-point sweep loops ---------------------------------------------------

@@ -4,7 +4,7 @@ import contextlib
 import hashlib
 import io
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -32,7 +32,7 @@ from uavex.simulator import (
     sample_initial_receipts,
 )
 
-from reference import per_point_full_set_rate, replay_trace
+from reference import per_point_full_set_rate, reference_exchange, replay_trace
 
 TIMING = TimingConfig()
 
@@ -450,6 +450,95 @@ class TestContentionRoundClosedForm:
         assert _first_round_closed_form(2, 2) == (Fraction(1, 2), Fraction(5, 4), Fraction(3, 16))
         # One draw never collides.
         assert _first_round_closed_form(1, 5)[0] == 0
+
+
+# Hypothesis favours the first choice; plain CSMA is the only scheme whose
+# reply colliders can carry different packet counts, so it goes first.
+CONTENTION_FIRST = (Scheme.BASELINE_CSMA, Scheme.MECHANISM_ONLY, Scheme.PROPOSED)
+
+
+@st.composite
+def exchange_inputs(draw):
+    """One cluster: up to 10 UAVs with arbitrary ids, up to 10 packets, a window from 2M."""
+    num_packets = draw(st.integers(1, 10))
+    size = draw(st.integers(1, 10))
+    members = draw(st.lists(st.integers(0, 40), min_size=size, max_size=size, unique=True))
+    masks = draw(st.lists(st.integers(0, (1 << num_packets) - 1),
+                          min_size=len(members), max_size=len(members)))
+    low = 2 * num_packets
+    window = draw(st.one_of(st.sampled_from([low, 24, 9207]), st.integers(low, low + 6),
+                            st.integers(low, 9207)))
+    timing = draw(st.one_of(st.just(TIMING), small_timings))
+    holdings = {u: IndicatorVector.from_mask(m, num_packets) for u, m in zip(members, masks)}
+    return (members, holdings, replace(timing, cw_total_us=window),
+            draw(st.sampled_from(CONTENTION_FIRST)), draw(st.integers(0, 2**32)),
+            draw(st.integers(0, 5)))
+
+
+class _ScriptedDraws:
+    """Hands out the given backoffs in order, each for the draw bounds ``(low, high)``."""
+
+    def __init__(self, values, bounds):
+        self.values = list(values)
+        self.bounds = bounds
+
+    def integers(self, low, high):
+        assert (low, high) == self.bounds
+        return self.values.pop(0)
+
+
+class TestReferenceExchange:
+    """The engine against ``tests/reference.py``'s straight-line exchange."""
+
+    @staticmethod
+    def check(members, holdings, timing, scheme, seed, cluster_id=0):
+        """Equal results, equal trace text and equal stream end states."""
+        engine_rng, reference_rng = (stream(seed, 0, "backoff/0") for _ in range(2))
+        trace = []
+        result = run_cluster_exchange(members, holdings, timing, scheme, engine_rng,
+                                      trace=trace, cluster_id=cluster_id)
+        expected, lines = reference_exchange(members, holdings, timing, scheme, reference_rng,
+                                             cluster_id=cluster_id)
+        assert astuple(result) == expected
+        assert [trace_line(r) for r in trace] == lines
+        assert engine_rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(exchange_inputs())
+    def test_engine_equals_the_reference(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("window", [12, 24])
+    def test_contended_plain_csma_equals_the_reference(self, window):
+        # Tight windows make plain CSMA repliers with different packet counts
+        # collide, the one case where (frame end, uav) order is not uav order.
+        timing = replace(TIMING, cw_total_us=window)
+        for seed in range(100):
+            receipts = sample_initial_receipts(10, 6, 0.5, stream(seed, 0, "bs-delivery"))
+            self.check(range(10), dict(enumerate(receipts)), timing, Scheme.BASELINE_CSMA, seed)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("window, holder", [(2, 0), (3, 1), (24, 0), (61, 1)])
+    def test_single_packet_mean_delay_is_exact(self, scheme, window, holder):
+        # Both draws are uniform on [1, T], so the mean delay over all T^2
+        # pairs is 2 DIFS + 2 preamble + payload + (T + 1).
+        timing = replace(TIMING, cw_total_us=window)
+        holdings = {holder: IndicatorVector((1,)), 1 - holder: IndicatorVector((0,))}
+        totals = [Fraction(0), Fraction(0)]
+        for first in range(1, window + 1):
+            for second in range(1, window + 1):
+                engine_src, reference_src = (
+                    _ScriptedDraws((first, second), (1, window + 1)) for _ in range(2)
+                )
+                result = run_cluster_exchange([0, 1], holdings, timing, scheme, engine_src)
+                expected, _ = reference_exchange([0, 1], holdings, timing, scheme,
+                                                 reference_src)
+                assert engine_src.values == reference_src.values == []
+                totals[0] += result.delay_us
+                totals[1] += expected[1]
+        exact = (2 * timing.difs_us + 2 * timing.preamble_us + timing.payload_us_per_packet
+                 + window + 1)
+        assert [total / window**2 for total in totals] == [exact, exact]
 
 
 class _CountingRng:
