@@ -91,21 +91,8 @@ class IndicatorVector:
         object.__setattr__(self, "length", length)
 
     @classmethod
-    def zeros(cls, length: int) -> IndicatorVector:
-        return cls.from_mask(0, length)
-
-    @classmethod
     def ones(cls, length: int) -> IndicatorVector:
         return cls.from_mask((1 << length) - 1, length)
-
-    @classmethod
-    def from_packets(cls, packets: Iterable[PacketId], length: int) -> IndicatorVector:
-        """Vector with 1s at the given packet ids and 0s elsewhere."""
-        held = set(packets)
-        bad = [p for p in held if not 0 <= p < length]
-        if bad:
-            raise ValueError(f"packet ids out of range [0, {length}): {sorted(bad)}")
-        return cls.from_mask(packet_mask(held), length)
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -128,10 +115,6 @@ class IndicatorVector:
 
     def held_packets(self) -> frozenset[PacketId]:
         return frozenset(mask_packets(self.mask))
-
-    def missing_packets(self) -> frozenset[PacketId]:
-        """Packet ids whose bit is 0 (the complement of the held set)."""
-        return frozenset(mask_packets(((1 << self.length) - 1) & ~self.mask))
 
 
 @dataclass(frozen=True)

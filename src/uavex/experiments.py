@@ -84,11 +84,6 @@ class AggregateRow:
         assert self.sd_exchanges is not None
         return self.sd_exchanges / math.sqrt(self.runs)
 
-    def se_delay(self) -> float:
-        """Standard error of the delay mean, which covers only the completed runs."""
-        assert self.sd_delay_us is not None and self.completion_rate is not None
-        return self.sd_delay_us / math.sqrt(round(self.completion_rate * self.runs))
-
     def as_csv_row(self) -> list[str]:
         def cell(value: float | int | str | None) -> str:
             if value is None or (isinstance(value, float) and math.isnan(value)):

@@ -1,215 +1,126 @@
-"""Request/reply behaviour of the UAVs on one shared cluster channel.
+"""Request/reply rules of the UAVs on one shared cluster channel, one function per channel event.
 
-Each UAV tracks what it holds and which packets it has given up on, as int
-bitmasks, and at most one pending backoff per role, kept as a plain int of
-microseconds: a request draw sized by how many packets it still wants, and a
-reply draw sized by how many of the open request's packets it can supply.
-Backoff *values* persist between contention rounds; they are replaced only
-when the owner's stake changes, when a collision forces a redraw, or when
-the draw is consumed by transmitting.
+A cluster's exchange state is a few parallel int lists, indexed by each UAV's
+position in the sorted member list: ``held`` and ``gone`` (the packets it has
+given up on) are bitmasks, bit m for packet m, and ``requests`` holds its
+pending request draw in whole microseconds, 0 for none. While a request is
+open, its repliers' draws sit in a list beside their positions. A request
+draw is sized by how many packets the UAV still wants, a reply draw by how
+many of the open request's packets it can supply. Backoff *values* persist
+between contention rounds; they are replaced only when the owner's stake
+changes, when a collision forces a redraw, or when the draw is consumed by
+transmitting.
 
-The rules are written once per channel event, each applied to the cluster's
-UAV states in uav order: the first request draws (``draw_requests``), a clean
-request (``open_transaction``), a clean reply (``absorb_reply``), a collision
-(``redraw_colliders``) and a request nobody can supply
-(``mark_unobtainable``). Each draw is one call of ``draw_backoff`` or
-``draw_baseline_backoff``, so a cluster's stream is consumed in event order
-and, within an event, in uav order.
+The rules are the first request draws (``first_draws``), a clean request
+(``open_request``), a clean reply (``absorb_reply``), a collision
+(``redraw_colliders``) and a request nobody can supply (``time_out``). Each
+takes the packet count, the window, whether the scheme uses priority
+backoff, and the cluster's draw source. Each draw is one call of this
+module's ``draw_backoff`` or ``draw_baseline_backoff``, looked up when it is
+made, so a cluster's stream is consumed in event order and, within an event,
+in uav order (colliders in the order they are given).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, Mapping
 
-from .core import IndicatorVector, PacketId, Rng, Scheme, UavId, packet_label
-from .mac import FrameKind, TimingConfig, draw_backoff, draw_baseline_backoff
+from .core import PacketId, Rng, UavId, packet_label
+from .mac import draw_backoff, draw_baseline_backoff
 
 
-class Frame:
-    """One broadcast on a cluster channel.
+def first_draws(
+    held: list[int], full: int, num_packets: int, window: int, priority: bool, rng: Rng
+) -> list[int]:
+    """A request draw for every UAV, sized by its missing count; 0 for a UAV missing nothing."""
+    requests = []
+    for mask in held:
+        stake = (full & ~mask).bit_count()
+        if not stake:
+            requests.append(0)
+        elif priority:
+            requests.append(draw_backoff(num_packets, stake, window, rng))
+        else:
+            requests.append(draw_baseline_backoff(window, rng))
+    return requests
 
-    A request lists the sender's wanted packets; a reply lists the data
-    packets it carries and names the requester it answers. The packets are a
-    bitmask, bit m for packet m.
+
+def open_request(
+    held: list[int], asked: int, num_packets: int, window: int, priority: bool, rng: Rng
+) -> tuple[list[int], list[int]]:
+    """Reply draws of every UAV holding some of a clean request's packets ``asked``.
+
+    The stake is how many of the requested packets the UAV holds; the
+    requester holds none of them. Returns the repliers' positions and their
+    draws, in uav order; both are empty when nobody can reply.
     """
-
-    __slots__ = ("kind", "sender", "mask", "in_reply_to")
-
-    def __init__(
-        self, kind: FrameKind, sender: UavId, mask: int, in_reply_to: UavId | None = None
-    ) -> None:
-        if mask <= 0:
-            raise ValueError("frames must name at least one packet")
-        if kind is FrameKind.REPLY and in_reply_to is None:
-            raise ValueError("reply frames must name the requester")
-        if kind is FrameKind.REQUEST and in_reply_to is not None:
-            raise ValueError("request frames answer nobody")
-        self.kind, self.sender, self.mask, self.in_reply_to = kind, sender, mask, in_reply_to
-
-
-@dataclass(slots=True, init=False)
-class UavProtocolState:
-    """Mutable per-UAV exchange state, owned by a single cluster's channel engine.
-
-    What the UAV holds and the packets it has given up on are plain bitmasks,
-    bit m for packet m, and ``full`` has a bit for every packet of the
-    scenario. A pending draw is its backoff in whole microseconds (always
-    positive), or None when there is none.
-    """
-
-    uav_id: UavId
-    held: int
-    full: int
-    unobtainable_mask: int
-    request_draw: int | None
-    reply_draw: int | None  # answers the request the channel has open
-
-    def __init__(self, uav_id: UavId, holdings: IndicatorVector) -> None:
-        self.uav_id = uav_id
-        self.held = holdings.mask
-        self.full = (1 << holdings.length) - 1
-        self.unobtainable_mask = 0
-        self.request_draw = None
-        self.reply_draw = None
-
-    @property
-    def holdings(self) -> IndicatorVector:
-        """What the UAV holds, as a vector (a read-only view of ``held``)."""
-        return IndicatorVector.from_mask(self.held, self.full.bit_length())
-
-    @property
-    def wanted_mask(self) -> int:
-        """Packets still worth requesting: missing and not declared unobtainable."""
-        return self.full & ~(self.held | self.unobtainable_mask)
-
-    @property
-    def is_done(self) -> bool:
-        return not self.wanted_mask
-
-
-def _drawer(
-    states: Collection[UavProtocolState], timing: TimingConfig, scheme: Scheme, rng: Rng
-) -> Callable[[int], int]:
-    """One backoff per call for a positive stake: its priority subwindow, or the whole window.
-
-    Resolved once per channel event; the states of a cluster share one packet
-    count. Each call is one call of the module's ``draw_backoff`` or
-    ``draw_baseline_backoff``, looked up when it is made.
-    """
-    window = timing.cw_total_us
-    if not scheme.uses_priority_backoff:
-        return lambda stake: draw_baseline_backoff(window, rng)
-    num_packets = next(iter(states)).full.bit_length() if states else 0
-    return lambda stake: draw_backoff(num_packets, stake, window, rng)
-
-
-def draw_requests(
-    states: Collection[UavProtocolState], timing: TimingConfig, scheme: Scheme, rng: Rng
-) -> None:
-    """Give every UAV that wants packets a request draw sized by its wanted count."""
-    draw = _drawer(states, timing, scheme, rng)
-    for state in states:
-        stake = (state.full & ~(state.held | state.unobtainable_mask)).bit_count()
-        state.request_draw = draw(stake) if stake else None
-
-
-def open_transaction(
-    states: Collection[UavProtocolState], request: Frame, timing: TimingConfig, scheme: Scheme,
-    rng: Rng,
-) -> list[UavProtocolState]:
-    """Draw a reply backoff for every other UAV holding some of a clean request's packets.
-
-    The stake is how many of the requested packets the UAV holds. Returns the
-    repliers in the order they drew; empty when nobody can reply.
-    """
-    draw = _drawer(states, timing, scheme, rng)
-    sender, mask = request.sender, request.mask
-    repliers = []
-    for state in states:
-        if state.uav_id == sender:
-            continue
-        stake = (mask & state.held).bit_count()
-        if stake:
-            state.reply_draw = draw(stake)
-            repliers.append(state)
-    return repliers
+    repliers = [i for i, mask in enumerate(held) if asked & mask]
+    if priority:
+        draws = [draw_backoff(num_packets, (asked & held[i]).bit_count(), window, rng)
+                 for i in repliers]
+    else:
+        draws = [draw_baseline_backoff(window, rng) for _ in repliers]
+    return repliers, draws
 
 
 def absorb_reply(
-    states: Mapping[UavId, UavProtocolState], reply: Frame, timing: TimingConfig, scheme: Scheme,
-    rng: Rng,
+    held: list[int], gone: list[int], requests: list[int], requester: int, supply: int,
+    full: int, num_packets: int, window: int, priority: bool, rng: Rng,
 ) -> None:
-    """Close a transaction: every UAV but the sender takes in an overheard reply.
+    """Close a transaction: every UAV takes in the packets ``supply`` of an overheard reply.
 
-    The reply answers the open request, so every other pending reply is
-    dropped. Holdings only ever gain packets; anything received stops being
-    unobtainable. A UAV that gains packets while holding a request draw has a
-    smaller wanted count, so its draw is redrawn from the new subwindow, or
-    dropped once nothing is wanted anymore; a stale draw would misstate the
-    priority. Last, the requester draws again if it still wants packets.
-    A reply naming a packet outside the scenario raises ``ValueError`` and
-    changes no state.
+    The reply ends the open request, so the other reply draws lapse with it.
+    Holdings only ever gain packets; anything received stops being given up
+    on. A UAV that gains packets while holding a request draw has a smaller
+    wanted count, so its draw is redrawn from the new subwindow, or dropped
+    once nothing is wanted anymore; a stale draw would misstate the priority.
+    The sender already holds the packets, so nothing changes for it. Last,
+    the requester draws again if it still wants packets. A reply naming a
+    packet outside the scenario raises ``ValueError`` and changes nothing.
     """
-    requester = states[reply.in_reply_to]
-    full, mask, sender = requester.full, reply.mask, reply.sender
-    if mask & ~full:
-        raise ValueError(f"reply mask {mask} does not fit {full.bit_length()} packets")
-    draw = _drawer(states.values(), timing, scheme, rng)
-    for state in states.values():
-        if state.uav_id == sender:
-            continue
-        state.reply_draw = None
-        state.unobtainable_mask &= ~mask
-        held = state.held
-        if not mask & ~held:
+    if supply & ~full:
+        raise ValueError(f"reply mask {supply} does not fit {num_packets} packets")
+    for i, mask in enumerate(held):
+        if not supply & ~mask:
             continue  # nothing new: holdings and stake are unchanged
-        state.held = held = held | mask
-        if state.request_draw is not None:
-            stake = (full & ~(held | state.unobtainable_mask)).bit_count()
-            state.request_draw = draw(stake) if stake else None
-    stake = requester.wanted_mask.bit_count()
+        held[i] = mask = mask | supply
+        gone[i] &= ~supply
+        if requests[i]:
+            stake = (full & ~(mask | gone[i])).bit_count()
+            if not stake:
+                requests[i] = 0
+            elif priority:
+                requests[i] = draw_backoff(num_packets, stake, window, rng)
+            else:
+                requests[i] = draw_baseline_backoff(window, rng)
+    stake = (full & ~(held[requester] | gone[requester])).bit_count()
     if stake:
-        requester.request_draw = draw(stake)
+        requests[requester] = (
+            draw_backoff(num_packets, stake, window, rng) if priority
+            else draw_baseline_backoff(window, rng)
+        )
 
 
 def redraw_colliders(
-    colliders: Collection[UavProtocolState], answering: Frame | None, timing: TimingConfig,
-    scheme: Scheme, rng: Rng,
+    draws: list[int], colliders: list[int], frames: list[int], num_packets: int, window: int,
+    priority: bool, rng: Rng,
 ) -> None:
-    """Redraw, in the given order, the draws whose frames collided.
+    """Redraw, in the given order, the draws at ``colliders`` whose frames collided.
 
-    Request colliders (``answering`` is None) redraw their request, reply
-    colliders their reply to ``answering``. A collision changes no stake, so
-    each redraws within its current subwindow.
+    A collision changes no stake, so each collider redraws within the
+    subwindow of the frame it sent (``frames``, its packet mask): what it
+    wants for a request, what it can supply for a reply.
     """
-    draw = _drawer(colliders, timing, scheme, rng)
-    for state in colliders:
-        if answering is None:
-            state.request_draw = draw(state.wanted_mask.bit_count())
-        else:
-            state.reply_draw = draw((answering.mask & state.held).bit_count())
+    for k, frame in zip(colliders, frames):
+        draws[k] = (
+            draw_backoff(num_packets, frame.bit_count(), window, rng) if priority
+            else draw_baseline_backoff(window, rng)
+        )
 
 
-def build_request(state: UavProtocolState) -> Frame:
-    """Request frame listing everything currently wanted."""
-    wanted = state.wanted_mask
-    if not wanted:
-        raise ValueError(f"uav {state.uav_id} has nothing to request")
-    return Frame(FrameKind.REQUEST, state.uav_id, wanted)
-
-
-def build_reply(state: UavProtocolState, request: Frame) -> Frame:
-    """Reply frame carrying exactly the requested packets this UAV holds."""
-    supply = request.mask & state.held
-    if not supply:
-        raise ValueError(f"uav {state.uav_id} holds none of the requested packets")
-    return Frame(FrameKind.REPLY, state.uav_id, supply, request.sender)
-
-
-def mark_unobtainable(state: UavProtocolState, request_sent: Frame) -> None:
-    """Give up on every still-missing packet of an own request that drew no reply."""
-    state.unobtainable_mask |= request_sent.mask & state.full & ~state.held
+def time_out(gone: list[int], requester: int, asked: int) -> None:
+    """Give up on every packet of an own request that drew no reply: no cluster mate holds one."""
+    gone[requester] |= asked
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from .clustering import ClusterAssignment, cluster_network
 from .core import IndicatorVector, Scheme, UavId, stream
 from .mac import TimingConfig, draw_backoff, subwindow_bounds
 from .protocol import TraceRecord
-from .simulator import ClusterResult, _ChannelEngine, sample_initial_receipts
+from .simulator import ClusterResult, _run_exchange, sample_initial_receipts
 
 
 class ClusteringCase(NamedTuple):
@@ -139,16 +139,15 @@ def check_exchanges(rng: np.random.Generator, clusters: int) -> list[ExchangeCas
         holdings = dict(enumerate(receipts))
         where = f"cluster {trial} (U={num_uavs}, M={num_packets}, {scheme.value})"
         trace: list[TraceRecord] = []
-        engine = _ChannelEngine(
+        result, held = _run_exchange(  # termination: the exchange returned
             list(holdings), holdings, timing, scheme, stream(trial, 1, "backoff/0"), trace=trace
         )
-        result = engine.run()  # termination: run() returned
         initial_missing = sum(num_packets - v.popcount() for v in receipts)
         if result.exchange_count > initial_missing:
             raise AssertionError(
                 f"{where}: {result.exchange_count} exchanges for {initial_missing} missing packets"
             )
-        final = {u: state.holdings for u, state in engine.states.items()}
+        final = {u: IndicatorVector.from_mask(m, num_packets) for u, m in zip(holdings, held)}
         if any(holdings[u].mask & ~final[u].mask for u in holdings):
             raise AssertionError(f"{where}: holdings shrank")
         union = 0

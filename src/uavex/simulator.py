@@ -1,8 +1,8 @@
 """Deterministic simulation of the in-cluster exchange, one contention round at a time.
 
-One engine instance simulates one cluster's shared channel in integer
-microseconds. Clusters sit on disjoint channels, so a scenario run simulates
-them independently and reports the per-cluster maxima.
+One exchange simulates one cluster's shared channel in integer microseconds.
+Clusters sit on disjoint channels, so a scenario run simulates them
+independently and reports the per-cluster maxima.
 
 The channel resolves one contention round at a time: it idles for DIFS, then
 the shortest pending draw transmits. While no request is outstanding, UAVs
@@ -13,14 +13,18 @@ is held at its full value until the transaction closes with a reply (or, when
 nobody can supply anything, with a timeout after DIFS plus a full window of
 silence), and then contends again, whole, in the next round. Equal shortest
 draws collide: all their frames are lost and the colliders redraw within
-their current subwindows as their frames end.
+their current subwindows, in order of (frame end, uav), once the last frame
+has ended.
 
-Draws are plain ints of microseconds. The engine keeps the clock, picks the
-transmitters and records the trace; each protocol rule is one ``protocol``
-call per channel event (first draws, clean request, clean reply, collision,
-timeout) that walks the cluster's states itself. Members that want nothing
-more are retired once and no longer contend for requests, though they keep
-answering them.
+A cluster's exchange is one loop over parallel int lists indexed by position
+in the sorted member list (holdings and given-up packets as bitmasks, request
+draws with 0 for none, and the open request's repliers and reply draws). The
+loop keeps the clock, picks the transmitters from plain ints, takes frame air
+times from a table built once per exchange, and records the trace only when a
+trace list is given; each protocol rule is one ``protocol`` call per channel
+event (first draws, clean request, clean reply, collision, timeout). A member
+whose request draw is 0 once a transaction has closed wants nothing more: it
+is done, and no longer contends for requests, though it keeps answering them.
 """
 
 from __future__ import annotations
@@ -33,18 +37,14 @@ import numpy as np
 from . import core  # core.stream is read at call time, so rebinding it reaches every call
 from .clustering import cluster_network, reads_tie_break
 from .core import IndicatorVector, Rng, ScenarioConfig, Scheme, UavId, mask_packets
-from .mac import Pcg64Draws, TimingConfig, draw_source, frame_duration
+from .mac import FrameKind, Pcg64Draws, TimingConfig, draw_source, frame_duration
 from .protocol import (
-    Frame,
     TraceRecord,
-    UavProtocolState,
     absorb_reply,
-    build_reply,
-    build_request,
-    draw_requests,
-    mark_unobtainable,
-    open_transaction,
+    first_draws,
+    open_request,
     redraw_colliders,
+    time_out,
 )
 
 
@@ -111,166 +111,6 @@ def sample_initial_receipts(
     ]
 
 
-class _ChannelEngine:
-    """Contention-round loop for one cluster channel. Single-threaded, fully deterministic."""
-
-    def __init__(
-        self,
-        members: Sequence[UavId],
-        holdings: Mapping[UavId, IndicatorVector],
-        timing: TimingConfig,
-        scheme: Scheme,
-        rng: Rng | Pcg64Draws,
-        trace: list[TraceRecord] | None = None,
-        cluster_id: int = 0,
-    ):
-        if not members:
-            raise ValueError("cluster must have at least one member")
-        self.members = sorted(members)
-        self.states = {u: UavProtocolState(u, holdings[u]) for u in self.members}
-        self.num_packets = len(holdings[self.members[0]])
-        # Equal stakes share a subwindow, so colliders separate only if each
-        # subwindow offers at least two values: floor(kW/M) - floor((k-1)W/M)
-        # >= floor(W/M) >= 2 once W >= 2M. Narrower windows can livelock.
-        min_window = 2 * self.num_packets
-        if timing.cw_total_us < min_window:
-            raise ValueError(
-                f"contention window of {timing.cw_total_us} us is too short for "
-                f"{self.num_packets} packets: cw_total_us must be at least {min_window}"
-            )
-        self.timing = timing
-        self.scheme = scheme
-        self.rng = draw_source(rng)
-        # A source wrapped here hands its pending half-word back to the
-        # caller's generator at the end; a source handed in stays the caller's.
-        self._write_back = self.rng is not rng
-        self.trace = trace
-        self.cluster_id = cluster_id
-
-        self._now = 0
-        self._pending = list(self.states.values())  # members not yet done, in uav order
-        self._repliers: list[UavProtocolState] = []  # holders of the open request's reply draws
-        self._finish_us = 0
-        self.exchange_count = 0
-        self.collision_count = 0
-
-    # -- bookkeeping -------------------------------------------------------
-
-    def _record(self, uav: UavId, event: str, mask: int = 0, peer: UavId | None = None) -> None:
-        if self.trace is not None:
-            packets = mask_packets(mask)
-            self.trace.append(TraceRecord(self._now, uav, event, packets, peer, self.cluster_id))
-
-    def _settle_done(self) -> None:
-        """Retire the members that want nothing more, recording when each finished."""
-        pending = []
-        for state in self._pending:
-            if state.request_draw is None and not state.wanted_mask:
-                self._finish_us = max(self._finish_us, self._now)
-                self._record(state.uav_id, "done")
-            else:
-                pending.append(state)
-        self._pending = pending
-
-    # -- one contention round ----------------------------------------------
-
-    def _round(self, answering: Frame | None = None) -> Frame | None:
-        """Resolve one round among the request draws, or the reply draws to ``answering``.
-
-        The channel idles for DIFS plus the shortest draw; every UAV holding
-        that draw transmits. A lone frame is returned once its air time has
-        passed. Equal draws collide: the round counts one collision, the
-        colliders redraw as their frames end, and None is returned.
-        """
-        if answering is None:
-            draws = [(s.request_draw, s) for s in self._pending if s.request_draw]
-        else:
-            draws = [(s.reply_draw, s) for s in self._repliers]
-        if not draws:
-            raise RuntimeError("stalled: pending UAVs without request draws")
-        shortest = min(draw for draw, _ in draws)
-        self._now += self.timing.difs_us + shortest
-        sent = []
-        for draw, state in draws:
-            if draw != shortest:
-                continue
-            if answering is None:
-                frame = build_request(state)
-                state.request_draw = None
-                carried = 0
-            else:
-                frame = build_reply(state, answering)
-                state.reply_draw = None
-                carried = frame.mask.bit_count()
-            end = self._now + frame_duration(frame.kind, carried, self.timing)
-            sent.append((end, state.uav_id, frame, state))
-        if len(sent) == 1:
-            self._now, _, frame, _ = sent[0]
-            return frame
-        self.collision_count += 1
-        _, second, frame, _ = sent[1]
-        self._record(second, "collision", frame.mask)
-        sent.sort(key=lambda tx: tx[:2])
-        self._now = sent[-1][0]
-        redraw_colliders(
-            [state for *_, state in sent], answering, self.timing, self.scheme, self.rng
-        )
-        return None
-
-    # -- main loop ----------------------------------------------------------
-
-    def run(self) -> ClusterResult:
-        """Run contention rounds until every member is done.
-
-        Each clean exchange shrinks the total wanted count and each timeout
-        retires its requester, so only collisions repeat a round; with every
-        subwindow at least two values wide, colliders separate eventually.
-        A request that nobody can supply times out after DIFS plus a full
-        window of provable silence. A PCG64 generator that the engine wrapped
-        in ``Pcg64Draws`` gets its pending half-word back at the end, as if
-        numpy had drawn.
-        """
-        try:
-            return self._exchange()
-        finally:
-            if self._write_back:
-                self.rng.write_back()
-
-    def _exchange(self) -> ClusterResult:
-        timing, scheme, rng = self.timing, self.scheme, self.rng
-        draw_requests(self.states.values(), timing, scheme, rng)
-        self._settle_done()
-        while self._pending:
-            request = self._round()
-            if request is None:
-                continue
-            self._record(request.sender, "request", request.mask)
-            self._repliers = open_transaction(self.states.values(), request, timing, scheme, rng)
-            if self._repliers:
-                reply = None
-                while reply is None:
-                    reply = self._round(request)
-                self.exchange_count += 1
-                self._record(reply.sender, "reply", reply.mask, peer=reply.in_reply_to)
-                absorb_reply(self.states, reply, timing, scheme, rng)
-            else:
-                self._now += timing.difs_us + timing.cw_total_us
-                mark_unobtainable(self.states[request.sender], request)
-                self._record(request.sender, "unobtainable", request.mask)
-            self._settle_done()
-        completed = all(state.held == state.full for state in self.states.values())
-        unobtainable = 0
-        for u in self.members:
-            unobtainable |= self.states[u].unobtainable_mask
-        return ClusterResult(
-            exchange_count=self.exchange_count,
-            delay_us=self._finish_us,
-            completed=completed,
-            collision_count=self.collision_count,
-            unobtainable=frozenset(mask_packets(unobtainable)),
-        )
-
-
 def run_cluster_exchange(
     members: Sequence[UavId],
     holdings: Mapping[UavId, IndicatorVector],
@@ -287,10 +127,144 @@ def run_cluster_exchange(
     the result, not raised. A plain PCG64 ``rng`` ends in the state numpy's
     own draws would leave; a ``Pcg64Draws`` is drawn from and left as it is.
     """
-    engine = _ChannelEngine(
-        members, holdings, timing, scheme, rng, trace=trace, cluster_id=cluster_id
+    return _run_exchange(members, holdings, timing, scheme, rng, trace, cluster_id)[0]
+
+
+def _run_exchange(
+    members: Sequence[UavId],
+    holdings: Mapping[UavId, IndicatorVector],
+    timing: TimingConfig,
+    scheme: Scheme,
+    rng: Rng | Pcg64Draws,
+    trace: list[TraceRecord] | None = None,
+    cluster_id: int = 0,
+) -> tuple[ClusterResult, list[int]]:
+    """``run_cluster_exchange``, plus each member's final held mask in sorted member order."""
+    if not members:
+        raise ValueError("cluster must have at least one member")
+    order = sorted(members)
+    num_packets = len(holdings[order[0]])
+    # Equal stakes share a subwindow, so colliders separate only if each
+    # subwindow offers at least two values: floor(kW/M) - floor((k-1)W/M)
+    # >= floor(W/M) >= 2 once W >= 2M. Narrower windows can livelock.
+    min_window = 2 * num_packets
+    if timing.cw_total_us < min_window:
+        raise ValueError(
+            f"contention window of {timing.cw_total_us} us is too short for "
+            f"{num_packets} packets: cw_total_us must be at least {min_window}"
+        )
+    source = draw_source(rng)
+    held = [holdings[u].mask for u in order]
+    try:
+        result = _exchange(order, held, num_packets, timing, scheme.uses_priority_backoff,
+                           source, trace, cluster_id)
+    finally:
+        # A source wrapped here hands its pending half-word back to the
+        # caller's generator; a source handed in stays the caller's.
+        if source is not rng:
+            source.write_back()
+    return result, held
+
+
+def _exchange(
+    order: list[UavId], held: list[int], num_packets: int, timing: TimingConfig,
+    priority: bool, rng: Rng | Pcg64Draws, trace: list[TraceRecord] | None, cluster_id: int,
+) -> ClusterResult:
+    """Run contention rounds until every member is done; ``held`` is updated in place.
+
+    Each clean exchange shrinks the total wanted count and each timeout
+    retires its requester, so only collisions repeat a round; with every
+    subwindow at least two values wide, colliders separate eventually.
+    """
+    n = len(order)
+    full = (1 << num_packets) - 1
+    difs, window = timing.difs_us, timing.cw_total_us
+    request_air = frame_duration(FrameKind.REQUEST, 0, timing)
+    reply_air = [0] + [
+        frame_duration(FrameKind.REPLY, k, timing) for k in range(1, num_packets + 1)
+    ]
+    gone = [0] * n
+    requests = first_draws(held, full, num_packets, window, priority, rng)
+    now = finish = exchanges = collisions = 0
+    done = requests.count(0)
+    if trace is not None:
+        live = [i for i in range(n) if requests[i]]
+        for i in range(n):
+            if not requests[i]:
+                trace.append(TraceRecord(0, order[i], "done", (), None, cluster_id))
+    while done < n:
+        shortest = min(filter(None, requests))
+        now += difs + shortest
+        if requests.count(shortest) > 1:
+            collisions += 1
+            winners = [i for i, draw in enumerate(requests) if draw == shortest]
+            frames = [full & ~(held[i] | gone[i]) for i in winners]
+            if trace is not None:
+                trace.append(TraceRecord(now, order[winners[1]], "collision",
+                                         mask_packets(frames[1]), None, cluster_id))
+            now += request_air  # request frames all end together: colliders redraw in uav order
+            redraw_colliders(requests, winners, frames, num_packets, window, priority, rng)
+            continue
+        requester = requests.index(shortest)
+        requests[requester] = 0
+        asked = full & ~(held[requester] | gone[requester])
+        now += request_air
+        if trace is not None:
+            trace.append(TraceRecord(now, order[requester], "request", mask_packets(asked),
+                                     None, cluster_id))
+        repliers, draws = open_request(held, asked, num_packets, window, priority, rng)
+        if repliers:
+            while True:
+                shortest = min(draws)
+                now += difs + shortest
+                if draws.count(shortest) == 1:
+                    break
+                collisions += 1
+                colliders = [k for k, draw in enumerate(draws) if draw == shortest]
+                frames = [asked & held[repliers[k]] for k in colliders]
+                if trace is not None:
+                    trace.append(TraceRecord(now, order[repliers[colliders[1]]], "collision",
+                                             mask_packets(frames[1]), None, cluster_id))
+                ends = sorted(
+                    (now + reply_air[frame.bit_count()], k, frame)
+                    for k, frame in zip(colliders, frames)
+                )
+                now = ends[-1][0]
+                redraw_colliders(draws, [k for _, k, _ in ends], [f for _, _, f in ends],
+                                 num_packets, window, priority, rng)
+            sender = repliers[draws.index(shortest)]
+            supply = asked & held[sender]
+            now += reply_air[supply.bit_count()]
+            exchanges += 1
+            if trace is not None:
+                trace.append(TraceRecord(now, order[sender], "reply", mask_packets(supply),
+                                         order[requester], cluster_id))
+            absorb_reply(held, gone, requests, requester, supply, full, num_packets, window,
+                         priority, rng)
+        else:
+            now += difs + window
+            time_out(gone, requester, asked)
+            if trace is not None:
+                trace.append(TraceRecord(now, order[requester], "unobtainable",
+                                         mask_packets(asked), None, cluster_id))
+        retired = requests.count(0)
+        if retired > done:
+            done, finish = retired, now
+            if trace is not None:
+                for i in live:
+                    if not requests[i]:
+                        trace.append(TraceRecord(now, order[i], "done", (), None, cluster_id))
+                live = [i for i in live if requests[i]]
+    unobtainable = 0
+    for mask in gone:
+        unobtainable |= mask
+    return ClusterResult(
+        exchange_count=exchanges,
+        delay_us=finish,
+        completed=held.count(full) == n,
+        collision_count=collisions,
+        unobtainable=frozenset(mask_packets(unobtainable)),
     )
-    return engine.run()
 
 
 def clusters_for_scheme(config: ScenarioConfig) -> int:

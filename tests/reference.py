@@ -105,8 +105,8 @@ def single_cluster_full_rate(num_uavs, num_packets, delivery_rate):
 def replay_trace(members, holdings, trace):
     """Replay an exchange trace independently, checking the protocol rules.
 
-    Verifies along the way: replies answer the open request with packets the
-    sender really holds, at most one reply per request, and every completed
+    Verifies along the way: replies answer the open request with exactly the
+    requested packets the sender holds, at most one reply per request, and every completed
     transaction strictly shrinks the cluster's total missing count.
 
     Returns (final holdings as sets, remaining total missing count).
@@ -124,8 +124,8 @@ def replay_trace(members, holdings, trace):
             assert open_request is not None, "reply without an open request"
             assert record.peer == open_request.uav
             replies_per_request[-1] += 1
-            assert set(record.packets) <= set(open_request.packets)
-            assert set(record.packets) <= current[record.uav]
+            # A reply carries exactly the requested packets its sender holds.
+            assert set(record.packets) == set(open_request.packets) & current[record.uav]
             for u in members:
                 current[u] |= set(record.packets)
             new_missing = sum(num_packets - len(current[u]) for u in members)

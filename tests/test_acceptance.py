@@ -30,7 +30,7 @@ from uavex.selftest import (
     check_exchanges,
     check_subwindow_tiling,
 )
-from uavex.simulator import _ChannelEngine
+from uavex.simulator import run_cluster_exchange
 
 from reference import brute_force_cluster, replay_trace, single_cluster_full_rate
 
@@ -160,11 +160,10 @@ def test_criterion_5_golden_walkthrough():
     }
     for seed in range(20):
         trace = []
-        engine = _ChannelEngine(
+        result = run_cluster_exchange(
             list(holdings), holdings, TIMING, Scheme.MECHANISM_ONLY,
             stream(seed, 0, "backoff/0"), trace=trace,
         )
-        result = engine.run()
         lines = [trace_line(r) for r in trace]
         assert result.exchange_count == 2, lines
         assert result.completed, lines

@@ -38,7 +38,7 @@ class TestHammingDistance:
         assert hamming_distance(v, v) == 0
 
     def test_maximal(self):
-        assert hamming_distance(IndicatorVector.ones(6), IndicatorVector.zeros(6)) == 6
+        assert hamming_distance(IndicatorVector.ones(6), IndicatorVector.from_mask(0, 6)) == 6
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

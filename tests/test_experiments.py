@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -135,13 +134,17 @@ class TestCompareSchemes:
         assert gap > 2 * (mech.se_exchanges() + base.se_exchanges())
 
     def test_delay_se_counts_only_completed_runs(self):
-        # The delay mean leaves out runs that could not complete, so its SE
-        # must divide by the completed count, not by all runs.
+        # The delay mean and SD leave out runs that could not complete, and the
+        # row keeps the completed count, the n of their SE.
         config = base_config(num_clusters=3)
-        finished = int(scheme_metric_samples(config, 40)["completed"].sum())
-        assert 1 < finished < 40
+        samples = scheme_metric_samples(config, 40)
+        completed = samples["completed"]
+        assert 1 < completed.sum() < 40
+        delays = samples["delay_us"][completed].astype(float)
         (row,) = compare_schemes(SweepSpec(config, "scheme", (Scheme.PROPOSED,), runs=40))
-        assert row.se_delay() == pytest.approx(row.sd_delay_us / math.sqrt(finished))
+        assert round(row.completion_rate * row.runs) == completed.sum()
+        assert row.mean_delay_us == pytest.approx(delays.mean())
+        assert row.sd_delay_us == pytest.approx(delays.std(ddof=1))
 
     def test_sample_arrays_shape(self):
         samples = scheme_metric_samples(base_config(), 7)

@@ -1,30 +1,37 @@
-"""State-machine decisions built around the four-UAV walkthrough."""
+"""The per-event protocol rules, built around the four-UAV walkthrough, and the frames they send.
 
-from dataclasses import astuple
+A cluster's state is a list per quantity, indexed by position in the sorted
+member list; the walkthrough fleet's positions are its uav ids. Frames exist
+only as trace records, so the frame rules are checked on the traces of random
+exchanges.
+"""
 
+import functools
+
+import numpy as np
 import pytest
 
 from uavex.core import IndicatorVector, Scheme, packet_mask, stream
-from uavex.mac import FrameKind, TimingConfig, draw_backoff, subwindow_bounds
+from uavex.mac import TimingConfig, draw_backoff, subwindow_bounds
 from uavex.protocol import (
-    Frame,
     TraceRecord,
-    UavProtocolState,
     absorb_reply,
-    build_reply,
-    build_request,
-    draw_requests,
-    mark_unobtainable,
-    open_transaction,
+    first_draws,
+    open_request,
     redraw_colliders,
+    time_out,
     trace_line,
 )
+from uavex.simulator import run_cluster_exchange, sample_initial_receipts
 
 TIMING = TimingConfig()
+WINDOW = TIMING.cw_total_us
+M = 6
+FULL = (1 << M) - 1
 
 
-def held(*packets, length=6):
-    return IndicatorVector.from_packets(packets, length)
+def mask(*packets):
+    return packet_mask(packets)
 
 
 def rng():
@@ -33,274 +40,306 @@ def rng():
 
 # The walkthrough fleet: UAV 0 holds {w1,w2,w4}, UAV 1 {w2..w6},
 # UAV 2 {w3,w5}, UAV 3 {w1,w2,w3,w4,w6} (0-based ids below).
-def walkthrough_states():
-    return [
-        UavProtocolState(0, held(0, 1, 3)),
-        UavProtocolState(1, held(1, 2, 3, 4, 5)),
-        UavProtocolState(2, held(2, 4)),
-        UavProtocolState(3, held(0, 1, 2, 3, 5)),
-    ]
+def walkthrough_held():
+    return [mask(0, 1, 3), mask(1, 2, 3, 4, 5), mask(2, 4), mask(0, 1, 2, 3, 5)]
+
+
+def draw_requests(held, priority=True, source=None):
+    return first_draws(held, FULL, M, WINDOW, priority, source or rng())
+
+
+def reply_draws(held, asked):
+    return open_request(held, asked, M, WINDOW, True, rng())
+
+
+def in_subwindow(draw, subwindow, num_packets=M):
+    lo, hi = subwindow_bounds(num_packets, subwindow, WINDOW)
+    return lo < draw <= hi
+
+
+def run(holdings, scheme=Scheme.MECHANISM_ONLY, seed=0):
+    trace = []
+    result = run_cluster_exchange(list(holdings), holdings, TIMING, scheme,
+                                  stream(seed, 0, "backoff/0"), trace=trace)
+    return result, trace
+
+
+@functools.lru_cache(maxsize=None)
+def random_exchanges():
+    """Initial holdings and traces of 90 random clusters, 30 per scheme, some contended."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for trial in range(90):
+        num_uavs, num_packets = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        receipts = sample_initial_receipts(num_uavs, num_packets, float(rng.uniform(0.2, 0.9)), rng)
+        holdings = dict(enumerate(receipts))
+        window = 2 * num_packets + trial % 5 if trial % 2 else WINDOW
+        trace = []
+        run_cluster_exchange(list(holdings), holdings,
+                             TimingConfig(cw_total_us=window), list(Scheme)[trial % 3],
+                             stream(trial, 2, "backoff/0"), trace=trace)
+        cases.append((holdings, trace))
+    return cases
+
+
+def frames():
+    return [r for _, trace in random_exchanges() for r in trace if r.event != "done"]
 
 
 class TestFrame:
     def test_request_requires_packets(self):
-        with pytest.raises(ValueError, match="^frames must name at least one packet$"):
-            Frame(FrameKind.REQUEST, 0, packet_mask(()))
+        assert all(record.packets for record in frames())
 
     def test_reply_requires_target(self):
-        with pytest.raises(ValueError, match="^reply frames must name the requester$"):
-            Frame(FrameKind.REPLY, 0, packet_mask({1}))
+        for _, trace in random_exchanges():
+            open_request_by = None
+            for record in trace:
+                if record.event == "request":
+                    open_request_by = record.uav
+                elif record.event == "reply":
+                    assert record.peer == open_request_by is not None
 
     def test_request_cannot_reply(self):
-        with pytest.raises(ValueError, match="^request frames answer nobody$"):
-            Frame(FrameKind.REQUEST, 0, packet_mask({1}), in_reply_to=2)
+        assert all(r.peer is None for r in frames() if r.event != "reply")
 
     def test_fields(self):
-        reply = Frame(FrameKind.REPLY, 3, packet_mask({0, 2}), 1)
-        assert (reply.kind, reply.sender, reply.mask, reply.in_reply_to) == (
-            FrameKind.REPLY, 3, 0b101, 1
-        )
-        assert Frame(FrameKind.REQUEST, 0, 1).in_reply_to is None
-
-
-def in_subwindow(draw, subwindow, num_packets=6):
-    lo, hi = subwindow_bounds(num_packets, subwindow, TIMING.cw_total_us)
-    return lo < draw <= hi
+        holdings = {u: IndicatorVector.from_mask(m, M) for u, m in enumerate(walkthrough_held())}
+        _, trace = run(holdings, seed=42)
+        reply = next(r for r in trace if r.event == "reply")
+        assert (reply.uav, reply.event, reply.packets, reply.peer) == (3, "reply", (0, 1, 3, 5), 2)
 
 
 class TestDecideRequest:
     def test_neediest_uav_gets_subwindow_three(self):
-        state = walkthrough_states()[2]  # missing 4 of 6
-        draw_requests([state], TIMING, Scheme.PROPOSED, rng())
-        assert in_subwindow(state.request_draw, 3)
+        (draw,) = draw_requests([walkthrough_held()[2]])  # missing 4 of 6
+        assert in_subwindow(draw, 3)
 
     def test_full_uav_declines(self):
-        state = UavProtocolState(0, IndicatorVector.ones(6))
-        draw_requests([state], TIMING, Scheme.PROPOSED, rng())
-        assert state.request_draw is None
+        assert draw_requests([FULL]) == [0]
 
     def test_all_missing_unobtainable_means_done(self):
-        state = UavProtocolState(0, held(0, 1, 3))
-        state.unobtainable_mask = packet_mask({2, 4, 5})
-        draw_requests([state], TIMING, Scheme.PROPOSED, rng())
-        assert state.request_draw is None
-        assert state.is_done
+        result, trace = run({0: IndicatorVector.from_mask(mask(0, 1, 3), M)})
+        assert [(r.event, r.packets) for r in trace] == [
+            ("request", (2, 4, 5)), ("unobtainable", (2, 4, 5)), ("done", ())
+        ]
+        assert result.unobtainable == {2, 4, 5}
+        assert not result.completed
 
     def test_baseline_draw_has_no_subwindow(self):
         draws = []
         for seed in range(40):
-            state = walkthrough_states()[2]
-            draw_requests([state], TIMING, Scheme.BASELINE_CSMA, stream(seed, 0, "backoff/0"))
-            draws.append(state.request_draw)
-        assert all(1 <= d <= TIMING.cw_total_us for d in draws)
+            draws += draw_requests([walkthrough_held()[2]], False, stream(seed, 0, "backoff/0"))
+        assert all(1 <= d <= WINDOW for d in draws)
         # A priority draw for four missing would stay in subwindow 3.
         assert not all(in_subwindow(d, 3) for d in draws)
 
 
 class TestDecideReply:
-    def request_from_neediest(self):
-        return build_request(walkthrough_states()[2])
-
     def test_best_supplier_always_wins(self):
-        request = self.request_from_neediest()
-        states = walkthrough_states()
-        repliers = open_transaction(states, request, TIMING, Scheme.PROPOSED, rng())
-        assert [s.uav_id for s in repliers] == [0, 1, 3]
-        best, partial = states[3].reply_draw, states[0].reply_draw
+        held = walkthrough_held()
+        repliers, draws = reply_draws(held, FULL & ~held[2])
+        assert repliers == [0, 1, 3]
+        best, partial = draws[2], draws[0]
         assert in_subwindow(best, 3)  # supplies all four requested packets
         assert in_subwindow(partial, 4)  # supplies three
         assert best < partial
 
     def test_holder_of_nothing_requested_declines(self):
-        request = Frame(FrameKind.REQUEST, 9, packet_mask({5}))
-        state = UavProtocolState(0, held(0, 1))
-        assert open_transaction([state], request, TIMING, Scheme.PROPOSED, rng()) == []
-        assert state.reply_draw is None
+        assert reply_draws([mask(0, 1)], mask(5)) == ([], [])
 
     def test_own_request_declines(self):
-        state = walkthrough_states()[2]
-        request = build_request(state)
-        assert open_transaction([state], request, TIMING, Scheme.PROPOSED, rng()) == []
-        assert state.reply_draw is None
+        held = walkthrough_held()
+        repliers, _ = reply_draws(held, FULL & ~held[2])
+        assert 2 not in repliers
 
     def test_equal_supply_shares_a_subwindow(self):
-        request = Frame(FrameKind.REQUEST, 9, packet_mask({2, 4}))
-        full_a = UavProtocolState(0, IndicatorVector.ones(6))
-        full_b = UavProtocolState(1, IndicatorVector.ones(6))
-        open_transaction([full_a, full_b], request, TIMING, Scheme.PROPOSED, rng())
-        assert in_subwindow(full_a.reply_draw, 5)
-        assert in_subwindow(full_b.reply_draw, 5)
+        _, draws = reply_draws([FULL, FULL], mask(2, 4))
+        assert all(in_subwindow(d, 5) for d in draws) and len(draws) == 2
+
+
+def replay_frames(holdings, trace):
+    """Check every request against what its sender wants and every reply against what it holds."""
+    have = {u: v.mask for u, v in holdings.items()}
+    gone = dict.fromkeys(holdings, 0)
+    every = (1 << len(next(iter(holdings.values())))) - 1
+    asked = None
+    for record in trace:
+        packets = packet_mask(record.packets)
+        if record.event == "request":
+            assert packets == every & ~(have[record.uav] | gone[record.uav])
+            asked = packets
+        elif record.event == "reply":
+            assert packets == asked & have[record.uav]
+            for u in have:
+                have[u] |= packets
+                gone[u] &= ~packets
+        elif record.event == "unobtainable":
+            gone[record.uav] |= packets
 
 
 class TestBuildFrames:
     def test_request_lists_wanted(self):
-        state = walkthrough_states()[2]
-        request = build_request(state)
-        assert request.mask == packet_mask({0, 1, 3, 5})
+        for holdings, trace in random_exchanges():
+            replay_frames(holdings, trace)
 
     def test_reply_carries_exact_intersection(self):
-        states = walkthrough_states()
-        request = build_request(states[2])
-        reply = build_reply(states[3], request)
-        assert reply.mask == packet_mask({0, 1, 3, 5})
-        assert reply.in_reply_to == 2
+        holdings = {u: IndicatorVector.from_mask(m, M) for u, m in enumerate(walkthrough_held())}
+        for seed in range(10):
+            _, trace = run(holdings, seed=seed)
+            replay_frames(holdings, trace)
 
     def test_full_set_uav_answers_whole_request(self):
-        request = Frame(FrameKind.REQUEST, 9, packet_mask({2, 4}))
-        state = UavProtocolState(0, IndicatorVector.ones(6))
-        assert build_reply(state, request).mask == packet_mask({2, 4})
+        # UAV 1 misses only w1, and UAV 2 is full after the first reply.
+        holdings = {u: IndicatorVector.from_mask(m, M) for u, m in enumerate(walkthrough_held())}
+        for seed in range(10):
+            _, trace = run(holdings, seed=seed)
+            requests = [r for r in trace if r.event == "request"]
+            replies = [r for r in trace if r.event == "reply"]
+            assert replies[1].packets == requests[1].packets == (2, 4)
 
     def test_single_packet_supplier(self):
-        request = Frame(FrameKind.REQUEST, 9, packet_mask({2, 4}))
-        state = UavProtocolState(0, held(2))
-        assert build_reply(state, request).mask == packet_mask({2})
+        holdings = {0: IndicatorVector((1, 1, 0, 0)), 1: IndicatorVector((1, 1, 1, 0))}
+        _, trace = run(holdings, seed=3)
+        request, reply = [r for r in trace if r.event in ("request", "reply")][:2]
+        assert (request.packets, reply.packets) == ((2, 3), (2,))
 
     def test_no_supply_is_an_error(self):
-        request = Frame(FrameKind.REQUEST, 9, packet_mask({5}))
-        state = UavProtocolState(0, held(0))
-        with pytest.raises(ValueError):
-            build_reply(state, request)
+        # Only holders of some requested packet draw a reply.
+        assert reply_draws([mask(0), mask(5), mask(4, 5), 0], mask(5))[0] == [1, 2]
 
 
-def walkthrough_fleet():
-    return {state.uav_id: state for state in walkthrough_states()}
+def after_request(requester=2):
+    """The walkthrough fleet with first draws, once ``requester`` has sent its request."""
+    held = walkthrough_held()
+    requests = draw_requests(held)
+    requests[requester] = 0
+    return held, [0] * len(held), requests
+
+
+def absorb(held, gone, requests, *packets, requester=2):
+    absorb_reply(held, gone, requests, requester, mask(*packets), FULL, M, WINDOW, True, rng())
 
 
 class TestAbsorbReply:
-    def reply(self, *packets):
-        return Frame(FrameKind.REPLY, 3, packet_mask(packets), in_reply_to=2)
-
-    def absorb(self, fleet, *packets):
-        absorb_reply(fleet, self.reply(*packets), TIMING, Scheme.PROPOSED, rng())
-
     def test_partial_absorption_redraws(self):
-        fleet = walkthrough_fleet()
-        state = fleet[0]  # missing {w3,w5,w6} = ids {2,4,5}
-        draw_requests([state], TIMING, Scheme.PROPOSED, rng())
-        assert in_subwindow(state.request_draw, 4)  # three missing
-        self.absorb(fleet, 0, 1, 3, 5)
-        assert state.holdings.missing_packets() == {2, 4}
-        assert in_subwindow(state.request_draw, 5)  # redrawn for two missing
+        held, gone, requests = after_request()
+        assert in_subwindow(requests[0], 4)  # UAV 0 misses {w3,w5,w6}
+        absorb(held, gone, requests, 0, 1, 3, 5)
+        assert held[0] == FULL & ~mask(2, 4)
+        assert in_subwindow(requests[0], 5)  # redrawn for two missing
 
     def test_disjoint_reply_keeps_draw(self):
-        fleet = walkthrough_fleet()
-        state = fleet[0]
-        draw_requests([state], TIMING, Scheme.PROPOSED, rng())
-        original = state.request_draw
-        self.absorb(fleet, 0, 1)
-        assert state.request_draw == original
+        held, gone, requests = after_request()
+        original = requests[0]
+        absorb(held, gone, requests, 0, 1)
+        assert requests[0] == original
 
     def test_covering_reply_finishes(self):
-        fleet = walkthrough_fleet()
-        state = fleet[0]
-        draw_requests([state], TIMING, Scheme.PROPOSED, rng())
-        self.absorb(fleet, 2, 4, 5)
-        assert state.is_done
-        assert state.request_draw is None
+        held, gone, requests = after_request()
+        absorb(held, gone, requests, 2, 4, 5)
+        assert held[0] == FULL
+        assert requests[0] == 0
 
     def test_holdings_never_shrink(self):
-        fleet = walkthrough_fleet()
-        state = fleet[1]
-        before = state.holdings
-        self.absorb(fleet, 0, 2)
-        assert all(a >= b for a, b in zip(state.holdings.bits, before.bits))
+        held, gone, requests = after_request()
+        before = list(held)
+        absorb(held, gone, requests, 0, 2)
+        assert all(b & ~a == 0 for a, b in zip(held, before))
 
     def test_received_packets_leave_unobtainable(self):
-        fleet = walkthrough_fleet()
-        state = fleet[0]
-        state.unobtainable_mask = packet_mask({2})
-        self.absorb(fleet, 2)
-        assert state.unobtainable_mask == 0
-        assert 2 in state.holdings.held_packets()
+        held, gone, requests = after_request()
+        gone[0] = mask(2)
+        absorb(held, gone, requests, 2)
+        assert gone[0] == 0
+        assert held[0] & mask(2)
 
     def test_reply_naming_a_packet_beyond_the_scenario_is_refused(self):
-        fleet = walkthrough_fleet()
-        draw_requests(fleet.values(), TIMING, Scheme.PROPOSED, rng())
-        fleet[0].unobtainable_mask = packet_mask({2})
-        before = {u: astuple(state) for u, state in fleet.items()}
+        held, gone, requests = after_request()
+        gone[0] = mask(2)
+        before = (list(held), list(gone), list(requests))
         for packets in ((6,), (2, 6), (0, 9)):
             with pytest.raises(ValueError, match="does not fit 6 packets"):
-                self.absorb(fleet, *packets)
-            assert {u: astuple(state) for u, state in fleet.items()} == before
+                absorb(held, gone, requests, *packets)
+            assert (held, gone, requests) == before
 
     def test_requester_draws_again_only_while_wanting(self):
-        fleet = walkthrough_fleet()  # requester 2 misses {0, 1, 3, 5}
-        self.absorb(fleet, 0, 1)
-        assert in_subwindow(fleet[2].request_draw, 5)  # two still missing
-        self.absorb(fleet, 3, 5)
-        assert fleet[2].request_draw is None
+        held, gone, requests = after_request()  # requester 2 misses {0, 1, 3, 5}
+        absorb(held, gone, requests, 0, 1)
+        assert in_subwindow(requests[2], 5)  # two still missing
+        requests[2] = 0  # it requests again
+        absorb(held, gone, requests, 3, 5)
+        assert requests[2] == 0
 
 
 class TestCancelReply:
-    def arm_replier(self):
-        fleet = walkthrough_fleet()
-        request = build_request(fleet[2])
-        open_transaction(fleet.values(), request, TIMING, Scheme.PROPOSED, rng())
-        return fleet, fleet[0]
-
     def test_competing_reply_cancels(self):
-        fleet, state = self.arm_replier()
-        competing = Frame(FrameKind.REPLY, 3, packet_mask({0, 1}), in_reply_to=2)
-        absorb_reply(fleet, competing, TIMING, Scheme.PROPOSED, rng())
-        assert state.reply_draw is None
-        assert fleet[1].reply_draw is None
+        # A clean reply closes the transaction: no request gets a second reply.
+        for _, trace in random_exchanges():
+            events = [r.event for r in trace if r.event in ("request", "reply")]
+            assert "reply,reply" not in ",".join(events)
 
     def test_unrelated_request_does_not_cancel(self):
-        # Request colliders redraw their requests; pending replies stay.
-        fleet, state = self.arm_replier()
-        before = state.reply_draw
-        redraw_colliders([fleet[1]], None, TIMING, Scheme.PROPOSED, rng())
-        assert state.reply_draw == before
+        # A collision redraws the colliders' draws and leaves the others pending.
+        held = walkthrough_held()
+        requests = draw_requests(held)
+        before = list(requests)
+        redraw_colliders(requests, [1], [FULL & ~held[1]], M, WINDOW, True, rng())
+        assert [requests[i] == before[i] for i in range(4)] == [True, False, True, True]
 
     def test_own_transmission_is_no_op(self):
-        fleet, state = self.arm_replier()
-        before = state.reply_draw
-        own = Frame(FrameKind.REPLY, state.uav_id, packet_mask({0}), in_reply_to=2)
-        absorb_reply(fleet, own, TIMING, Scheme.PROPOSED, rng())
-        assert state.reply_draw == before
+        held, gone, requests = after_request()
+        before = held[3], gone[3], requests[3]
+        absorb(held, gone, requests, 0, 1, 3, 5)  # UAV 3's own reply
+        assert (held[3], gone[3], requests[3]) == before
 
 
 class TestRedrawColliders:
     def test_redraws_in_order_within_current_subwindows(self):
-        fleet = walkthrough_fleet()
-        request = build_request(fleet[2])  # {0, 1, 3, 5}
-        twin = rng()
-        redraw_colliders([fleet[3], fleet[0]], request, TIMING, Scheme.PROPOSED, rng())
-        assert fleet[3].reply_draw == draw_backoff(6, 4, TIMING.cw_total_us, twin)
-        assert fleet[0].reply_draw == draw_backoff(6, 3, TIMING.cw_total_us, twin)
-        redraw_colliders([fleet[1], fleet[0]], None, TIMING, Scheme.PROPOSED, rng())
-        assert in_subwindow(fleet[1].request_draw, 6)  # missing one
-        assert in_subwindow(fleet[0].request_draw, 4)  # missing three
+        held = walkthrough_held()
+        asked = FULL & ~held[2]  # {0, 1, 3, 5}
+        draws, twin = [0] * 4, rng()
+        redraw_colliders(draws, [3, 0], [asked & held[3], asked & held[0]], M, WINDOW, True,
+                         rng())
+        assert draws[3] == draw_backoff(M, 4, WINDOW, twin)
+        assert draws[0] == draw_backoff(M, 3, WINDOW, twin)
+        requests = [0] * 4
+        redraw_colliders(requests, [1, 0], [FULL & ~held[1], FULL & ~held[0]], M, WINDOW, True,
+                         rng())
+        assert in_subwindow(requests[1], 6)  # missing one
+        assert in_subwindow(requests[0], 4)  # missing three
 
 
 class TestMarkUnobtainable:
     def test_own_silent_request_gives_up(self):
-        state = UavProtocolState(0, held(0, 1, 2, 3, 4))  # missing {5}
-        request = build_request(state)
-        mark_unobtainable(state, request)
-        assert state.unobtainable_mask == packet_mask({5})
-        assert state.is_done
-        assert not state.holdings.is_full()
+        held, gone = [mask(0, 1, 2, 3, 4)], [0]  # missing {5}
+        time_out(gone, 0, FULL & ~held[0])
+        assert gone == [mask(5)]
+        assert FULL & ~(held[0] | gone[0]) == 0  # wants nothing more
+        assert held[0] != FULL
 
     def test_only_still_missing_ids_are_marked(self):
-        state = UavProtocolState(0, held(0, 1, 2, 3))
-        request = build_request(state)  # {4, 5}
-        state.held |= packet_mask({4})
-        mark_unobtainable(state, request)
-        assert state.unobtainable_mask == packet_mask({5})
+        # Packet 3 exists nowhere; packet 2 only at UAV 1. UAV 0 first gets
+        # w3 from its mate, then gives up on w4 alone.
+        holdings = {0: IndicatorVector((1, 1, 0, 0)), 1: IndicatorVector((1, 1, 1, 0))}
+        result, trace = run(holdings, seed=3)
+        own = [(r.event, r.packets) for r in trace if r.uav == 0 and r.event != "done"]
+        assert own[0] == ("request", (2, 3))
+        assert own[-1] == ("unobtainable", (3,))
+        assert result.unobtainable == {3}
 
 
 class TestPhaseAndBackoffFields:
     def test_backoff_positive_in_backoff_phases(self):
-        state = walkthrough_states()[2]
-        draw_requests([state], TIMING, Scheme.PROPOSED, rng())
-        assert state.request_draw > 0
-        assert state.reply_draw is None
+        held = walkthrough_held()
+        assert all(0 < d <= WINDOW for d in draw_requests(held))
+        assert all(0 < d <= WINDOW for d in reply_draws(held, FULL & ~held[2])[1])
 
     def test_idle_without_draws(self):
-        state = walkthrough_states()[2]
-        assert not state.is_done
-        assert state.request_draw is None and state.reply_draw is None
+        # Once the first reply lands, UAVs 1 and 2 want nothing and hold no draw.
+        held, gone, requests = after_request()
+        absorb(held, gone, requests, 0, 1, 3, 5, requester=2)
+        assert [d > 0 for d in requests] == [True, False, False, True]
+        assert [FULL & ~m == 0 for m in held] == [False, True, True, False]
 
 
 def test_trace_line_format_is_stable():

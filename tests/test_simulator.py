@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from uavex import core, protocol
 from uavex.clustering import cluster_network, reads_tie_break
-from uavex.core import IndicatorVector, ScenarioConfig, Scheme, stream
+from uavex.core import IndicatorVector, ScenarioConfig, Scheme, packet_mask, stream
 from uavex.experiments import (
     SweepSpec,
     cli_main,
@@ -25,7 +25,7 @@ from uavex.mac import Pcg64Draws, TimingConfig, subwindow_bounds, subwindow_for_
 from uavex.protocol import trace_line
 from uavex.simulator import (
     RunResult,
-    _ChannelEngine,
+    _run_exchange,
     clusters_for_scheme,
     run_cluster_exchange,
     run_scenario,
@@ -218,22 +218,22 @@ class TestProtocolInvariantsViaReplay:
             members = list(range(num_uavs))
             initial_missing = sum(num_packets - v.popcount() for v in receipts)
             trace = []
-            engine = _ChannelEngine(
+            result, held = _run_exchange(
                 members, holdings, TIMING, scheme, stream(12, trial, "backoff/0"), trace=trace
             )
-            result = engine.run()
             full = (1 << num_packets) - 1
-            for u, state in engine.states.items():
-                assert state.full == full
-                assert state.held & ~full == 0
-                assert state.held & state.unobtainable_mask == 0
-                assert holdings[u].mask & ~state.held == 0
-                assert state.holdings == IndicatorVector.from_mask(state.held, num_packets)
+            unobtainable = packet_mask(result.unobtainable)
+            for u, mask in zip(members, held):
+                assert mask & ~full == 0
+                assert mask & unobtainable == 0  # nobody holds a packet given up on
+                assert holdings[u].mask & ~mask == 0
+            assert result.completed == (held.count(full) == num_uavs)
             assert result.exchange_count <= initial_missing
             times = [r.time_us for r in trace]
             assert times == sorted(times)
             final, remaining = replay_trace(members, holdings, trace)
             # The engine's outcome matches the independent replay.
+            assert [packet_mask(final[u]) for u in members] == held
             union = set().union(*(v.held_packets() for v in receipts)) if receipts else set()
             if result.completed:
                 assert remaining == 0
