@@ -178,10 +178,13 @@ def cluster_network(
     exchange variants use.
     """
     if num_clusters == 1:
-        combined = vectors[0]
-        for v in vectors[1:]:
-            combined = combined | v
-        return ClusterAssignment((tuple(range(len(vectors))),), (combined,))
+        length, combined = vectors[0].length, 0
+        for v in vectors:
+            if v.length != length:
+                raise ValueError(f"length mismatch: {length} vs {v.length}")
+            combined |= v.mask
+        union = IndicatorVector.from_mask(combined, length)
+        return ClusterAssignment((tuple(range(len(vectors))),), (union,))
     if rng is None and reads_tie_break(num_clusters):
         raise ValueError(f"clustering into {num_clusters} clusters needs a tie-break stream")
     members, pool = initialize_clusters(vectors, num_clusters, rng)

@@ -82,6 +82,18 @@ class IndicatorVector:
         vector._fill(mask, length)
         return vector
 
+    @classmethod
+    def _from_masks(cls, masks: Sequence[int], length: int) -> list[IndicatorVector]:
+        """``from_mask(m, length)`` for each mask, with the fit checked once for all of them."""
+        if masks:  # every mask fits when the smallest and the largest do
+            cls.from_mask(min(masks), length)
+            cls.from_mask(max(masks), length)
+        vectors = [object.__new__(cls) for _ in masks]
+        for vector, mask in zip(vectors, masks):
+            object.__setattr__(vector, "mask", mask)
+            object.__setattr__(vector, "length", length)
+        return vectors
+
     def _fill(self, mask: int, length: int) -> None:
         if length < 1:
             raise ValueError("indicator vector must have at least one position")

@@ -90,18 +90,7 @@ class AggregateRow:
                 return ""
             return str(value)
 
-        return [
-            self.param,
-            self.scheme,
-            cell(self.mean_exchanges),
-            cell(self.sd_exchanges),
-            cell(self.mean_delay_us),
-            cell(self.sd_delay_us),
-            cell(self.full_set_rate),
-            cell(self.completion_rate),
-            str(self.runs),
-            str(self.seed),
-        ]
+        return [cell(getattr(self, column)) for column in CSV_COLUMNS]
 
 
 def _sd(values: np.ndarray) -> float | None:

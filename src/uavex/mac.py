@@ -4,17 +4,16 @@ The maximum contention window of ``T`` microseconds is split into as many
 subwindows as there are packets in the scenario. A node whose stake is
 ``m`` relevant packets (lost packets for a requester, suppliable packets for
 a replier) draws uniformly inside subwindow ``M - m + 1``, so a higher stake
-always yields a strictly shorter backoff than a lower one. Each draw is one
-``integers(low, high)`` call; on a plain PCG64 generator the engine makes it
-through ``Pcg64Draws``, which replays numpy's bounded-int algorithm over the
-generator's raw words.
+always yields a strictly shorter backoff than a lower one. Each draw takes
+its bounds from two integer divisions and makes one ``integers(low, high)``
+call; on a plain PCG64 generator the engine makes it through ``Pcg64Draws``,
+which replays numpy's bounded-int algorithm over the generator's raw words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -71,26 +70,22 @@ def subwindow_bounds(num_packets: int, subwindow: int, window_us: int) -> tuple[
     return lo, hi
 
 
-@lru_cache(maxsize=128)
-def _draw_ranges(num_packets: int, window_us: int) -> tuple[tuple[int, int], ...]:
-    """Half-open draw range [lo + 1, hi + 1) for each stake, indexed by stake (index 0 unused)."""
-    ranges = [(0, 0)]
-    for stake in range(1, num_packets + 1):
-        lo, hi = subwindow_bounds(num_packets, num_packets - stake + 1, window_us)
-        ranges.append((lo + 1, hi + 1))
-    return tuple(ranges)
-
-
 def draw_backoff(num_packets: int, relevant_count: int, window_us: int, rng: Rng) -> int:
-    """Uniform integer draw, in us, inside the priority subwindow for ``relevant_count``."""
+    """Uniform integer draw, in us, inside the priority subwindow for ``relevant_count``.
+
+    The draw range [lo + 1, hi + 1) is ``subwindow_bounds`` of subwindow
+    M - m + 1 shifted by one, computed inline: this is the per-draw path.
+    """
     if not 1 <= relevant_count <= num_packets:
         raise ValueError(
             f"relevant_count must lie in [1, {num_packets}], got {relevant_count}"
         )
-    low, high = _draw_ranges(num_packets, window_us)[relevant_count]
+    prior = num_packets - relevant_count  # subwindows ahead of this one
+    low = prior * window_us // num_packets + 1
+    high = (prior + 1) * window_us // num_packets + 1
     if high <= low:
         raise ValueError(
-            f"subwindow {num_packets - relevant_count + 1} of window {window_us} us is empty; "
+            f"subwindow {prior + 1} of window {window_us} us is empty; "
             f"need window_us >= num_packets ({num_packets})"
         )
     return int(rng.integers(low, high))

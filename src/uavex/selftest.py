@@ -150,10 +150,7 @@ def check_exchanges(rng: np.random.Generator, clusters: int) -> list[ExchangeCas
         final = {u: IndicatorVector.from_mask(m, num_packets) for u, m in zip(holdings, held)}
         if any(holdings[u].mask & ~final[u].mask for u in holdings):
             raise AssertionError(f"{where}: holdings shrank")
-        union = 0
-        for v in receipts:
-            union |= v.mask
-        full_union = union == (1 << num_packets) - 1
+        full_union = all(any(v.mask >> p & 1 for v in receipts) for p in range(num_packets))
         if result.completed != full_union:
             raise AssertionError(
                 f"{where}: completed={result.completed}, but full union={full_union}"

@@ -20,16 +20,18 @@ A cluster's exchange is one loop over parallel int lists indexed by position
 in the sorted member list (holdings and given-up packets as bitmasks, request
 draws with 0 for none, and the open request's repliers and reply draws). The
 loop keeps the clock, picks the transmitters from plain ints, takes frame air
-times from a table built once per exchange, and records the trace only when a
-trace list is given; each protocol rule is one ``protocol`` call per channel
-event (first draws, clean request, clean reply, collision, timeout). A member
-whose request draw is 0 once a transaction has closed wants nothing more: it
-is done, and no longer contends for requests, though it keeps answering them.
+times from a table built once per (packet count, timing) pair, and records the
+trace only when a trace list is given; each protocol rule is one ``protocol``
+call per channel event (first draws, clean request, clean reply, collision,
+timeout). A member whose request draw is 0 once a transaction has closed wants
+nothing more: it is done, and no longer contends for requests, though it keeps
+answering them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -103,12 +105,10 @@ def sample_initial_receipts(
     packed = np.packbits(hits, axis=1, bitorder="little")
     width = packed.shape[1]
     raw = packed.tobytes()
-    return [
-        IndicatorVector.from_mask(
-            int.from_bytes(raw[u * width:(u + 1) * width], "little"), num_packets
-        )
-        for u in range(num_uavs)
-    ]
+    return IndicatorVector._from_masks(
+        [int.from_bytes(raw[u * width:(u + 1) * width], "little") for u in range(num_uavs)],
+        num_packets,
+    )
 
 
 def run_cluster_exchange(
@@ -166,6 +166,13 @@ def _run_exchange(
     return result, held
 
 
+@lru_cache(maxsize=64)
+def _air_times(num_packets: int, timing: TimingConfig) -> tuple[int, tuple[int, ...]]:
+    """Request air time, and reply air time indexed by packets carried (index 0 unused)."""
+    replies = [frame_duration(FrameKind.REPLY, k, timing) for k in range(1, num_packets + 1)]
+    return frame_duration(FrameKind.REQUEST, 0, timing), (0, *replies)
+
+
 def _exchange(
     order: list[UavId], held: list[int], num_packets: int, timing: TimingConfig,
     priority: bool, rng: Rng | Pcg64Draws, trace: list[TraceRecord] | None, cluster_id: int,
@@ -179,10 +186,7 @@ def _exchange(
     n = len(order)
     full = (1 << num_packets) - 1
     difs, window = timing.difs_us, timing.cw_total_us
-    request_air = frame_duration(FrameKind.REQUEST, 0, timing)
-    reply_air = [0] + [
-        frame_duration(FrameKind.REPLY, k, timing) for k in range(1, num_packets + 1)
-    ]
+    request_air, reply_air = _air_times(num_packets, timing)
     gone = [0] * n
     requests = first_draws(held, full, num_packets, window, priority, rng)
     now = finish = exchanges = collisions = 0

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from uavex.clustering import (
     InfeasibleClusterCount,
@@ -186,6 +186,37 @@ class TestClusterNetwork:
         assignment = cluster_network(WALKTHROUGH_VECTORS, 1, stream(0, 0, "tie-break"))
         assert assignment.members == ((0, 1, 2, 3),)
         assert assignment.cluster_vectors[0].is_full()
+
+    @staticmethod
+    def or_fold(vectors):
+        combined = vectors[0]
+        for v in vectors[1:]:
+            combined = combined | v
+        return combined
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 130).flatmap(lambda m: st.tuples(
+        st.just(m), st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=25))))
+    def test_single_cluster_union_equals_the_or_fold(self, fleet):
+        num_packets, masks = fleet
+        vectors = [IndicatorVector.from_mask(mask, num_packets) for mask in masks]
+        assignment = cluster_network(vectors, 1, None)
+        assert assignment.members == (tuple(range(len(vectors))),)
+        assert assignment.cluster_vectors == (self.or_fold(vectors),)
+        assignment.validate(vectors)
+
+    @pytest.mark.parametrize("lengths, message", [
+        ((6, 5), "length mismatch: 6 vs 5"),
+        ((6, 6, 7), "length mismatch: 6 vs 7"),
+        ((3, 3, 3, 4, 2), "length mismatch: 3 vs 4"),
+    ])
+    def test_single_cluster_of_mixed_lengths_raises_as_the_or_fold(self, lengths, message):
+        vectors = [IndicatorVector.ones(n) for n in lengths]
+        with pytest.raises(ValueError) as folded:
+            self.or_fold(vectors)
+        with pytest.raises(ValueError) as united:
+            cluster_network(vectors, 1, None)
+        assert str(united.value) == str(folded.value) == message
 
     def test_determinism(self):
         rng = np.random.default_rng(4)

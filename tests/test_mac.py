@@ -17,7 +17,6 @@ from uavex.mac import (
     subwindow_bounds,
     subwindow_for_count,
 )
-from uavex.mac import _draw_ranges
 
 WINDOW = TimingConfig().cw_total_us  # 9207
 
@@ -138,15 +137,46 @@ class TestDrawBackoff:
             draw_backoff(6, count, WINDOW, stream(0, 0, "backoff"))
 
 
+class _RecordingDraws:
+    """Records the bounds of each ``integers(low, high)`` call and returns ``low``."""
+
+    def __init__(self):
+        self.bounds = []
+
+    def integers(self, low, high):
+        self.bounds.append((low, high))
+        return low
+
+
 class TestDrawRanges:
     def test_every_stake_matches_subwindow_bounds(self):
-        for m in range(1, 33):
-            for window in (2 * m, 1023, 9207):
-                ranges = _draw_ranges(m, window)
-                assert len(ranges) == m + 1
+        # One integers() call per draw, over subwindow M - m + 1 shifted by one.
+        source, expected = _RecordingDraws(), []
+        for m in range(1, 41):
+            for window in [*range(m, 4 * m + 61), 1023, 9207]:
                 for stake in range(1, m + 1):
                     lo, hi = subwindow_bounds(m, m - stake + 1, window)
-                    assert ranges[stake] == (lo + 1, hi + 1)
+                    assert draw_backoff(m, stake, window, source) == lo + 1
+                    expected.append((lo + 1, hi + 1))
+        assert source.bounds == expected
+
+    def test_empty_subwindows_are_refused_before_any_draw(self):
+        source = _RecordingDraws()
+        for m in range(2, 41):
+            for window in range(1, m):
+                for stake in range(1, m + 1):
+                    k = m - stake + 1
+                    lo, hi = subwindow_bounds(m, k, window)
+                    if lo < hi:
+                        assert draw_backoff(m, stake, window, source) == lo + 1
+                        assert source.bounds.pop() == (lo + 1, hi + 1)
+                        continue
+                    message = (f"subwindow {k} of window {window} us is empty; "
+                               f"need window_us >= num_packets ({m})")
+                    with pytest.raises(ValueError) as error:
+                        draw_backoff(m, stake, window, source)
+                    assert str(error.value) == message
+                    assert source.bounds == []
 
     def test_interleaved_draws_match_a_twin_generator(self):
         # Switching (M, W) between draws must not reuse another pair's table.

@@ -21,10 +21,18 @@ from uavex.experiments import (
     full_set_rate_samples,
     sweep_full_set_rate,
 )
-from uavex.mac import Pcg64Draws, TimingConfig, subwindow_bounds, subwindow_for_count
+from uavex.mac import (
+    FrameKind,
+    Pcg64Draws,
+    TimingConfig,
+    frame_duration,
+    subwindow_bounds,
+    subwindow_for_count,
+)
 from uavex.protocol import trace_line
 from uavex.simulator import (
     RunResult,
+    _air_times,
     _run_exchange,
     clusters_for_scheme,
     run_cluster_exchange,
@@ -99,6 +107,21 @@ class TestSampleInitialReceipts:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             sample_initial_receipts(2, 2, 1.5, stream(0, 0, "bs-delivery"))
+
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    def test_a_mask_wider_than_the_fleet_packets_is_refused(self, row, monkeypatch):
+        # Three packets pack into one byte; a stray bit above them, in any
+        # one UAV's row, must still be caught by the fleet's single check.
+        packbits = np.packbits
+
+        def stray_bit(*args, **kwargs):
+            packed = packbits(*args, **kwargs).copy()
+            packed[row, 0] |= 0b1000_0000
+            return packed
+
+        monkeypatch.setattr(np, "packbits", stray_bit)
+        with pytest.raises(ValueError, match=r"does not fit 3 positions"):
+            sample_initial_receipts(5, 3, 0.5, stream(0, 0, "bs-delivery"))
 
 
 class TestWalkthroughTrace:
@@ -202,6 +225,76 @@ class TestClusterExchangeEdges:
         )
         assert first == second
         assert first_trace == second_trace
+
+
+AIR_TIMINGS = [
+    TIMING,
+    TimingConfig(preamble_us=21),
+    TimingConfig(payload_us_per_packet=1999),
+    TimingConfig(difs_us=1, cw_total_us=80, preamble_us=3, payload_us_per_packet=7),
+]
+
+
+def frame_air_times(num_packets, timing):
+    return (frame_duration(FrameKind.REQUEST, 0, timing),
+            [frame_duration(FrameKind.REPLY, k, timing) for k in range(1, num_packets + 1)])
+
+
+class TestAirTimeTable:
+    """``_air_times`` is built once per (M, timing) and must equal ``frame_duration``."""
+
+    @pytest.mark.parametrize("timing", AIR_TIMINGS)
+    def test_table_equals_frame_duration(self, timing):
+        for num_packets in range(1, 41):
+            request, replies = _air_times(num_packets, timing)
+            assert (request, list(replies[1:])) == frame_air_times(num_packets, timing)
+            assert len(replies) == num_packets + 1
+
+    @pytest.mark.parametrize("field, value", [("preamble_us", 23), ("payload_us_per_packet", 2003)])
+    def test_timings_differing_in_one_air_time_get_their_own_tables(self, field, value):
+        # The default timing's table is built first, so a table cached by M
+        # alone would be handed to the other timing.
+        other = replace(TIMING, **{field: value})
+        for num_packets in (1, 6, 10, 40):
+            first, second = _air_times(num_packets, TIMING), _air_times(num_packets, other)
+            assert first != second
+            assert (second[0], list(second[1][1:])) == frame_air_times(num_packets, other)
+
+    @pytest.mark.parametrize("scheme", [Scheme.PROPOSED, Scheme.MECHANISM_ONLY])
+    def test_delay_moves_by_exactly_the_air_time_of_the_frames(self, scheme):
+        # Draws do not depend on air times, so both timings replay one
+        # exchange; every frame (a request, a reply, or a collision of equal
+        # stakes, hence of equal sizes) lasts the other timing's air time.
+        base = replace(TIMING, cw_total_us=24)
+        other = replace(base, preamble_us=29, payload_us_per_packet=1987)
+        request_collisions = reply_collisions = 0
+        for seed in range(30):
+            holdings = dict(enumerate(sample_initial_receipts(
+                8, 6, 0.6, stream(seed, 0, "bs-delivery"))))
+            runs = []
+            for timing in (base, other):
+                trace = []
+                result = run_cluster_exchange(range(8), holdings, timing, scheme,
+                                              stream(seed, 0, "backoff/0"), trace=trace)
+                runs.append((result, trace))
+            (first, first_trace), (second, second_trace) = runs
+            assert [replace(r, time_us=0) for r in first_trace] == \
+                [replace(r, time_us=0) for r in second_trace]
+            expected, open_request = 0, False
+            for record in first_trace:
+                event = record.event
+                if event == "request" or (event == "collision" and not open_request):
+                    expected += other.preamble_us - base.preamble_us
+                    request_collisions += event == "collision"
+                elif event in ("reply", "collision"):
+                    k = len(record.packets)
+                    expected += (frame_duration(FrameKind.REPLY, k, other)
+                                 - frame_duration(FrameKind.REPLY, k, base))
+                    reply_collisions += event == "collision"
+                # A request stays open through reply collisions, until a reply or timeout.
+                open_request = event == "request" or (open_request and event == "collision")
+            assert second.delay_us - first.delay_us == expected
+        assert request_collisions > 0 and reply_collisions > 0
 
 
 class TestProtocolInvariantsViaReplay:
