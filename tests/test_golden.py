@@ -36,6 +36,10 @@ GOLDEN = {
                                          "--seed", "0", "--run-index", "106"],
     "compare_ref10.csv": ["compare", *REF10, "--runs", "20"],
     "compare_ref20.csv": ["compare", *REF20, "--runs", "20"],
+    # Subwindows of about W/6 draw through the 32-bit rejection loop; plain
+    # CSMA's span of 2**32 + 1 draws whole 64-bit words.
+    "compare_wide_window.csv": ["compare", *REF10, "--runs", "20",
+                                "--cw-total-us", str((1 << 32) + 1)],
     "full_set_rate_ref20.csv": ["full-set-rate", "--uavs", "20", "--packets", "10",
                                 "--rho", "0.6", "--clusters", "1..10", "--runs", "20"],
 }

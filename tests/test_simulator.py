@@ -759,6 +759,17 @@ class TestFastDrawPath:
             fast, slow = _exchanges_on_both_paths(config, k)
             assert fast == slow, k
 
+    @pytest.mark.parametrize("window", [(1 << 31) + 1, (1 << 32) + 1])
+    @pytest.mark.parametrize("scheme", sorted(REF20_RUNS))
+    def test_wide_windows(self, scheme, window):
+        # Plain CSMA at 2**31 + 1 rejects about half its 32-bit words, and at
+        # 2**32 + 1 draws whole 64-bit words; the subwindows of both take the
+        # 32-bit path with thresholds far above zero.
+        timing = replace(TIMING, cw_total_us=window)
+        for k in range(10):
+            fast, slow = _exchanges_on_both_paths(_ref10(scheme), k, timing)
+            assert fast == slow, k
+
 
 class TestDrawCallsPerRun:
     @pytest.mark.parametrize("scheme", sorted(REF20_RUNS))
