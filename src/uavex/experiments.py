@@ -446,14 +446,14 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, output: str = "CSV") -> None:
     parser.add_argument("--uavs", type=int, help="fleet size")
     parser.add_argument("--packets", type=int, help="number of common packets")
     parser.add_argument("--rho", type=float, help="per-packet delivery probability")
     parser.add_argument("--runs", type=int, help="Monte-Carlo runs per point (default 500)")
     parser.add_argument("--seed", type=int, help="master seed (default 0)")
     parser.add_argument("--config", help="JSON file with scenario and timing settings")
-    parser.add_argument("--out", help="write CSV here instead of stdout")
+    parser.add_argument("--out", help=f"write {output} here instead of stdout")
     parser.add_argument("--difs-us", dest="difs_us", type=int, help="DIFS override")
     parser.add_argument("--cw-total-us", dest="cw_total_us", type=int,
                         help="contention window override")
@@ -483,7 +483,7 @@ def _build_parser() -> _Parser:
                        help="comma list of schemes to compare")
 
     p_trace = sub.add_parser("trace", help="single run with the full event trace")
-    _add_common_flags(p_trace)
+    _add_common_flags(p_trace, output="the trace text")
     p_trace.add_argument("--clusters", type=int,
                          help="cluster count (default: num_clusters from --config)")
     p_trace.add_argument("--scheme", help="scheme for the traced run")

@@ -5,9 +5,11 @@ subwindows as there are packets in the scenario. A node whose stake is
 ``m`` relevant packets (lost packets for a requester, suppliable packets for
 a replier) draws uniformly inside subwindow ``M - m + 1``, so a higher stake
 always yields a strictly shorter backoff than a lower one. Each draw takes
-its bounds from two integer divisions and makes one ``integers(low, high)``
-call; on a plain PCG64 generator the engine makes it through ``Pcg64Draws``,
-which replays numpy's bounded-int algorithm over the generator's raw words.
+its bounds from two integer divisions. On a plain PCG64 generator the engine
+draws through ``Pcg64Draws``, which replays numpy's bounded-int algorithm over
+the generator's raw words; the draw functions run its 32-bit step, which
+serves every span from 2 to 2**32, in their own frame, and make one
+``integers(low, high)`` call for any other span or rng.
 """
 
 from __future__ import annotations
@@ -83,7 +85,24 @@ def draw_backoff(num_packets: int, relevant_count: int, window_us: int, rng: Rng
     prior = num_packets - relevant_count  # subwindows ahead of this one
     low = prior * window_us // num_packets + 1
     high = (prior + 1) * window_us // num_packets + 1
-    if high <= low:
+    span = high - low
+    if type(rng) is Pcg64Draws and 1 < span <= 1 << 32 and high <= 1 << 63:
+        # Pcg64Draws.integers' 32-bit step, inlined: a method call per draw
+        # would cost a second Python frame on the engine's hottest path.
+        if rng.has_uint32:
+            rng.has_uint32 = 0
+            m = rng.uinteger * span
+        else:
+            word = rng._raw()
+            rng.has_uint32 = 1
+            rng.uinteger = word >> 32
+            m = (word & 0xFFFF_FFFF) * span
+        if (m & 0xFFFF_FFFF) < span:
+            threshold = (1 << 32) % span
+            while (m & 0xFFFF_FFFF) < threshold:
+                m = rng._next32() * span
+        return low + (m >> 32)
+    if span < 1:
         raise ValueError(
             f"subwindow {prior + 1} of window {window_us} us is empty; "
             f"need window_us >= num_packets ({num_packets})"
@@ -93,6 +112,21 @@ def draw_backoff(num_packets: int, relevant_count: int, window_us: int, rng: Rng
 
 def draw_baseline_backoff(window_us: int, rng: Rng) -> int:
     """Uniform integer draw, in us, over the whole window, as plain CSMA/CA would do."""
+    if type(rng) is Pcg64Draws and 1 < window_us <= 1 << 32:
+        # The same inlined step as in draw_backoff, over [1, window_us].
+        if rng.has_uint32:
+            rng.has_uint32 = 0
+            m = rng.uinteger * window_us
+        else:
+            word = rng._raw()
+            rng.has_uint32 = 1
+            rng.uinteger = word >> 32
+            m = (word & 0xFFFF_FFFF) * window_us
+        if (m & 0xFFFF_FFFF) < window_us:
+            threshold = (1 << 32) % window_us
+            while (m & 0xFFFF_FFFF) < threshold:
+                m = rng._next32() * window_us
+        return 1 + (m >> 32)
     if window_us < 1:
         raise ValueError("window_us must be at least 1")
     return int(rng.integers(1, window_us + 1))

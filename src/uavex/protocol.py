@@ -54,12 +54,15 @@ def open_request(
     requester holds none of them. Returns the repliers' positions and their
     draws, in uav order; both are empty when nobody can reply.
     """
-    repliers = [i for i, mask in enumerate(held) if asked & mask]
-    if priority:
-        draws = [draw_backoff(num_packets, (asked & held[i]).bit_count(), window, rng)
-                 for i in repliers]
-    else:
-        draws = [draw_baseline_backoff(window, rng) for _ in repliers]
+    repliers, draws = [], []
+    for i, mask in enumerate(held):
+        supplied = asked & mask
+        if supplied:
+            repliers.append(i)
+            draws.append(
+                draw_backoff(num_packets, supplied.bit_count(), window, rng) if priority
+                else draw_baseline_backoff(window, rng)
+            )
     return repliers, draws
 
 

@@ -422,6 +422,25 @@ class TestCli:
         assert "cw_total_us must be at least 8" in err
         assert "Traceback" not in err
 
+    def test_window_beyond_int64_exits_one_naming_the_setting(self, capsys):
+        # numpy's int64 draw used to refuse it mid-run with "high is out of bounds".
+        args = ["compare", "--uavs", "4", "--packets", "2", "--rho", "0.5", "--runs", "3",
+                "--clusters", "2", "--cw-total-us"]
+        for window in (1 << 63, 1 << 70):
+            assert cli_main([*args, str(window)]) == 1
+            err = capsys.readouterr().err
+            assert "cw_total_us must be below 2**63" in err
+            assert "Traceback" not in err
+        assert cli_main([*args, str((1 << 63) - 1)]) == 0
+        assert capsys.readouterr().out.count("\n") == 4  # header and three schemes
+
+    def test_out_help_names_what_each_command_writes(self, capsys):
+        for command, output in (("compare", "CSV"), ("full-set-rate", "CSV"),
+                                ("trace", "the trace text")):
+            assert cli_main([command, "--help"]) == 0
+            help_text = " ".join(capsys.readouterr().out.split())
+            assert f"--out OUT write {output} here instead of stdout" in help_text
+
     @pytest.mark.parametrize("key, value", [
         ("delivery_rate", None), ("cw_total_us", [24]), ("num_uavs", 10.7), ("cw_total_us", 24.9),
     ])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from uavex.core import stream
@@ -294,6 +294,57 @@ class TestPcg64Draws:
                       np.random.Generator(np.random.MT19937(0)),
                       np.random.RandomState(0)):
             assert draw_source(other) is other
+
+
+# (num_packets, stake, window) of draw_backoff calls; a stake of 0 stands for
+# a draw_baseline_backoff call over the window. Together they cover every
+# branch of the inlined 32-bit step and the calls it must leave to
+# Pcg64Draws.integers: spans of 1 (W == M), rejection-heavy spans just above
+# 2**31, spans of exactly 2**32, wider spans, windows numpy refuses
+# (2**63 and up; with M = 2**32 the last subwindow spans under 2**32 but
+# still ends past int64) and empty subwindows (W < M).
+_M = st.integers(1, 12)
+DRAW_CALLS = st.one_of(
+    st.tuples(_M, st.just(0), st.integers(1, 40)),
+    st.tuples(_M, st.just(0), near(1 << 31, 4)),
+    st.tuples(_M, st.just(0), st.sampled_from([1 << 32, (1 << 32) + 1, 1 << 40])),
+    st.tuples(_M, st.just(0), st.sampled_from([(1 << 63) - 1, 1 << 63, 1 << 70])),
+    _M.flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m), st.integers(1, 3 * m))),
+    _M.flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m), st.sampled_from(
+        [m, m * ((1 << 31) + 1), m << 32, (m << 32) + m - 1, (m << 32) + m, m << 40,
+         (1 << 63) - 1, 1 << 63, 1 << 70]))),
+    st.tuples(st.just(1 << 32), st.sampled_from([1, 2, 1 << 32]),
+              st.sampled_from([(1 << 63) - 1, 1 << 63, (1 << 63) + (1 << 33)])),
+)
+
+
+def _draw_outcome(source, m, stake, window):
+    try:
+        if stake:
+            return draw_backoff(m, stake, window, source)
+        return draw_baseline_backoff(window, source)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestInlineDraws:
+    """The draw functions on a ``Pcg64Draws`` against the same calls on a twin ``Generator``."""
+
+    # 2**32 mod (2**31 + 1) rejects nearly half the half-words, in both functions.
+    @example(seed=9, warmup=1, calls=[(1, 0, (1 << 31) + 1)] * 200 + [(1, 1, (1 << 31) + 1)] * 200)
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), warmup=st.integers(0, 3),
+           calls=st.lists(DRAW_CALLS, min_size=1, max_size=16))
+    def test_matches_generator_draws(self, seed, warmup, calls):
+        # An odd warmup leaves a half-word pending for the first draw.
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(warmup):
+            assert ours.integers(0, 7) == theirs.integers(0, 7)
+        source = Pcg64Draws(ours.bit_generator)
+        assert ([_draw_outcome(source, *call) for call in calls]
+                == [_draw_outcome(theirs, *call) for call in calls])
+        source.write_back()
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestFrameDuration:
