@@ -1,15 +1,19 @@
 """Clustering behaviour: worked examples, invariants, and oracle equivalence."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uavex import clustering
 from uavex.clustering import (
     InfeasibleClusterCount,
     cluster_network,
     hamming_distance,
     initialize_clusters,
     merge_iteration,
+    reads_tie_break,
 )
 from uavex.core import IndicatorVector, stream
 from uavex.simulator import sample_initial_receipts
@@ -27,6 +31,11 @@ WALKTHROUGH_VECTORS = [
 
 def iv(*bits):
     return IndicatorVector(tuple(bits))
+
+
+def feasible_counts(num_uavs):
+    """Every cluster count ``cluster_network`` accepts for a fleet of ``num_uavs``."""
+    return [n for n in range(1, num_uavs + 1) if n == 1 or n % 2 == 0 or n + 1 <= num_uavs]
 
 
 class TestHammingDistance:
@@ -270,6 +279,64 @@ class TestClusterNetwork:
             )
             assert [list(m) for m in ours.members] == ref_members
             assert [v.bits for v in ours.cluster_vectors] == ref_vectors
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_oracle_equivalence_wide_fleets(self, data):
+        # Up to 24 UAVs and 130 packets, so masks wider than 64 bits take part.
+        num_uavs = data.draw(st.integers(2, 24), label="U")
+        num_packets = data.draw(st.integers(1, 130), label="M")
+        masks = data.draw(st.lists(st.integers(0, (1 << num_packets) - 1),
+                                   min_size=num_uavs, max_size=num_uavs), label="masks")
+        n = data.draw(st.sampled_from(feasible_counts(num_uavs)), label="N")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        vectors = [IndicatorVector.from_mask(mask, num_packets) for mask in masks]
+
+        def tie_break():
+            return stream(seed, 0, "tie-break") if reads_tie_break(n) else None
+
+        ours = cluster_network(vectors, n, tie_break())
+        ref_members, ref_vectors = brute_force_cluster([v.bits for v in vectors], n, tie_break())
+        assert [list(m) for m in ours.members] == ref_members
+        assert [v.bits for v in ours.cluster_vectors] == ref_vectors
+
+
+class TestDistanceCount:
+    """Each ``cluster_network`` call evaluates a closed-form number of distances."""
+
+    @staticmethod
+    def closed_form(num_uavs, num_clusters):
+        # C(p, 2) per seed-pair extraction from a pool of p (an odd count
+        # extracts one pair more than it keeps), then every open cluster
+        # against every pool UAV per merge pick; a pick closes one of each.
+        if num_clusters == 1:
+            return 0
+        need = num_clusters + num_clusters % 2
+        evals = sum(comb(num_uavs - 2 * i, 2) for i in range(need // 2))
+        pool = num_uavs - num_clusters
+        while pool:
+            picks = min(num_clusters, pool)
+            evals += sum((num_clusters - j) * (pool - j) for j in range(picks))
+            pool -= picks
+        return evals
+
+    def test_every_feasible_count_up_to_thirty_uavs(self, monkeypatch):
+        calls = 0
+        original = clustering.hamming_distance
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(clustering, "hamming_distance", counted)
+        rng = np.random.default_rng(9)
+        for num_uavs in range(2, 31):
+            vectors = sample_initial_receipts(num_uavs, 10, 0.6, rng)
+            for n in feasible_counts(num_uavs):
+                calls = 0
+                cluster_network(vectors, n, stream(10, num_uavs, "tie-break"))
+                assert calls == self.closed_form(num_uavs, n), (num_uavs, n)
 
 
 class TestFullSetRate:
