@@ -4,6 +4,10 @@ UAVs that hold near-identical packet sets cannot repair each other, so the
 initialization splits the most-similar pair into different clusters, and the
 merging rounds then pull in whichever pool UAV is most *different* from each
 cluster's combined holdings.
+
+The stages work on holdings masks (one int per UAV, bit m for packet m), so
+the walkthrough hands them each vector's ``.mask``; ``cluster_network`` takes
+the vectors themselves and returns one combined vector per cluster.
 """
 
 import numpy as np
@@ -27,17 +31,19 @@ fleet = [
 print("pairwise Hamming distances:")
 for i in range(len(fleet)):
     for j in range(i + 1, len(fleet)):
-        print(f"  uav{i} vs uav{j}: {hamming_distance(fleet[i], fleet[j])}")
+        print(f"  uav{i} vs uav{j}: {hamming_distance(fleet[i].mask, fleet[j].mask)}")
 
-members, pool = initialize_clusters(fleet, 2, stream(0, 0, "tie-break"))
+masks = [v.mask for v in fleet]
+members, pool = initialize_clusters(masks, 2, stream(0, 0, "tie-break"))
 print(f"\nseeds after pair extraction: {members}, pool: {sorted(pool)}")
 
-members, vectors, pool = merge_iteration(
-    members, [fleet[m[0]] for m in members], pool, fleet
+members, cluster_masks, pool = merge_iteration(
+    members, [masks[m[0]] for m in members], pool, masks
 )
 print("after one merging round:")
-for n, (group, vec) in enumerate(zip(members, vectors)):
-    print(f"  cluster {n}: members {group}, combined holdings {vec.bits}")
+for n, (group, mask) in enumerate(zip(members, cluster_masks)):
+    bits = IndicatorVector.from_mask(mask, 6).bits
+    print(f"  cluster {n}: members {group}, combined holdings {bits}")
 
 assignment = cluster_network(fleet, 2, stream(0, 0, "tie-break"))
 print(f"\nfinal partition: {assignment.members}")

@@ -5,6 +5,9 @@ holdings differ the most can repair each other, so near-duplicates seed
 *different* clusters and each cluster greedily absorbs the most-distant
 remaining UAV, one per cluster per round, which keeps cluster sizes within one
 of each other.
+
+The stages run on holdings masks (one int per UAV, bit m for packet m). The
+entry point ``cluster_network`` takes and returns ``IndicatorVector``s.
 """
 
 from __future__ import annotations
@@ -19,11 +22,9 @@ class InfeasibleClusterCount(ValueError):
     """Raised when the requested cluster count cannot be seeded from the fleet."""
 
 
-def hamming_distance(a: IndicatorVector, b: IndicatorVector) -> int:
-    """Number of positions where two equal-length indicator vectors differ."""
-    if a.length != b.length:
-        raise ValueError(f"length mismatch: {a.length} vs {b.length}")
-    return (a.mask ^ b.mask).bit_count()
+def hamming_distance(a: int, b: int) -> int:
+    """Number of packets held by exactly one of two holdings masks."""
+    return (a ^ b).bit_count()
 
 
 @dataclass(frozen=True)
@@ -79,17 +80,15 @@ def _check_feasible(num_uavs: int, num_clusters: int) -> None:
         )
 
 
-def _min_distance_pair(
-    vectors: Sequence[IndicatorVector], pool: set[UavId]
-) -> tuple[UavId, UavId]:
+def _min_distance_pair(masks: Sequence[int], pool: set[UavId]) -> tuple[UavId, UavId]:
     # Lexicographically smallest pair wins ties.
     candidates = sorted(pool)
     best: tuple[UavId, UavId] | None = None
     best_dist: int | None = None
     for idx, i in enumerate(candidates):
-        vector_i = vectors[i]
+        mask_i = masks[i]
         for j in candidates[idx + 1:]:
-            d = hamming_distance(vector_i, vectors[j])
+            d = hamming_distance(mask_i, masks[j])
             if best_dist is None or d < best_dist:
                 best, best_dist = (i, j), d
     assert best is not None
@@ -97,23 +96,24 @@ def _min_distance_pair(
 
 
 def initialize_clusters(
-    vectors: Sequence[IndicatorVector], num_clusters: int, rng: Rng
+    masks: Sequence[int], num_clusters: int, rng: Rng
 ) -> tuple[list[list[UavId]], set[UavId]]:
     """Seed the clusters by repeatedly extracting minimum-distance UAV pairs.
 
-    The two UAVs of each extracted pair become two singleton clusters (similar
-    UAVs must end up apart). Pair extraction always removes an even number of
-    UAVs, so an odd target first extracts one extra seed and then returns one
-    of them, chosen uniformly at random, to the pool.
+    ``masks[u]`` is UAV u's holdings mask. The two UAVs of each extracted pair
+    become two singleton clusters (similar UAVs must end up apart). Pair
+    extraction always removes an even number of UAVs, so an odd target first
+    extracts one extra seed and then returns one of them, chosen uniformly at
+    random, to the pool.
 
     Returns the singleton member lists and the pool of unassigned UAVs.
     """
-    _check_feasible(len(vectors), num_clusters)
+    _check_feasible(len(masks), num_clusters)
     need = num_clusters if num_clusters % 2 == 0 else num_clusters + 1
-    pool = set(range(len(vectors)))
+    pool = set(range(len(masks)))
     seeds: list[UavId] = []
     while len(seeds) < need:
-        i, j = _min_distance_pair(vectors, pool)
+        i, j = _min_distance_pair(masks, pool)
         pool.discard(i)
         pool.discard(j)
         seeds.extend((i, j))
@@ -125,23 +125,23 @@ def initialize_clusters(
 
 def merge_iteration(
     members: Sequence[Sequence[UavId]],
-    cluster_vectors: Sequence[IndicatorVector],
+    cluster_masks: Sequence[int],
     pool: set[UavId],
-    vectors: Sequence[IndicatorVector],
-) -> tuple[list[list[UavId]], list[IndicatorVector], set[UavId]]:
+    masks: Sequence[int],
+) -> tuple[list[list[UavId]], list[int], set[UavId]]:
     """One merging round: every cluster absorbs at most one pool UAV.
 
     Each pick takes the cluster-UAV pair with the *largest* Hamming distance
     (lexicographically smallest pair on ties), removes both from contention,
     and appends the UAV to the cluster. Distances are evaluated against the
-    vectors as they stood when the round began; the OR updates are applied in
-    one batch after the round, so earlier picks do not skew later ones.
+    cluster masks as they stood when the round began; the OR updates are
+    applied in one batch after the round, so earlier picks do not skew later
+    ones.
     """
     if not pool:
         raise ValueError("pool must be non-empty")
     new_members = [list(group) for group in members]
     new_pool = set(pool)
-    start_vectors = list(cluster_vectors)
     open_clusters = set(range(len(new_members)))
     joined: list[tuple[ClusterId, UavId]] = []
     while open_clusters and new_pool:
@@ -149,9 +149,9 @@ def merge_iteration(
         best_dist = -1
         pool_order = sorted(new_pool)
         for n in sorted(open_clusters):
-            cluster_vector = start_vectors[n]
+            cluster_mask = cluster_masks[n]
             for i in pool_order:
-                d = hamming_distance(cluster_vector, vectors[i])
+                d = hamming_distance(cluster_mask, masks[i])
                 if d > best_dist:
                     best, best_dist = (n, i), d
         assert best is not None
@@ -160,10 +160,10 @@ def merge_iteration(
         new_pool.discard(i_star)
         new_members[n_star].append(i_star)
         joined.append((n_star, i_star))
-    new_vectors = list(start_vectors)
+    new_masks = list(cluster_masks)
     for n, i in joined:
-        new_vectors[n] = new_vectors[n] | vectors[i]
-    return new_members, new_vectors, new_pool
+        new_masks[n] |= masks[i]
+    return new_members, new_masks, new_pool
 
 
 def cluster_network(
@@ -175,25 +175,29 @@ def cluster_network(
     is consumed only for the odd-count seed drop, so it may be None whenever
     ``reads_tie_break(num_clusters)`` is false. A single-cluster request
     short-circuits to "everyone together", which is what the no-clustering
-    exchange variants use.
+    exchange variants use. For every count, an empty fleet is infeasible and
+    vectors of unequal lengths raise ``ValueError``.
     """
-    if num_clusters == 1:
-        length, combined = vectors[0].length, 0
-        for v in vectors:
-            if v.length != length:
-                raise ValueError(f"length mismatch: {length} vs {v.length}")
-            combined |= v.mask
-        union = IndicatorVector.from_mask(combined, length)
-        return ClusterAssignment((tuple(range(len(vectors))),), (union,))
     if rng is None and reads_tie_break(num_clusters):
         raise ValueError(f"clustering into {num_clusters} clusters needs a tie-break stream")
-    members, pool = initialize_clusters(vectors, num_clusters, rng)
-    cluster_vectors = [vectors[group[0]] for group in members]
+    if num_clusters != 1:
+        _check_feasible(len(vectors), num_clusters)
+    elif not vectors:  # one cluster takes no seed pair, only a UAV
+        raise InfeasibleClusterCount("cannot form 1 clusters from 0 UAVs")
+    length, union = vectors[0].length, 0
+    for v in vectors:
+        if v.length != length:
+            raise ValueError(f"length mismatch: {length} vs {v.length}")
+        union |= v.mask
+    if num_clusters == 1:
+        union_vector = IndicatorVector.from_mask(union, length)
+        return ClusterAssignment((tuple(range(len(vectors))),), (union_vector,))
+    masks = [v.mask for v in vectors]
+    members, pool = initialize_clusters(masks, num_clusters, rng)
+    cluster_masks = [masks[group[0]] for group in members]
     while pool:
-        members, cluster_vectors, pool = merge_iteration(
-            members, cluster_vectors, pool, vectors
-        )
+        members, cluster_masks, pool = merge_iteration(members, cluster_masks, pool, masks)
     return ClusterAssignment(
-        tuple(tuple(group) for group in members), tuple(cluster_vectors)
+        tuple(tuple(group) for group in members),
+        tuple(IndicatorVector._from_masks(cluster_masks, length)),
     )
-

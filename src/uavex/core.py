@@ -223,7 +223,7 @@ class _SeedWords(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
             raise ValueError("block seed words serve only PCG64's generate_state(4, uint64)")
         return self.words
 

@@ -562,6 +562,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     from . import selftest
 
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     failures = selftest.run_all(seed=args.seed)
     return 0 if failures == 0 else 1
 

@@ -77,18 +77,20 @@ class RunResult:
     @classmethod
     def from_clusters(cls, results: Sequence[ClusterResult]) -> RunResult:
         results = tuple(results)
-        return cls(
-            cluster_results=results,
-            reported_exchanges=max(r.exchange_count for r in results),
-            reported_delay_us=max(r.delay_us for r in results),
-            all_completed=all(r.completed for r in results),
-        )
+        exchanges = delay = 0
+        completed = True
+        for r in results:
+            if r.exchange_count > exchanges:
+                exchanges = r.exchange_count
+            if r.delay_us > delay:
+                delay = r.delay_us
+            completed = completed and r.completed
+        return cls(results, exchanges, delay, completed)
 
     @property
     def full_cluster_fraction(self) -> float:
         """Fraction of clusters that finished with every member complete."""
-        done = sum(1 for r in self.cluster_results if r.completed)
-        return done / len(self.cluster_results)
+        return sum(r.completed for r in self.cluster_results) / len(self.cluster_results)
 
 
 def sample_initial_receipts(
@@ -113,7 +115,7 @@ def sample_initial_receipts(
 
 def run_cluster_exchange(
     members: Sequence[UavId],
-    holdings: Mapping[UavId, IndicatorVector],
+    holdings: Mapping[UavId, IndicatorVector] | Sequence[IndicatorVector],
     timing: TimingConfig,
     scheme: Scheme,
     rng: Rng | Pcg64Draws,
@@ -122,6 +124,7 @@ def run_cluster_exchange(
 ) -> ClusterResult:
     """Simulate one cluster's channel until every member is done.
 
+    ``holdings[u]`` is member u's vector, from a mapping or a sequence.
     Members that cannot complete (their cluster holds no copy of a wanted
     packet) end by declaring those packets unobtainable; that is reported in
     the result, not raised. A plain PCG64 ``rng`` ends in the state numpy's
@@ -132,7 +135,7 @@ def run_cluster_exchange(
 
 def _run_exchange(
     members: Sequence[UavId],
-    holdings: Mapping[UavId, IndicatorVector],
+    holdings: Mapping[UavId, IndicatorVector] | Sequence[IndicatorVector],
     timing: TimingConfig,
     scheme: Scheme,
     rng: Rng | Pcg64Draws,
@@ -205,9 +208,12 @@ def _exchange(
     while done < n:
         shortest = min(filter(None, requests))
         now += difs + shortest
-        if requests.count(shortest) > 1:
+        tied = requests.count(shortest)
+        if tied > 1:
             collisions += 1
-            winners = [i for i, draw in enumerate(requests) if draw == shortest]
+            winners = [requests.index(shortest)]
+            while len(winners) < tied:
+                winners.append(requests.index(shortest, winners[-1] + 1))
             frames = [full & ~(held[i] | gone[i]) for i in winners]
             if trace is not None:
                 trace.append(TraceRecord(now, order[winners[1]], "collision",
@@ -268,13 +274,8 @@ def _exchange(
     unobtainable = 0
     for mask in gone:
         unobtainable |= mask
-    return ClusterResult(
-        exchange_count=exchanges,
-        delay_us=finish,
-        completed=held.count(full) == n,
-        collision_count=collisions,
-        unobtainable=frozenset(mask_packets(unobtainable)),
-    )
+    return ClusterResult(exchanges, finish, held.count(full) == n, collisions,
+                         frozenset(mask_packets(unobtainable)))
 
 
 def clusters_for_scheme(config: ScenarioConfig) -> int:
@@ -321,15 +322,8 @@ def run_scenario(
         # The backoff stream is seeded just now and dropped after the exchange,
         # so its draw source starts empty and never writes back.
         backoff = core.stream(seed, run_index, f"backoff/{cluster_id}", block=block)
-        results.append(
-            run_cluster_exchange(
-                group,
-                {u: receipts[u] for u in group},
-                timing,
-                config.scheme,
-                Pcg64Draws.fresh(backoff.bit_generator),
-                trace=trace,
-                cluster_id=cluster_id,
-            )
-        )
+        results.append(run_cluster_exchange(
+            group, receipts, timing, config.scheme, Pcg64Draws.fresh(backoff.bit_generator),
+            trace, cluster_id,
+        ))
     return RunResult.from_clusters(results)

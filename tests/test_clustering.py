@@ -27,10 +27,19 @@ WALKTHROUGH_VECTORS = [
     IndicatorVector((0, 0, 1, 0, 1, 0)),
     IndicatorVector((1, 1, 0, 1, 0, 1)),
 ]
+WALKTHROUGH_MASKS = [v.mask for v in WALKTHROUGH_VECTORS]
 
 
 def iv(*bits):
     return IndicatorVector(tuple(bits))
+
+
+def mask(*bits):
+    return iv(*bits).mask
+
+
+def random_masks(rng, num_uavs, num_packets):
+    return [mask(*rng.integers(0, 2, num_packets)) for _ in range(num_uavs)]
 
 
 def feasible_counts(num_uavs):
@@ -40,26 +49,22 @@ def feasible_counts(num_uavs):
 
 class TestHammingDistance:
     def test_worked_example(self):
-        assert hamming_distance(iv(1, 0, 0, 1, 0, 0), iv(0, 1, 0, 0, 1, 0)) == 4
+        assert hamming_distance(mask(1, 0, 0, 1, 0, 0), mask(0, 1, 0, 0, 1, 0)) == 4
 
     def test_zero_on_identical(self):
-        v = iv(1, 0, 1, 1, 0, 0)
-        assert hamming_distance(v, v) == 0
+        m = mask(1, 0, 1, 1, 0, 0)
+        assert hamming_distance(m, m) == 0
 
     def test_maximal(self):
-        assert hamming_distance(IndicatorVector.ones(6), IndicatorVector.from_mask(0, 6)) == 6
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            hamming_distance(iv(1, 0), iv(1, 0, 0))
+        assert hamming_distance(IndicatorVector.ones(6).mask, 0) == 6
 
     def test_symmetric_random(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             a = iv(*rng.integers(0, 2, 8))
             b = iv(*rng.integers(0, 2, 8))
-            assert hamming_distance(a, b) == hamming_distance(b, a)
-            assert hamming_distance(a, b) == ref_hamming(a.bits, b.bits)
+            assert hamming_distance(a.mask, b.mask) == hamming_distance(b.mask, a.mask)
+            assert hamming_distance(a.mask, b.mask) == ref_hamming(a.bits, b.bits)
 
     @given(
         st.integers(1, 80).flatmap(
@@ -69,7 +74,7 @@ class TestHammingDistance:
     def test_matches_reference_across_word_sizes(self, pair):
         # Lengths 1..80 span 64 bits, where a fixed-width mask would wrap.
         a, b = (tuple(bits) for bits in pair)
-        assert hamming_distance(IndicatorVector(a), IndicatorVector(b)) == ref_hamming(a, b)
+        assert hamming_distance(IndicatorVector(a).mask, IndicatorVector(b).mask) == ref_hamming(a, b)
 
 
 class TestInitializeClusters:
@@ -77,26 +82,25 @@ class TestInitializeClusters:
         # Exhaustive check of all six pairwise distances picks the unique
         # minimum-distance pair, which must seed the two clusters.
         dists = {
-            (i, j): hamming_distance(WALKTHROUGH_VECTORS[i], WALKTHROUGH_VECTORS[j])
+            (i, j): hamming_distance(WALKTHROUGH_MASKS[i], WALKTHROUGH_MASKS[j])
             for i in range(4)
             for j in range(i + 1, 4)
         }
         expected_pair = min(dists, key=lambda p: (dists[p], p))
-        members, pool = initialize_clusters(WALKTHROUGH_VECTORS, 2, stream(0, 0, "tie-break"))
+        members, pool = initialize_clusters(WALKTHROUGH_MASKS, 2, stream(0, 0, "tie-break"))
         assert members == [[expected_pair[0]], [expected_pair[1]]]
         assert expected_pair == (0, 1)  # frozen from the exhaustive enumeration
         assert pool == {2, 3}
 
     def test_two_uavs_two_clusters(self):
-        vectors = [iv(1, 0), iv(0, 1)]
-        members, pool = initialize_clusters(vectors, 2, stream(0, 0, "tie-break"))
+        members, pool = initialize_clusters([mask(1, 0), mask(0, 1)], 2, stream(0, 0, "tie-break"))
         assert sorted(m[0] for m in members) == [0, 1]
         assert pool == set()
 
     def test_odd_target_returns_one_seed_to_pool(self):
         rng = np.random.default_rng(1)
-        vectors = [iv(*rng.integers(0, 2, 6)) for _ in range(5)]
-        members, pool = initialize_clusters(vectors, 3, stream(0, 0, "tie-break"))
+        masks = random_masks(rng, 5, 6)
+        members, pool = initialize_clusters(masks, 3, stream(0, 0, "tie-break"))
         assert len(members) == 3
         assert all(len(m) == 1 for m in members)
         assert len(pool) == 2
@@ -105,77 +109,76 @@ class TestInitializeClusters:
         assert seeds | pool == set(range(5))
 
     def test_odd_drop_is_uniform_over_seeds(self):
-        # With four identical vectors every seed is equally likely to drop.
-        vectors = [iv(1, 0, 1)] * 4
+        # With four identical masks every seed is equally likely to drop.
+        masks = [mask(1, 0, 1)] * 4
         drops = []
         for k in range(400):
-            members, pool = initialize_clusters(vectors, 3, stream(17, k, "tie-break"))
+            members, pool = initialize_clusters(masks, 3, stream(17, k, "tie-break"))
             (dropped,) = pool  # seed order is 0,1,2,3; exactly one returns
             drops.append(dropped)
         counts = np.bincount(drops, minlength=4)
         assert counts.min() > 50  # roughly uniform over the four seeds
 
     def test_infeasible_counts(self):
-        vectors = [iv(1, 0)] * 4
         with pytest.raises(InfeasibleClusterCount):
-            initialize_clusters(vectors, 5, stream(0, 0, "tie-break"))
+            initialize_clusters([mask(1, 0)] * 4, 5, stream(0, 0, "tie-break"))
         with pytest.raises(InfeasibleClusterCount):
             # Odd target needs one extra seed beyond the fleet size.
-            initialize_clusters([iv(1, 0)] * 3, 3, stream(0, 0, "tie-break"))
+            initialize_clusters([mask(1, 0)] * 3, 3, stream(0, 0, "tie-break"))
 
 
 class TestMergeIteration:
-    def _singletons(self, vectors, seeds):
-        return [[s] for s in seeds], [vectors[s] for s in seeds]
+    def _singletons(self, masks, seeds):
+        return [[s] for s in seeds], [masks[s] for s in seeds]
 
     def test_each_cluster_gains_one_with_big_pool(self):
         rng = np.random.default_rng(2)
-        vectors = [iv(*rng.integers(0, 2, 6)) for _ in range(8)]
-        members, cluster_vectors = self._singletons(vectors, [0, 1, 2])
+        masks = random_masks(rng, 8, 6)
+        members, cluster_masks = self._singletons(masks, [0, 1, 2])
         new_members, _, pool = merge_iteration(
-            members, cluster_vectors, {3, 4, 5, 6, 7}, vectors
+            members, cluster_masks, {3, 4, 5, 6, 7}, masks
         )
         assert all(len(m) == 2 for m in new_members)
         assert len(pool) == 2
 
     def test_pool_exhausts_mid_round(self):
         rng = np.random.default_rng(3)
-        vectors = [iv(*rng.integers(0, 2, 6)) for _ in range(5)]
-        members, cluster_vectors = self._singletons(vectors, [0, 1, 2])
-        new_members, _, pool = merge_iteration(members, cluster_vectors, {3, 4}, vectors)
+        masks = random_masks(rng, 5, 6)
+        members, cluster_masks = self._singletons(masks, [0, 1, 2])
+        new_members, _, pool = merge_iteration(members, cluster_masks, {3, 4}, masks)
         assert sorted(len(m) for m in new_members) == [1, 2, 2]
         assert pool == set()
 
     def test_picks_most_distant_uav(self):
-        vectors = [
-            iv(1, 0, 0, 1, 0, 0),  # the lone cluster
-            iv(0, 1, 0, 0, 1, 0),  # distance 4
-            iv(1, 0, 0, 0, 0, 0),  # distance 1
+        masks = [
+            mask(1, 0, 0, 1, 0, 0),  # the lone cluster
+            mask(0, 1, 0, 0, 1, 0),  # distance 4
+            mask(1, 0, 0, 0, 0, 0),  # distance 1
         ]
-        members, vecs, pool = merge_iteration([[0]], [vectors[0]], {1, 2}, vectors)
+        members, _, pool = merge_iteration([[0]], [masks[0]], {1, 2}, masks)
         assert members[0] == [0, 1]
         assert pool == {2}
 
-    def test_distances_use_round_start_vectors(self):
+    def test_distances_use_round_start_masks(self):
         # Two clusters, two pool UAVs. Cluster 0 absorbs UAV 2 first; if its
-        # vector updated immediately, UAV 3 would look closer to cluster 0
-        # than it does against the round-start vector.
-        vectors = [
-            iv(0, 0, 0, 0),  # cluster 0 seed
-            iv(1, 1, 1, 0),  # cluster 1 seed
-            iv(1, 1, 1, 1),  # picked first by cluster 0 (distance 4)
-            iv(1, 1, 0, 0),  # then cluster 1 must take this one
+        # mask updated immediately, UAV 3 would look closer to cluster 0
+        # than it does against the round-start mask.
+        masks = [
+            mask(0, 0, 0, 0),  # cluster 0 seed
+            mask(1, 1, 1, 0),  # cluster 1 seed
+            mask(1, 1, 1, 1),  # picked first by cluster 0 (distance 4)
+            mask(1, 1, 0, 0),  # then cluster 1 must take this one
         ]
-        members, vecs, _ = merge_iteration(
-            [[0], [1]], [vectors[0], vectors[1]], {2, 3}, vectors
+        members, cluster_masks, _ = merge_iteration(
+            [[0], [1]], [masks[0], masks[1]], {2, 3}, masks
         )
         assert members == [[0, 2], [1, 3]]
-        assert vecs[0] == iv(1, 1, 1, 1)
-        assert vecs[1] == iv(1, 1, 1, 0)
+        assert cluster_masks[0] == mask(1, 1, 1, 1)
+        assert cluster_masks[1] == mask(1, 1, 1, 0)
 
     def test_requires_non_empty_pool(self):
         with pytest.raises(ValueError):
-            merge_iteration([[0]], [iv(1, 0)], set(), [iv(1, 0)])
+            merge_iteration([[0]], [mask(1, 0)], set(), [mask(1, 0)])
 
 
 class TestClusterNetwork:
@@ -227,6 +230,24 @@ class TestClusterNetwork:
             cluster_network(vectors, 1, None)
         assert str(united.value) == str(folded.value) == message
 
+    @pytest.mark.parametrize("num_clusters", [1, 2, 3])
+    @pytest.mark.parametrize("lengths, message", [
+        ((6, 5, 5, 5), "length mismatch: 6 vs 5"),
+        ((6, 6, 7, 6), "length mismatch: 6 vs 7"),
+        ((3, 3, 3, 4, 2), "length mismatch: 3 vs 4"),
+    ])
+    def test_mixed_lengths_raise_for_every_count(self, num_clusters, lengths, message):
+        vectors = [IndicatorVector.ones(n) for n in lengths]
+        with pytest.raises(ValueError) as raised:
+            cluster_network(vectors, num_clusters, stream(0, 0, "tie-break"))
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("num_clusters", [1, 2, 3, 4])
+    def test_empty_fleet_is_infeasible_for_every_count(self, num_clusters):
+        with pytest.raises(InfeasibleClusterCount,
+                           match=f"^cannot form {num_clusters} clusters from 0 UAVs$"):
+            cluster_network([], num_clusters, stream(0, 0, "tie-break"))
+
     def test_determinism(self):
         rng = np.random.default_rng(4)
         vectors = [iv(*rng.integers(0, 2, 8)) for _ in range(9)]
@@ -250,16 +271,16 @@ class TestClusterNetwork:
 
     def test_monotone_union_across_rounds(self):
         rng = np.random.default_rng(6)
-        vectors = [iv(*rng.integers(0, 2, 10)) for _ in range(12)]
-        members, pool = initialize_clusters(vectors, 4, stream(0, 0, "tie-break"))
-        cluster_vectors = [vectors[m[0]] for m in members]
+        masks = random_masks(rng, 12, 10)
+        members, pool = initialize_clusters(masks, 4, stream(0, 0, "tie-break"))
+        cluster_masks = [masks[m[0]] for m in members]
         while pool:
-            new_members, new_vectors, pool = merge_iteration(
-                members, cluster_vectors, pool, vectors
+            new_members, new_masks, pool = merge_iteration(
+                members, cluster_masks, pool, masks
             )
-            for old, new in zip(cluster_vectors, new_vectors):
-                assert all(n >= o for o, n in zip(old.bits, new.bits))
-            members, cluster_vectors = new_members, new_vectors
+            for old, new in zip(cluster_masks, new_masks):
+                assert old & ~new == 0  # no held packet is lost
+            members, cluster_masks = new_members, new_masks
 
     def test_oracle_equivalence_small_instances(self):
         rng = np.random.default_rng(7)

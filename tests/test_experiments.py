@@ -597,3 +597,13 @@ class TestCli:
             "FAIL: clustering invariants: fleet 0: planted"
         ]
         assert sum(line.startswith("PASS: ") for line in lines) == 4
+
+    def test_selftest_negative_seed_exits_one_before_any_check(self, capsys, monkeypatch):
+        def never(seed=0):
+            raise AssertionError("no check may run")
+
+        monkeypatch.setattr(selftest, "run_all", never)
+        assert cli_main(["selftest", "--seed", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --seed must be a non-negative integer, got -1\n"
