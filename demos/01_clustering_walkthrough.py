@@ -28,12 +28,12 @@ fleet = [
     IndicatorVector((1, 1, 0, 1, 0, 1)),
 ]
 
+masks = [v.mask for v in fleet]
 print("pairwise Hamming distances:")
 for i in range(len(fleet)):
     for j in range(i + 1, len(fleet)):
-        print(f"  uav{i} vs uav{j}: {hamming_distance(fleet[i].mask, fleet[j].mask)}")
+        print(f"  uav{i} vs uav{j}: {hamming_distance(masks[i], masks[j])}")
 
-masks = [v.mask for v in fleet]
 members, pool = initialize_clusters(masks, 2, stream(0, 0, "tie-break"))
 print(f"\nseeds after pair extraction: {members}, pool: {sorted(pool)}")
 

@@ -159,7 +159,7 @@ class TestMergeIteration:
         assert members[0] == [0, 1]
         assert pool == {2}
 
-    def test_distances_use_round_start_masks(self):
+    def test_distances_use_round_start_vectors(self):
         # Two clusters, two pool UAVs. Cluster 0 absorbs UAV 2 first; if its
         # mask updated immediately, UAV 3 would look closer to cluster 0
         # than it does against the round-start mask.
