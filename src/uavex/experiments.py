@@ -24,7 +24,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from . import core  # core.stream is read at call time, so rebinding it reaches every call
-from .clustering import InfeasibleClusterCount, cluster_network, reads_tie_break
+from .clustering import InfeasibleClusterCount, _check_feasible, cluster_network, reads_tie_break
 from .core import IndicatorVector, ScenarioConfig, Scheme
 from .mac import TimingConfig
 from .protocol import trace_line
@@ -124,55 +124,51 @@ def _run_receipts(
     )
 
 
-def _full_set_fractions(
-    config: ScenarioConfig, counts: Sequence[int | ValueError], runs: int
-) -> list[np.ndarray | ValueError]:
-    """Per-run full-cluster fraction of ``config``'s fleet at each cluster count.
+def _checked_count(base: ScenarioConfig, value: object) -> int:
+    """``value`` as a cluster count of ``base``'s fleet; ValueError if it is infeasible.
 
-    A count given as an error is passed through. A count that clustering
-    finds infeasible gives its ``InfeasibleClusterCount`` and is not
-    clustered again.
-
-    A run's tie-break stream is derived at its first count that reads one,
-    and every further such count reads it again from the start, as a fresh
-    derivation would give it. Counts that read none leave it untouched.
+    Feasibility depends on the fleet size and the count alone, so it is
+    decided before any run: a count outside [1, U] fails the config, and an
+    odd count with no spare seed UAV fails clustering's check.
     """
-    outcomes: list = [n if isinstance(n, ValueError) else np.empty(runs) for n in counts]
-    live = [i for i, n in enumerate(counts) if not isinstance(n, ValueError)]
+    num_clusters = replace(base, num_clusters=int(value)).num_clusters
+    if num_clusters != 1:
+        _check_feasible(base.num_uavs, num_clusters)
+    return num_clusters
+
+
+def _full_set_fractions(
+    config: ScenarioConfig, counts: Sequence[int], runs: int
+) -> list[np.ndarray]:
+    """Per-run full-cluster fraction of ``config``'s fleet at each feasible cluster count.
+
+    Each count that reads a tie-break stream derives the run's stream just
+    before clustering, as ``run_scenario`` does, so every such count starts
+    from the same stream. No counts, no runs: nothing is sampled.
+    """
+    fractions = [np.empty(runs) for _ in counts]
     labels = ["bs-delivery"]
-    if any(reads_tie_break(counts[i]) for i in live):
+    if any(reads_tie_break(n) for n in counts):
         labels.append("tie-break")
-    for k, block in _blocks(config.seed, runs, labels):
-        if not live:
-            break
+    for k, block in _blocks(config.seed, runs if counts else 0, labels):
         receipts = _run_receipts(config, k, block)
-        tie_break = None
-        for i in list(live):
-            if reads_tie_break(counts[i]):
-                if tie_break is None:
-                    tie_break = core.stream(config.seed, k, "tie-break", block=block)
-                    start = tie_break.bit_generator.state
-                else:
-                    tie_break.bit_generator.state = start
-            try:
-                assignment = cluster_network(receipts, counts[i], tie_break)
-            except InfeasibleClusterCount as exc:
-                outcomes[i] = exc
-                live.remove(i)
-                continue
-            outcomes[i][k] = assignment.full_cluster_count() / assignment.num_clusters
-    return outcomes
+        for num_clusters, fraction in zip(counts, fractions):
+            tie_break = (
+                core.stream(config.seed, k, "tie-break", block=block)
+                if reads_tie_break(num_clusters) else None
+            )
+            assignment = cluster_network(receipts, num_clusters, tie_break)
+            fraction[k] = assignment.full_cluster_count() / assignment.num_clusters
+    return fractions
 
 
 def full_set_rate_samples(config: ScenarioConfig, runs: int) -> np.ndarray:
     """Per-run fraction of clusters whose combined holdings are complete.
 
-    Runs the clustering stage only; no exchange is simulated.
+    Runs the clustering stage only; no exchange is simulated. An infeasible
+    cluster count raises ``InfeasibleClusterCount`` before any run.
     """
-    (fractions,) = _full_set_fractions(config, [config.num_clusters], runs)
-    if isinstance(fractions, InfeasibleClusterCount):
-        raise fractions
-    return fractions
+    return _full_set_fractions(config, [_checked_count(config, config.num_clusters)], runs)[0]
 
 
 def _scheme_samples(
@@ -230,15 +226,19 @@ def sweep_full_set_rate(spec: SweepSpec) -> list[AggregateRow]:
     counts: list[int | ValueError] = []
     for value in spec.values:
         try:
-            counts.append(replace(spec.base, num_clusters=int(value)).num_clusters)  # N > U fails
+            counts.append(_checked_count(spec.base, value))
         except ValueError as exc:
             counts.append(exc)
+    fractions = iter(_full_set_fractions(
+        spec.base, [n for n in counts if not isinstance(n, ValueError)], spec.runs
+    ))
     rows = []
-    for value, fractions in zip(spec.values, _full_set_fractions(spec.base, counts, spec.runs)):
+    for value, num_clusters in zip(spec.values, counts):
         tag = f"rho={spec.base.delivery_rate:g};N={int(value)}"
-        if isinstance(fractions, ValueError):
-            rows.append(skipped(tag, fractions))
+        if isinstance(num_clusters, ValueError):
+            rows.append(skipped(tag, num_clusters))
             continue
+        fraction = next(fractions)
         rows.append(
             AggregateRow(
                 param=tag,
@@ -247,8 +247,8 @@ def sweep_full_set_rate(spec: SweepSpec) -> list[AggregateRow]:
                 sd_exchanges=None,
                 mean_delay_us=None,
                 sd_delay_us=None,
-                full_set_rate=float(fractions.mean()),
-                completion_rate=float((fractions == 1.0).mean()),
+                full_set_rate=float(fraction.mean()),
+                completion_rate=float((fraction == 1.0).mean()),
                 runs=spec.runs,
                 seed=spec.base.seed,
             )
@@ -343,17 +343,17 @@ def _parse_cluster_values(text: str) -> list[int]:
     return values
 
 
-def _parse_rho_values(text: str) -> list[float]:
-    """Accept a comma list of delivery rates, '0.5,0.7'."""
-    rhos = []
+def _parse_list(text: str, flag: str, kind: type, what: str) -> list:
+    """A comma list of ``kind`` values; otherwise a ValueError naming ``flag`` and the item."""
+    values = []
     for item in text.split(","):
         try:
-            rhos.append(float(item))
+            values.append(kind(item))
         except ValueError:
             raise ValueError(
-                f"--rhos takes a comma list of delivery rates; {item!r} in {text!r} is not a number"
+                f"{flag} takes a comma list of {what}; {item!r} in {text!r} is not one"
             ) from None
-    return rhos
+    return values
 
 
 def _load_config_file(path: str) -> dict:
@@ -432,9 +432,9 @@ def _scenario_from(settings: dict, num_clusters: int) -> ScenarioConfig:
         num_packets=_setting("num_packets", settings["num_packets"], int),
         delivery_rate=_setting("delivery_rate", settings["delivery_rate"], float),
         num_clusters=num_clusters,
-        scheme=_setting("scheme", settings.get("scheme", "proposed"), Scheme),
-        seed=_setting("seed", settings.get("seed", 0), int),
-        runs=_setting("runs", settings.get("runs", 500), int),
+        scheme=_setting("scheme", settings["scheme"], Scheme),
+        seed=_setting("seed", settings["seed"], int),
+        runs=_setting("runs", settings["runs"], int),
     )
 
 
@@ -504,7 +504,7 @@ def _cmd_full_set_rate(args: argparse.Namespace) -> int:
     else:
         cluster_values = [_cluster_count(None, settings)]
     if args.rhos:
-        rhos = _parse_rho_values(args.rhos)
+        rhos = _parse_list(args.rhos, "--rhos", float, "delivery rates")
     elif "delivery_rate" in settings:
         rhos = [_setting("delivery_rate", settings["delivery_rate"], float)]
     else:
@@ -525,8 +525,9 @@ def _cmd_full_set_rate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     settings, timing = _gather_settings(args)
     base = _scenario_from(settings, num_clusters=_cluster_count(args.clusters, settings))
-    schemes = tuple(Scheme(s) for s in args.schemes.split(","))
-    spec = SweepSpec(base, "scheme", schemes, runs=base.runs)
+    choices = ", ".join(scheme.value for scheme in Scheme)
+    schemes = _parse_list(args.schemes, "--schemes", Scheme, f"scheme names ({choices})")
+    spec = SweepSpec(base, "scheme", tuple(schemes), runs=base.runs)
     rows = compare_schemes(spec, timing=timing)
     _emit(rows_to_csv(rows), args.out)
     return 0
@@ -534,7 +535,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     settings, timing = _gather_settings(args)
-    seed = _setting("seed", settings.get("seed", 0), int)
+    seed = _setting("seed", settings["seed"], int)
     if args.fig1:
         trace, result = _fig1_trace(timing, seed)
         results = [result]

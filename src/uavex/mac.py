@@ -5,11 +5,12 @@ subwindows as there are packets in the scenario. A node whose stake is
 ``m`` relevant packets (lost packets for a requester, suppliable packets for
 a replier) draws uniformly inside subwindow ``M - m + 1``, so a higher stake
 always yields a strictly shorter backoff than a lower one. Each draw takes
-its bounds from two integer divisions. On a plain PCG64 generator the engine
-draws through ``Pcg64Draws``, which replays numpy's bounded-int algorithm over
-the generator's raw words; the draw functions run its 32-bit step, which
-serves every span from 2 to 2**32, in their own frame, and make one
-``integers(low, high)`` call for any other span or rng.
+its bounds from two integer divisions. A scenario run hands the engine a
+``Pcg64Draws`` over each just-derived backoff stream, which replays numpy's
+bounded-int algorithm over the stream's raw words; the draw functions run its
+32-bit step, which serves every span from 2 to 2**32, in their own frame, and
+make one ``integers(low, high)`` call for any other span or rng, a plain
+``Generator`` included.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ def draw_backoff(num_packets: int, relevant_count: int, window_us: int, rng: Rng
     high = (prior + 1) * window_us // num_packets + 1
     span = high - low
     if type(rng) is Pcg64Draws and 1 < span <= 1 << 32 and high <= 1 << 63:
-        # Pcg64Draws.integers' 32-bit step, inlined: a method call per draw
-        # would cost a second Python frame on the engine's hottest path.
+        # Pcg64Draws.integers' 32-bit step over _next32, inlined: a method call
+        # per draw would cost a second Python frame on the engine's hottest path.
         if rng.has_uint32:
             rng.has_uint32 = 0
             m = rng.uinteger * span
@@ -142,46 +143,28 @@ class Pcg64Draws:
     in ``has_uint32``/``uinteger``; wider spans on whole raw words. (numpy
     returns a bare word for a span of exactly 2**32 or 2**64, which is what
     the method gives there too.) This does the same in Python, one raw word
-    at a time, so each result, each error and the generator's position match
-    numpy's draw for draw, without numpy's per-call overhead; backoff values
-    then rest on PCG64's raw output, not on numpy's choice of draw algorithm.
-    The pending half-word is held here until ``write_back`` returns it to the
-    generator's state.
+    at a time, so each result, each error and the word position match numpy's
+    draw for draw on a twin generator, without numpy's per-call overhead;
+    backoff values then rest on PCG64's raw output, not on numpy's choice of
+    draw algorithm.
+
+    The source starts with no pending half-word, as a PCG64 seeded just now
+    does, and reads nothing from the generator's state; it keeps its pending
+    half-word to itself, so the generator should be drawn from through this
+    source alone.
     """
 
-    __slots__ = ("bit_generator", "_raw", "has_uint32", "uinteger")
+    __slots__ = ("_raw", "has_uint32", "uinteger")
 
-    def __init__(
-        self, bit_generator: np.random.PCG64, pending: tuple[int, int] | None = None
-    ) -> None:
-        """``pending`` is ``(has_uint32, uinteger)``; read from the state when not given."""
-        if pending is None:
-            state = bit_generator.state
-            pending = state["has_uint32"], state["uinteger"]
-        self.bit_generator = bit_generator
+    def __init__(self, bit_generator: np.random.PCG64) -> None:
         self._raw = bit_generator.random_raw
-        self.has_uint32, self.uinteger = pending
-
-    @classmethod
-    def fresh(cls, bit_generator: np.random.PCG64) -> Pcg64Draws:
-        """Source over a PCG64 seeded just now, which holds no pending half-word.
-
-        Nothing is read from the state (a read costs a few microseconds).
-        """
-        return cls(bit_generator, (0, 0))
+        self.has_uint32 = self.uinteger = 0
 
     def integers(self, low: int, high: int) -> int:
         """A uniform int in [low, high), as ``Generator.integers(low, high)`` would draw it."""
         span = high - low
         if 1 < span <= 1 << 32 and low >= -(1 << 63) and high <= 1 << 63:
-            if self.has_uint32:  # _next32, inlined: this is the per-draw path
-                self.has_uint32 = 0
-                m = self.uinteger * span
-            else:
-                word = self._raw()
-                self.has_uint32 = 1
-                self.uinteger = word >> 32
-                m = (word & 0xFFFF_FFFF) * span
+            m = self._next32() * span
             if (m & 0xFFFF_FFFF) < span:
                 threshold = (1 << 32) % span
                 while (m & 0xFFFF_FFFF) < threshold:
@@ -210,24 +193,6 @@ class Pcg64Draws:
         self.has_uint32 = 1
         self.uinteger = word >> 32
         return word & 0xFFFF_FFFF
-
-    def write_back(self) -> None:
-        """Store the pending half-word in the generator's state, where numpy keeps it.
-
-        numpy leaves ``uinteger`` as it was once the half-word is used, so it
-        is written back as is, stale or not.
-        """
-        state = self.bit_generator.state
-        state["has_uint32"] = self.has_uint32
-        state["uinteger"] = self.uinteger
-        self.bit_generator.state = state
-
-
-def draw_source(rng: Rng) -> Rng | Pcg64Draws:
-    """The fast draw source over a plain PCG64 ``Generator``; any other rng unchanged."""
-    if type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64:
-        return Pcg64Draws(rng.bit_generator)
-    return rng
 
 
 def frame_duration(kind: FrameKind, data_packet_count: int, timing: TimingConfig) -> int:

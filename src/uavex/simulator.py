@@ -39,7 +39,7 @@ import numpy as np
 from . import core  # core.stream is read at call time, so rebinding it reaches every call
 from .clustering import cluster_network, reads_tie_break
 from .core import IndicatorVector, Rng, ScenarioConfig, Scheme, UavId, mask_packets
-from .mac import FrameKind, Pcg64Draws, TimingConfig, draw_source, frame_duration
+from .mac import FrameKind, Pcg64Draws, TimingConfig, frame_duration
 from .protocol import (
     TraceRecord,
     absorb_reply,
@@ -127,8 +127,10 @@ def run_cluster_exchange(
     ``holdings[u]`` is member u's vector, from a mapping or a sequence.
     Members that cannot complete (their cluster holds no copy of a wanted
     packet) end by declaring those packets unobtainable; that is reported in
-    the result, not raised. A plain PCG64 ``rng`` ends in the state numpy's
-    own draws would leave; a ``Pcg64Draws`` is drawn from and left as it is.
+    the result, not raised. Draws come from ``rng`` as given: a ``Pcg64Draws``
+    through its raw-word step, anything else, a plain ``Generator`` included,
+    through its own ``integers``, so a ``Generator`` ends where numpy's draws
+    leave it.
     """
     return _run_exchange(members, holdings, timing, scheme, rng, trace, cluster_id)[0]
 
@@ -162,17 +164,9 @@ def _run_exchange(
             f"contention window of {timing.cw_total_us} us is too long: "
             f"cw_total_us must be below 2**63"
         )
-    source = draw_source(rng)
     held = [holdings[u].mask for u in order]
-    try:
-        result = _exchange(order, held, num_packets, timing, scheme.uses_priority_backoff,
-                           source, trace, cluster_id)
-    finally:
-        # A source wrapped here hands its pending half-word back to the
-        # caller's generator; a source handed in stays the caller's.
-        if source is not rng:
-            source.write_back()
-    return result, held
+    return _exchange(order, held, num_packets, timing, scheme.uses_priority_backoff,
+                     rng, trace, cluster_id), held
 
 
 @lru_cache(maxsize=64)
@@ -319,11 +313,10 @@ def run_scenario(
     assignment = cluster_network(receipts, num_clusters, tie_break)
     results = []
     for cluster_id, group in enumerate(assignment.members):
-        # The backoff stream is seeded just now and dropped after the exchange,
-        # so its draw source starts empty and never writes back.
+        # The backoff stream is seeded just now and drawn only through this source.
         backoff = core.stream(seed, run_index, f"backoff/{cluster_id}", block=block)
         results.append(run_cluster_exchange(
-            group, receipts, timing, config.scheme, Pcg64Draws.fresh(backoff.bit_generator),
+            group, receipts, timing, config.scheme, Pcg64Draws(backoff.bit_generator),
             trace, cluster_id,
         ))
     return RunResult.from_clusters(results)

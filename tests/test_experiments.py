@@ -270,15 +270,16 @@ class TestReceiptsSampledOncePerRun:
         assert calls == [(8, 5, 0.6)] * 4
 
     def test_sampling_stops_once_every_count_is_infeasible(self, monkeypatch):
-        # At U=3, N=5 fails the config and the odd N=3 fails run 0's clustering.
+        # At U=3, N=5 fails the config and the odd N=3 fails clustering's
+        # check, both before any run.
         calls = self._sampling_calls(monkeypatch)
         spec = SweepSpec(base_config(num_uavs=3), "num_clusters", (3, 5), runs=4)
         rows, _ = outcome_and_stderr(sweep_full_set_rate, spec)
         assert [row.runs for row in rows] == [0, 0]
-        assert calls == [(3, 5, 0.6)]
+        assert calls == []
         spec = SweepSpec(base_config(num_uavs=3), "num_clusters", (5,), runs=4)
         outcome_and_stderr(sweep_full_set_rate, spec)
-        assert calls == [(3, 5, 0.6)]
+        assert calls == []
 
 
 class TestCsv:
@@ -489,6 +490,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--rhos" in err
         assert repr(bad) in err
+
+    @pytest.mark.parametrize("schemes, bad", [("bogus", "bogus"),
+                                              ("proposed,,baseline_csma", "")])
+    def test_unknown_scheme_names_the_flag_item_and_choices(self, schemes, bad, capsys):
+        code = cli_main([
+            "compare", "--uavs", "6", "--packets", "4", "--rho", "0.7",
+            "--clusters", "2", "--runs", "2", "--schemes", schemes,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--schemes" in err
+        assert repr(bad) in err
+        assert all(scheme.value in err for scheme in Scheme)
 
     SCENARIO_FLAGS = {
         "compare": ["--runs", "3"],

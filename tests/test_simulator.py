@@ -715,12 +715,24 @@ class TestBackoffStreamConsumption:
         assert ([sum(draws) for draws, _ in per_run], digest) == REF20_RUNS[scheme]
 
 
-def _exchanges_on_both_paths(config, run_index, timing=TIMING):
-    """Each cluster's exchange on a bare ``Generator`` and through ``_CountingRng``.
+def _numpy_position(rng):
+    """Where a ``Generator`` stands: PCG64's state and numpy's pending half-word."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"], state["uinteger"]
 
-    A bare PCG64 generator takes the engine's raw-word draw source; the proxy
-    keeps numpy's own ``integers``. Returns (fast, slow) lists of the result,
-    the trace lines and the end state of each ``backoff/<cluster>`` stream.
+
+def _source_position(source, bit_generator):
+    """Where a ``Pcg64Draws`` over ``bit_generator`` stands, as ``_numpy_position`` tells it."""
+    return bit_generator.state["state"], source.has_uint32, source.uinteger
+
+
+def _exchanges_on_both_paths(config, run_index, timing=TIMING):
+    """Each cluster's exchange through ``Pcg64Draws`` and on the bare ``Generator``.
+
+    Both paths draw from their own copy of the ``backoff/<cluster>`` stream:
+    the source through the engine's inlined raw-word step, the generator
+    through numpy's own ``integers``. Returns (fast, slow) lists of the
+    result, the trace lines and the end position of the stream.
     """
     seed = config.seed
     receipts = sample_initial_receipts(
@@ -732,12 +744,15 @@ def _exchanges_on_both_paths(config, run_index, timing=TIMING):
     )
     paths = ([], [])
     for cluster_id, group in enumerate(assignment.members):
-        for outcomes, wrap in zip(paths, (lambda rng: rng, _CountingRng)):
-            rng = stream(seed, run_index, f"backoff/{cluster_id}")
+        ours, theirs = (stream(seed, run_index, f"backoff/{cluster_id}") for _ in range(2))
+        source = Pcg64Draws(ours.bit_generator)
+        for outcomes, rng in zip(paths, (source, theirs)):
             trace = []
             result = run_cluster_exchange(group, {u: receipts[u] for u in group}, timing,
-                                          config.scheme, wrap(rng), trace=trace)
-            outcomes.append((result, [trace_line(r) for r in trace], rng.bit_generator.state))
+                                          config.scheme, rng, trace=trace)
+            end = (_numpy_position(theirs) if rng is theirs
+                   else _source_position(source, ours.bit_generator))
+            outcomes.append((result, [trace_line(r) for r in trace], end))
     return paths
 
 
@@ -825,37 +840,37 @@ class _StateCounter:
 
 
 class TestBackoffSourceOwnership:
-    """A run's own backoff stream is drawn without touching its state; a caller's gets it back."""
+    """Backoff streams are drawn without touching their state; a ``Generator`` as numpy draws."""
 
     @pytest.mark.parametrize("label", ["backoff/0", "backoff/5", "tie-break"])
     def test_a_just_derived_stream_holds_no_half_word(self, label):
         state = stream(7, 3, label).bit_generator.state
         assert (state["has_uint32"], state["uinteger"]) == (0, 0)
 
-    def test_fresh_source_reads_no_state_and_draws_as_a_state_read_one(self):
+    def test_source_reads_no_state_and_draws_as_a_just_derived_generator(self):
         counted = _StateCounter(stream(7, 3, "backoff/0").bit_generator)
-        fresh = Pcg64Draws.fresh(counted)
-        read = Pcg64Draws(stream(7, 3, "backoff/0").bit_generator)
-        assert (fresh.has_uint32, fresh.uinteger) == (read.has_uint32, read.uinteger)
+        source = Pcg64Draws(counted)
+        twin = stream(7, 3, "backoff/0")
+        assert (source.has_uint32, source.uinteger) == _numpy_position(twin)[1:]
         # A span of 1024 divides 2**32, so no draw is rejected: a stray pending
         # half-word would show in the very first value.
         bounds = [(0, 1024), (1, 1536), (1, 9208), (3069, 4604), (1, 25), (1, 2**40)] * 8
-        assert [fresh.integers(*b) for b in bounds] == [read.integers(*b) for b in bounds]
-        assert (fresh.has_uint32, fresh.uinteger) == (read.has_uint32, read.uinteger)
+        assert [source.integers(*b) for b in bounds] == [twin.integers(*b) for b in bounds]
         assert (counted.reads, counted.writes) == (0, 0)
+        assert _source_position(source, counted) == _numpy_position(twin)
 
-    def test_engine_writes_back_a_source_it_wrapped(self):
+    def test_a_plain_generator_ends_where_a_source_twin_does(self):
         rng = stream(1, 0, "backoff/0")
-        twin = Pcg64Draws(stream(1, 0, "backoff/0").bit_generator)
+        bit_generator = stream(1, 0, "backoff/0").bit_generator
+        twin = Pcg64Draws(bit_generator)
         run_cluster_exchange(list(FIG_HOLDINGS), FIG_HOLDINGS, TIMING, Scheme.MECHANISM_ONLY, rng)
         run_cluster_exchange(list(FIG_HOLDINGS), FIG_HOLDINGS, TIMING, Scheme.MECHANISM_ONLY, twin)
         assert twin.has_uint32 == 1  # the exchange ends on a pending half-word
-        state = rng.bit_generator.state
-        assert (state["has_uint32"], state["uinteger"]) == (1, twin.uinteger)
+        assert _numpy_position(rng) == _source_position(twin, bit_generator)
 
-    def test_engine_never_writes_back_a_source_it_was_handed(self):
+    def test_engine_never_touches_the_state_of_a_source_it_was_handed(self):
         counted = _StateCounter(stream(1, 0, "backoff/0").bit_generator)
-        source = Pcg64Draws.fresh(counted)
+        source = Pcg64Draws(counted)
         run_cluster_exchange(list(FIG_HOLDINGS), FIG_HOLDINGS, TIMING, Scheme.MECHANISM_ONLY,
                              source)
         assert source.has_uint32 == 1
@@ -917,14 +932,33 @@ class TestTieBreakStream:
         assert labels.count("tie-break") == (3 if reads_tie_break(clusters) else 0)
         assert labels.count("bs-delivery") == 3
 
-    def test_full_set_rate_sweep_derives_it_once_per_run(self, monkeypatch):
-        # N = 3, 5, 7 and 9 read it; each replays the one stream of its run.
+    def test_full_set_rate_sweep_derives_it_for_each_count_that_reads_it(self, monkeypatch):
+        # N = 3, 5, 7 and 9 read it; each derives the run's stream afresh.
         spec = SweepSpec(ScenarioConfig(20, 10, 0.6, 1, seed=5), "num_clusters",
                          tuple(range(1, 10)), runs=4)
         expected = per_point_full_set_rate(spec)
         labels = self._labels(monkeypatch, sweep_full_set_rate, spec)
-        assert labels == ["bs-delivery", "tie-break"] * 4
+        assert labels == ["bs-delivery", *["tie-break"] * 4] * 4
         assert sweep_full_set_rate(spec) == expected
+
+    def test_full_set_rate_sweep_reads_and_writes_no_tie_break_state(self, monkeypatch):
+        spec = SweepSpec(ScenarioConfig(20, 10, 0.6, 1, seed=5), "num_clusters",
+                         tuple(range(1, 10)), runs=4)
+        expected = per_point_full_set_rate(spec)
+        counters = []
+        original = core.stream
+
+        def counted_stream(seed, run_index, label, block=None):
+            rng = original(seed, run_index, label, block=block)
+            if label != "tie-break":
+                return rng
+            counters.append(_StateCounter(rng.bit_generator))
+            return SimpleNamespace(integers=rng.integers, bit_generator=counters[-1])
+
+        monkeypatch.setattr(core, "stream", counted_stream)
+        assert sweep_full_set_rate(spec) == expected
+        assert counters
+        assert all((c.reads, c.writes) == (0, 0) for c in counters)
 
     def test_full_set_rate_sweep_without_odd_counts_derives_none(self, monkeypatch):
         spec = SweepSpec(ScenarioConfig(20, 10, 0.6, 1, seed=5), "num_clusters",
