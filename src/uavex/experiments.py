@@ -26,7 +26,7 @@ import numpy as np
 from . import core  # core.stream is read at call time, so rebinding it reaches every call
 from .clustering import InfeasibleClusterCount, _check_feasible, cluster_network, reads_tie_break
 from .core import IndicatorVector, ScenarioConfig, Scheme
-from .mac import TimingConfig
+from .mac import Pcg64Draws, TimingConfig
 from .protocol import trace_line
 from .simulator import clusters_for_scheme, run_scenario, sample_initial_receipts
 
@@ -312,7 +312,7 @@ def _fig1_trace(timing: TimingConfig, seed: int) -> tuple[list, object]:
         holdings=holdings,
         timing=timing,
         scheme=Scheme.MECHANISM_ONLY,
-        rng=core.stream(seed, 0, "backoff/0"),
+        rng=Pcg64Draws(core.stream(seed, 0, "backoff/0").bit_generator),
         trace=trace,
     )
     return trace, result
@@ -343,7 +343,7 @@ def _parse_cluster_values(text: str) -> list[int]:
     return values
 
 
-def _parse_list(text: str, flag: str, kind: type, what: str) -> list:
+def _parse_list(text: str, flag: str, kind: type, what: str, problem: str) -> list:
     """A comma list of ``kind`` values; otherwise a ValueError naming ``flag`` and the item."""
     values = []
     for item in text.split(","):
@@ -351,7 +351,7 @@ def _parse_list(text: str, flag: str, kind: type, what: str) -> list:
             values.append(kind(item))
         except ValueError:
             raise ValueError(
-                f"{flag} takes a comma list of {what}; {item!r} in {text!r} is not one"
+                f"{flag} takes a comma list of {what}; {item!r} in {text!r} {problem}"
             ) from None
     return values
 
@@ -504,7 +504,7 @@ def _cmd_full_set_rate(args: argparse.Namespace) -> int:
     else:
         cluster_values = [_cluster_count(None, settings)]
     if args.rhos:
-        rhos = _parse_list(args.rhos, "--rhos", float, "delivery rates")
+        rhos = _parse_list(args.rhos, "--rhos", float, "delivery rates", "is not a number")
     elif "delivery_rate" in settings:
         rhos = [_setting("delivery_rate", settings["delivery_rate"], float)]
     else:
@@ -526,7 +526,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     settings, timing = _gather_settings(args)
     base = _scenario_from(settings, num_clusters=_cluster_count(args.clusters, settings))
     choices = ", ".join(scheme.value for scheme in Scheme)
-    schemes = _parse_list(args.schemes, "--schemes", Scheme, f"scheme names ({choices})")
+    schemes = _parse_list(args.schemes, "--schemes", Scheme, "scheme names",
+                          f"is not one of {choices}")
     spec = SweepSpec(base, "scheme", tuple(schemes), runs=base.runs)
     rows = compare_schemes(spec, timing=timing)
     _emit(rows_to_csv(rows), args.out)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .clustering import ClusterAssignment, cluster_network
 from .core import IndicatorVector, Scheme, UavId, stream
-from .mac import TimingConfig, draw_backoff, subwindow_bounds
+from .mac import Pcg64Draws, TimingConfig, draw_backoff, subwindow_bounds
 from .protocol import TraceRecord
 from .simulator import ClusterResult, _run_exchange, sample_initial_receipts
 
@@ -124,8 +124,9 @@ def check_clustering(rng: np.random.Generator, fleets: int) -> list[ClusteringCa
 def check_exchanges(rng: np.random.Generator, clusters: int) -> list[ExchangeCase]:
     """Termination, exchange-count, holdings and completion invariants on random clusters.
 
-    Each cluster runs the schemes in turn on the stream ``stream(trial, 1,
-    "backoff/0")``. Returns every exchange checked, in order.
+    Each cluster runs the schemes in turn, drawing through a ``Pcg64Draws``
+    over the stream ``stream(trial, 1, "backoff/0")`` as a scenario run
+    does. Returns every exchange checked, in order.
     """
     timing = TimingConfig()
     schemes = (Scheme.MECHANISM_ONLY, Scheme.BASELINE_CSMA, Scheme.PROPOSED)
@@ -139,8 +140,9 @@ def check_exchanges(rng: np.random.Generator, clusters: int) -> list[ExchangeCas
         holdings = dict(enumerate(receipts))
         where = f"cluster {trial} (U={num_uavs}, M={num_packets}, {scheme.value})"
         trace: list[TraceRecord] = []
+        backoff = Pcg64Draws(stream(trial, 1, "backoff/0").bit_generator)
         result, held = _run_exchange(  # termination: the exchange returned
-            list(holdings), holdings, timing, scheme, stream(trial, 1, "backoff/0"), trace=trace
+            list(holdings), holdings, timing, scheme, backoff, trace=trace
         )
         initial_missing = sum(num_packets - v.popcount() for v in receipts)
         if result.exchange_count > initial_missing:

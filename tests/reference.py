@@ -271,6 +271,23 @@ def reference_exchange(members, holdings, timing, scheme, rng, cluster_id=0):
     return (exchanges, finish, completed, collisions, frozenset(unobtainable)), lines
 
 
+# -- stream positions ---------------------------------------------------------
+
+# Where a stream stands after its draws, told the same way for a Generator and
+# for a Pcg64Draws: PCG64's 128-bit state and the pending half-word.
+
+
+def numpy_position(rng):
+    """Where a ``Generator`` stands: PCG64's state and numpy's pending half-word."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"], state["uinteger"]
+
+
+def source_position(source, bit_generator):
+    """Where a ``Pcg64Draws`` over ``bit_generator`` stands, as ``numpy_position`` tells it."""
+    return bit_generator.state["state"], source.has_uint32, source.uinteger
+
+
 # -- per-point sweep loops ---------------------------------------------------
 #
 # The harness oracles below call the library's single-run functions (streams,

@@ -488,6 +488,7 @@ class TestCli:
         ])
         assert code == 1
         err = capsys.readouterr().err
+        assert f"{rhos!r} is not a number" in err
         assert "--rhos" in err
         assert repr(bad) in err
 

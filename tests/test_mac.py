@@ -17,6 +17,8 @@ from uavex.mac import (
     subwindow_for_count,
 )
 
+from reference import numpy_position, source_position
+
 WINDOW = TimingConfig().cw_total_us  # 9207
 
 
@@ -241,17 +243,6 @@ BOUNDS = st.one_of(
 )
 
 
-def _numpy_position(rng):
-    """Where a ``Generator`` stands: PCG64's state and numpy's pending half-word."""
-    state = rng.bit_generator.state
-    return state["state"], state["has_uint32"], state["uinteger"]
-
-
-def _source_position(source, bit_generator):
-    """Where a ``Pcg64Draws`` over ``bit_generator`` stands, as ``_numpy_position`` tells it."""
-    return bit_generator.state["state"], source.has_uint32, source.uinteger
-
-
 def _outcome(source, low, high):
     try:
         return int(source.integers(low, high))
@@ -273,7 +264,7 @@ class TestPcg64Draws:
         for _ in range(warmup):
             assert source.integers(0, 7) == theirs.integers(0, 7)
         assert [_outcome(source, *p) for p in pairs] == [_outcome(theirs, *p) for p in pairs]
-        assert _source_position(source, ours.bit_generator) == _numpy_position(theirs)
+        assert source_position(source, ours.bit_generator) == numpy_position(theirs)
 
     def test_rejection_path_runs(self):
         # 2**32 mod (2**31 + 1) rejects nearly half the words, each retry
@@ -286,14 +277,14 @@ class TestPcg64Draws:
         values = [source.integers(0, span) for _ in range(400)]
         assert values == [int(theirs.integers(0, span)) for _ in range(400)]
         assert len(words) > 300  # 200 words serve 400 draws without rejection
-        assert _source_position(source, ours.bit_generator) == _numpy_position(theirs)
+        assert source_position(source, ours.bit_generator) == numpy_position(theirs)
 
     def test_span_of_one_consumes_nothing(self):
         rng = stream(2, 0, "backoff")
-        before = _numpy_position(rng)
+        before = numpy_position(rng)
         source = Pcg64Draws(rng.bit_generator)
         assert source.integers(5, 6) == 5
-        assert _source_position(source, rng.bit_generator) == before
+        assert source_position(source, rng.bit_generator) == before
 
 
 # (num_packets, stake, window) of draw_backoff calls; a stake of 0 stands for
@@ -344,7 +335,7 @@ class TestInlineDraws:
             assert source.integers(0, 7) == theirs.integers(0, 7)
         assert ([_draw_outcome(source, *call) for call in calls]
                 == [_draw_outcome(theirs, *call) for call in calls])
-        assert _source_position(source, ours.bit_generator) == _numpy_position(theirs)
+        assert source_position(source, ours.bit_generator) == numpy_position(theirs)
 
 
 class TestFrameDuration:

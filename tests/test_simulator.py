@@ -40,7 +40,13 @@ from uavex.simulator import (
     sample_initial_receipts,
 )
 
-from reference import per_point_full_set_rate, reference_exchange, replay_trace
+from reference import (
+    numpy_position,
+    per_point_full_set_rate,
+    reference_exchange,
+    replay_trace,
+    source_position,
+)
 
 TIMING = TimingConfig()
 
@@ -585,16 +591,21 @@ class TestReferenceExchange:
 
     @staticmethod
     def check(members, holdings, timing, scheme, seed, cluster_id=0):
-        """Equal results, equal trace text and equal stream end states."""
+        """Equal results, equal trace text and equal stream end positions.
+
+        The engine draws through ``Pcg64Draws``, as every scenario run does;
+        the reference draws with numpy's own ``integers``.
+        """
         engine_rng, reference_rng = (stream(seed, 0, "backoff/0") for _ in range(2))
+        source = Pcg64Draws(engine_rng.bit_generator)
         trace = []
-        result = run_cluster_exchange(members, holdings, timing, scheme, engine_rng,
+        result = run_cluster_exchange(members, holdings, timing, scheme, source,
                                       trace=trace, cluster_id=cluster_id)
         expected, lines = reference_exchange(members, holdings, timing, scheme, reference_rng,
                                              cluster_id=cluster_id)
         assert astuple(result) == expected
         assert [trace_line(r) for r in trace] == lines
-        assert engine_rng.bit_generator.state == reference_rng.bit_generator.state
+        assert source_position(source, engine_rng.bit_generator) == numpy_position(reference_rng)
 
     @settings(max_examples=300, deadline=None)
     @given(exchange_inputs())
@@ -715,17 +726,6 @@ class TestBackoffStreamConsumption:
         assert ([sum(draws) for draws, _ in per_run], digest) == REF20_RUNS[scheme]
 
 
-def _numpy_position(rng):
-    """Where a ``Generator`` stands: PCG64's state and numpy's pending half-word."""
-    state = rng.bit_generator.state
-    return state["state"], state["has_uint32"], state["uinteger"]
-
-
-def _source_position(source, bit_generator):
-    """Where a ``Pcg64Draws`` over ``bit_generator`` stands, as ``_numpy_position`` tells it."""
-    return bit_generator.state["state"], source.has_uint32, source.uinteger
-
-
 def _exchanges_on_both_paths(config, run_index, timing=TIMING):
     """Each cluster's exchange through ``Pcg64Draws`` and on the bare ``Generator``.
 
@@ -750,8 +750,8 @@ def _exchanges_on_both_paths(config, run_index, timing=TIMING):
             trace = []
             result = run_cluster_exchange(group, {u: receipts[u] for u in group}, timing,
                                           config.scheme, rng, trace=trace)
-            end = (_numpy_position(theirs) if rng is theirs
-                   else _source_position(source, ours.bit_generator))
+            end = (numpy_position(theirs) if rng is theirs
+                   else source_position(source, ours.bit_generator))
             outcomes.append((result, [trace_line(r) for r in trace], end))
     return paths
 
@@ -851,13 +851,13 @@ class TestBackoffSourceOwnership:
         counted = _StateCounter(stream(7, 3, "backoff/0").bit_generator)
         source = Pcg64Draws(counted)
         twin = stream(7, 3, "backoff/0")
-        assert (source.has_uint32, source.uinteger) == _numpy_position(twin)[1:]
+        assert (source.has_uint32, source.uinteger) == numpy_position(twin)[1:]
         # A span of 1024 divides 2**32, so no draw is rejected: a stray pending
         # half-word would show in the very first value.
         bounds = [(0, 1024), (1, 1536), (1, 9208), (3069, 4604), (1, 25), (1, 2**40)] * 8
         assert [source.integers(*b) for b in bounds] == [twin.integers(*b) for b in bounds]
         assert (counted.reads, counted.writes) == (0, 0)
-        assert _source_position(source, counted) == _numpy_position(twin)
+        assert source_position(source, counted) == numpy_position(twin)
 
     def test_a_plain_generator_ends_where_a_source_twin_does(self):
         rng = stream(1, 0, "backoff/0")
@@ -866,7 +866,7 @@ class TestBackoffSourceOwnership:
         run_cluster_exchange(list(FIG_HOLDINGS), FIG_HOLDINGS, TIMING, Scheme.MECHANISM_ONLY, rng)
         run_cluster_exchange(list(FIG_HOLDINGS), FIG_HOLDINGS, TIMING, Scheme.MECHANISM_ONLY, twin)
         assert twin.has_uint32 == 1  # the exchange ends on a pending half-word
-        assert _numpy_position(rng) == _source_position(twin, bit_generator)
+        assert numpy_position(rng) == source_position(twin, bit_generator)
 
     def test_engine_never_touches_the_state_of_a_source_it_was_handed(self):
         counted = _StateCounter(stream(1, 0, "backoff/0").bit_generator)
