@@ -18,7 +18,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -27,8 +27,15 @@ from . import core  # core.stream is read at call time, so rebinding it reaches 
 from .clustering import InfeasibleClusterCount, _check_feasible, cluster_network, reads_tie_break
 from .core import IndicatorVector, ScenarioConfig, Scheme
 from .mac import Pcg64Draws, TimingConfig
-from .protocol import trace_line
-from .simulator import clusters_for_scheme, run_scenario, sample_initial_receipts
+from .protocol import TraceRecord, trace_line
+from .simulator import (
+    ClusterResult,
+    RunResult,
+    clusters_for_scheme,
+    run_cluster_exchange,
+    run_scenario,
+    sample_initial_receipts,
+)
 
 # Run indices whose streams one StreamBlock seeds.
 _BLOCK_RUNS = 256
@@ -265,7 +272,7 @@ def compare_schemes(spec: SweepSpec, timing: TimingConfig | None = None) -> list
     """
     if spec.parameter != "scheme":
         raise ValueError("compare sweeps vary the scheme")
-    schemes = [value if isinstance(value, Scheme) else Scheme(value) for value in spec.values]
+    schemes = [Scheme(value) for value in spec.values]
     rows = []
     for scheme, samples in zip(schemes, _scheme_samples(spec.base, schemes, spec.runs, timing)):
         finished = samples["completed"]
@@ -301,13 +308,10 @@ def rows_to_csv(rows: Sequence[AggregateRow]) -> str:
 FIG1_HOLDINGS = ((1, 1, 0, 1, 0, 0), (0, 1, 1, 1, 1, 1), (0, 0, 1, 0, 1, 0), (1, 1, 1, 1, 0, 1))
 
 
-def _fig1_trace(timing: TimingConfig, seed: int) -> tuple[list, object]:
-    """Run the built-in four-UAV walkthrough as a single cluster and trace it."""
-    from .simulator import run_cluster_exchange
-
+def _fig1_exchange(timing: TimingConfig, seed: int, trace: list[TraceRecord]) -> ClusterResult:
+    """Run the built-in four-UAV walkthrough as a single cluster, tracing into ``trace``."""
     holdings = {u: IndicatorVector(bits) for u, bits in enumerate(FIG1_HOLDINGS)}
-    trace: list = []
-    result = run_cluster_exchange(
+    return run_cluster_exchange(
         members=range(len(FIG1_HOLDINGS)),
         holdings=holdings,
         timing=timing,
@@ -315,7 +319,6 @@ def _fig1_trace(timing: TimingConfig, seed: int) -> tuple[list, object]:
         rng=Pcg64Draws(core.stream(seed, 0, "backoff/0").bit_generator),
         trace=trace,
     )
-    return trace, result
 
 
 class _Parser(argparse.ArgumentParser):
@@ -364,9 +367,13 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-_SCENARIO_KEYS = ("num_uavs", "num_packets", "delivery_rate", "num_clusters",
-                  "scheme", "seed", "runs")
-_TIMING_KEYS = ("difs_us", "cw_total_us", "preamble_us", "payload_us_per_packet")
+# Every config key, each also the dest of the flag that sets it, with its type.
+_SETTINGS = {
+    "num_uavs": int, "num_packets": int, "delivery_rate": float, "num_clusters": int,
+    "scheme": Scheme, "seed": int, "runs": int,
+    "difs_us": int, "cw_total_us": int, "preamble_us": int, "payload_us_per_packet": int,
+}
+_TIMING_KEYS = tuple(field.name for field in fields(TimingConfig))
 
 
 def _setting(key: str, value: object, kind: type) -> Any:
@@ -385,57 +392,36 @@ def _setting(key: str, value: object, kind: type) -> Any:
 
 
 def _gather_settings(args: argparse.Namespace) -> tuple[dict, TimingConfig]:
-    """Merge defaults, config file, and explicit flags (flags win)."""
-    settings: dict = {"seed": 0, "runs": 500, "scheme": "proposed"}
-    if getattr(args, "config", None):
-        file_settings = _load_config_file(args.config)
-        unknown = set(file_settings) - set(_SCENARIO_KEYS) - set(_TIMING_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        settings.update(file_settings)
-    flag_map = {
-        "num_uavs": "uavs",
-        "num_packets": "packets",
-        "delivery_rate": "rho",
-        "seed": "seed",
-        "runs": "runs",
-    }
-    for key, flag in flag_map.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            settings[key] = value
-    timing_kwargs = {}
-    for key in _TIMING_KEYS:
-        if key in settings:
-            timing_kwargs[key] = _setting(key, settings.pop(key), int)
-        override = getattr(args, key, None)
-        if override is not None:
-            timing_kwargs[key] = override
-    return settings, TimingConfig(**timing_kwargs)
+    """Merge the config file and explicit flags (flags win), typing each value given.
+
+    Settings given nowhere are left out, so ``ScenarioConfig`` and
+    ``TimingConfig`` supply their defaults.
+    """
+    given = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = set(given) - set(_SETTINGS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    flags = {key: getattr(args, key) for key in _SETTINGS if getattr(args, key, None) is not None}
+    settings: dict = {}
+    for key, value in [*given.items(), *flags.items()]:
+        settings[key] = _setting(key, value, _SETTINGS[key])
+    timing = TimingConfig(**{key: settings.pop(key) for key in _TIMING_KEYS if key in settings})
+    return settings, timing
 
 
-def _cluster_count(flag: int | None, settings: dict) -> int:
-    """``--clusters`` if given, else the config file's ``num_clusters``."""
-    if flag is not None:
-        return flag
+_NO_CLUSTER_COUNT = "cluster count required: pass --clusters or set num_clusters in --config"
+
+
+def _scenario_from(settings: dict) -> ScenarioConfig:
+    """The scenario ``settings`` describe; a cluster count above the fleet size is infeasible."""
     if "num_clusters" not in settings:
-        raise ValueError("cluster count required: pass --clusters or set num_clusters in --config")
-    return _setting("num_clusters", settings["num_clusters"], int)
-
-
-def _scenario_from(settings: dict, num_clusters: int) -> ScenarioConfig:
+        raise ValueError(_NO_CLUSTER_COUNT)
     missing = [k for k in ("num_uavs", "num_packets", "delivery_rate") if k not in settings]
     if missing:
         raise ValueError(f"missing scenario settings: {missing} (flags or config file)")
-    return ScenarioConfig(
-        num_uavs=_setting("num_uavs", settings["num_uavs"], int),
-        num_packets=_setting("num_packets", settings["num_packets"], int),
-        delivery_rate=_setting("delivery_rate", settings["delivery_rate"], float),
-        num_clusters=num_clusters,
-        scheme=_setting("scheme", settings["scheme"], Scheme),
-        seed=_setting("seed", settings["seed"], int),
-        runs=_setting("runs", settings["runs"], int),
-    )
+    if 1 <= settings["num_uavs"] < settings["num_clusters"]:
+        _check_feasible(settings["num_uavs"], settings["num_clusters"])
+    return ScenarioConfig(**settings)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -447,9 +433,11 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, output: str = "CSV") -> None:
-    parser.add_argument("--uavs", type=int, help="fleet size")
-    parser.add_argument("--packets", type=int, help="number of common packets")
-    parser.add_argument("--rho", type=float, help="per-packet delivery probability")
+    parser.add_argument("--uavs", dest="num_uavs", type=int, help="fleet size")
+    parser.add_argument("--packets", dest="num_packets", type=int,
+                        help="number of common packets")
+    parser.add_argument("--rho", dest="delivery_rate", type=float,
+                        help="per-packet delivery probability")
     parser.add_argument("--runs", type=int, help="Monte-Carlo runs per point (default 500)")
     parser.add_argument("--seed", type=int, help="master seed (default 0)")
     parser.add_argument("--config", help="JSON file with scenario and timing settings")
@@ -476,7 +464,7 @@ def _build_parser() -> _Parser:
 
     p_cmp = sub.add_parser("compare", help="scheme comparison at one scenario")
     _add_common_flags(p_cmp)
-    p_cmp.add_argument("--clusters", type=int,
+    p_cmp.add_argument("--clusters", dest="num_clusters", type=int,
                        help="cluster count for the proposed scheme "
                             "(default: num_clusters from --config)")
     p_cmp.add_argument("--schemes", default="proposed,mechanism_only,baseline_csma",
@@ -484,7 +472,7 @@ def _build_parser() -> _Parser:
 
     p_trace = sub.add_parser("trace", help="single run with the full event trace")
     _add_common_flags(p_trace, output="the trace text")
-    p_trace.add_argument("--clusters", type=int,
+    p_trace.add_argument("--clusters", dest="num_clusters", type=int,
                          help="cluster count (default: num_clusters from --config)")
     p_trace.add_argument("--scheme", help="scheme for the traced run")
     p_trace.add_argument("--run-index", type=int, default=0, help="which run to replay")
@@ -501,18 +489,20 @@ def _cmd_full_set_rate(args: argparse.Namespace) -> int:
     settings, _ = _gather_settings(args)
     if args.clusters is not None:
         cluster_values = _parse_cluster_values(args.clusters)
+    elif "num_clusters" in settings:
+        cluster_values = [settings["num_clusters"]]
     else:
-        cluster_values = [_cluster_count(None, settings)]
+        raise ValueError(_NO_CLUSTER_COUNT)
     if args.rhos:
         rhos = _parse_list(args.rhos, "--rhos", float, "delivery rates", "is not a number")
     elif "delivery_rate" in settings:
-        rhos = [_setting("delivery_rate", settings["delivery_rate"], float)]
+        rhos = [settings["delivery_rate"]]
     else:
         raise ValueError("delivery rate required (--rho, --rhos, or config file)")
     rows = []
     for rho in rhos:
         # One cluster fits every fleet; the sweep checks each count itself.
-        base = _scenario_from(dict(settings, delivery_rate=rho), num_clusters=1)
+        base = _scenario_from(dict(settings, delivery_rate=rho, num_clusters=1))
         spec = SweepSpec(base, "num_clusters", tuple(cluster_values), runs=base.runs)
         rows.extend(sweep_full_set_rate(spec))
     if all(row.runs == 0 for row in rows):
@@ -524,7 +514,7 @@ def _cmd_full_set_rate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     settings, timing = _gather_settings(args)
-    base = _scenario_from(settings, num_clusters=_cluster_count(args.clusters, settings))
+    base = _scenario_from(settings)
     choices = ", ".join(scheme.value for scheme in Scheme)
     schemes = _parse_list(args.schemes, "--schemes", Scheme, "scheme names",
                           f"is not one of {choices}")
@@ -536,28 +526,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     settings, timing = _gather_settings(args)
-    seed = _setting("seed", settings["seed"], int)
+    trace: list[TraceRecord] = []
     if args.fig1:
-        trace, result = _fig1_trace(timing, seed)
-        results = [result]
-        exchanges, delay = result.exchange_count, result.delay_us
-        completed = result.completed
+        run = RunResult.from_clusters([_fig1_exchange(timing, settings.get("seed", 0), trace)])
     else:
-        clusters = _cluster_count(args.clusters, settings)
-        if args.scheme is not None:
-            settings["scheme"] = args.scheme
-        config = _scenario_from(settings, num_clusters=clusters)
-        trace = []
-        run = run_scenario(config, args.run_index, timing=timing, trace=trace)
-        results = list(run.cluster_results)
-        exchanges, delay = run.reported_exchanges, run.reported_delay_us
-        completed = run.all_completed
-    lines = [trace_line(rec) for rec in trace]
+        run = run_scenario(_scenario_from(settings), args.run_index, timing=timing, trace=trace)
+    lines = "".join(trace_line(rec) + "\n" for rec in trace)
     summary = (
-        f"# exchanges={exchanges} delay_us={delay} completed={completed} "
-        f"clusters={len(results)}\n"
+        f"# exchanges={run.reported_exchanges} delay_us={run.reported_delay_us} "
+        f"completed={run.all_completed} clusters={len(run.cluster_results)}\n"
     )
-    _emit("\n".join(lines) + ("\n" if lines else "") + summary, args.out)
+    _emit(lines + summary, args.out)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Contention-window model: priority subwindow backoff and frame timing.
+"""Contention-window model: priority subwindow backoff and frame air time.
 
 The maximum contention window of ``T`` microseconds is split into as many
 subwindows as there are packets in the scenario. A node whose stake is
@@ -10,22 +10,18 @@ its bounds from two integer divisions. A scenario run hands the engine a
 bounded-int algorithm over the stream's raw words; the draw functions run its
 32-bit step, which serves every span from 2 to 2**32, in their own frame, and
 make one ``integers(low, high)`` call for any other span or rng, a plain
-``Generator`` included.
+``Generator`` included. Every frame's air time is the preamble plus the payload
+of the data packets it carries: a reply carries the packets it supplies, and a
+request, a control frame, is the frame that carries none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .core import Rng
-
-
-class FrameKind(Enum):
-    REQUEST = "request"
-    REPLY = "reply"
 
 
 @dataclass(frozen=True)
@@ -195,17 +191,12 @@ class Pcg64Draws:
         return word & 0xFFFF_FFFF
 
 
-def frame_duration(kind: FrameKind, data_packet_count: int, timing: TimingConfig) -> int:
-    """Air time of one frame in microseconds.
+def frame_duration(data_packet_count: int, timing: TimingConfig) -> int:
+    """Air time, in microseconds, of one frame carrying ``data_packet_count`` data packets.
 
-    Requests are control frames carrying no data payload, so they cost the
-    preamble only; replies add the per-packet payload time for each carried
-    data packet.
+    A request carries none and costs the preamble only; a reply adds the
+    per-packet payload time for each packet it carries.
     """
-    if kind is FrameKind.REQUEST:
-        if data_packet_count != 0:
-            raise ValueError("request frames carry no data packets")
-        return timing.preamble_us
-    if data_packet_count < 1:
-        raise ValueError("reply frames must carry at least one data packet")
+    if data_packet_count < 0:
+        raise ValueError(f"a frame cannot carry {data_packet_count} data packets")
     return timing.preamble_us + data_packet_count * timing.payload_us_per_packet

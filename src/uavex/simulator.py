@@ -39,7 +39,7 @@ import numpy as np
 from . import core  # core.stream is read at call time, so rebinding it reaches every call
 from .clustering import cluster_network, reads_tie_break
 from .core import IndicatorVector, Rng, ScenarioConfig, Scheme, UavId, mask_packets
-from .mac import FrameKind, Pcg64Draws, TimingConfig, frame_duration
+from .mac import Pcg64Draws, TimingConfig, frame_duration
 from .protocol import (
     TraceRecord,
     absorb_reply,
@@ -170,10 +170,9 @@ def _run_exchange(
 
 
 @lru_cache(maxsize=64)
-def _air_times(num_packets: int, timing: TimingConfig) -> tuple[int, tuple[int, ...]]:
-    """Request air time, and reply air time indexed by packets carried (index 0 unused)."""
-    replies = [frame_duration(FrameKind.REPLY, k, timing) for k in range(1, num_packets + 1)]
-    return frame_duration(FrameKind.REQUEST, 0, timing), (0, *replies)
+def _air_times(num_packets: int, timing: TimingConfig) -> tuple[int, ...]:
+    """Frame air time indexed by data packets carried: entry 0 is a request, k a k-packet reply."""
+    return tuple(frame_duration(k, timing) for k in range(num_packets + 1))
 
 
 def _exchange(
@@ -189,7 +188,8 @@ def _exchange(
     n = len(order)
     full = (1 << num_packets) - 1
     difs, window = timing.difs_us, timing.cw_total_us
-    request_air, reply_air = _air_times(num_packets, timing)
+    air = _air_times(num_packets, timing)
+    request_air = air[0]
     gone = [0] * n
     requests = first_draws(held, full, num_packets, window, priority, rng)
     now = finish = exchanges = collisions = 0
@@ -236,7 +236,7 @@ def _exchange(
                     trace.append(TraceRecord(now, order[repliers[colliders[1]]], "collision",
                                              mask_packets(frames[1]), None, cluster_id))
                 ends = sorted(
-                    (now + reply_air[frame.bit_count()], k, frame)
+                    (now + air[frame.bit_count()], k, frame)
                     for k, frame in zip(colliders, frames)
                 )
                 now = ends[-1][0]
@@ -244,7 +244,7 @@ def _exchange(
                                  num_packets, window, priority, rng)
             sender = repliers[draws.index(shortest)]
             supply = asked & held[sender]
-            now += reply_air[supply.bit_count()]
+            now += air[supply.bit_count()]
             exchanges += 1
             if trace is not None:
                 trace.append(TraceRecord(now, order[sender], "reply", mask_packets(supply),

@@ -403,12 +403,16 @@ class TestCli:
             "compare", "--uavs", "4", "--packets", "3", "--rho", "0.5",
             "--clusters", "5", "--runs", "3",
         ])
-        assert code == 1 or code == 2  # config validation rejects N > U
-        code = cli_main([
-            "trace", "--uavs", "5", "--packets", "3", "--rho", "0.5",
-            "--clusters", "5", "--scheme", "proposed",
-        ])
-        assert code == 2  # odd 5 needs 6 seed UAVs: infeasible at runtime
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: infeasible scenario: cannot form 5 clusters from 4 UAVs\n"
+        )
+        trace = ["trace", "--uavs", "5", "--packets", "3", "--rho", "0.5", "--scheme"]
+        assert cli_main([*trace, "proposed", "--clusters", "6"]) == 2
+        assert cli_main([*trace, "baseline_csma", "--clusters", "6"]) == 2
+        assert cli_main([*trace, "proposed", "--clusters", "5"]) == 2  # odd 5 needs 6 seeds
+        # The no-clustering schemes run one cluster, so an odd N = U needs no spare UAV.
+        assert cli_main([*trace, "mechanism_only", "--clusters", "5"]) == 0
         capsys.readouterr()
 
     def test_tiny_window_exits_one_without_traceback(self, capsys):
@@ -466,10 +470,22 @@ class TestCli:
                 code = cli_main(["compare", "--config", str(path), "--clusters", "3",
                                  "--runs", "1"])
         assert code in (0, 1, 2), err.getvalue()
-        overridden = ("num_clusters", "runs")  # --clusters and --runs win over the file
-        if key not in overridden and not isinstance(value, str):
+        if not isinstance(value, str):
             assert code == 1
             assert f"setting {key} must be" in err.getvalue()
+
+    @pytest.mark.parametrize("key, value, flags", [
+        ("runs", "abc", ["--runs", "3"]),
+        ("num_clusters", True, ["--clusters", "2"]),
+    ])
+    def test_config_value_of_wrong_type_exits_one_though_a_flag_wins(
+        self, key, value, flags, tmp_path, capsys
+    ):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"num_uavs": 10, "num_packets": 6, "delivery_rate": 0.7,
+                                    "num_clusters": 3, "runs": 1, key: value}))
+        assert cli_main(["compare", "--config", str(path), *flags]) == 1
+        assert f"setting {key} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("clusters", ["3..1", "5..4", "", "a..3", "2,,3"])
     def test_empty_or_descending_cluster_range_names_the_flag(self, clusters, capsys):

@@ -7,7 +7,6 @@ from scipy import stats
 
 from uavex.core import stream
 from uavex.mac import (
-    FrameKind,
     Pcg64Draws,
     TimingConfig,
     draw_backoff,
@@ -340,19 +339,16 @@ class TestInlineDraws:
 
 class TestFrameDuration:
     def test_reply_of_four(self):
-        assert frame_duration(FrameKind.REPLY, 4, TimingConfig()) == 8020
+        assert frame_duration(4, TimingConfig()) == 8020
 
     def test_reply_of_one(self):
-        assert frame_duration(FrameKind.REPLY, 1, TimingConfig()) == 2020
+        assert frame_duration(1, TimingConfig()) == 2020
 
     def test_request_is_preamble_only(self):
-        assert frame_duration(FrameKind.REQUEST, 0, TimingConfig()) == 20
+        assert frame_duration(0, TimingConfig()) == 20
 
-    def test_empty_reply_rejected(self):
-        with pytest.raises(ValueError):
-            frame_duration(FrameKind.REPLY, 0, TimingConfig())
-
-    def test_request_with_payload_rejected(self):
-        with pytest.raises(ValueError):
-            frame_duration(FrameKind.REQUEST, 2, TimingConfig())
+    @pytest.mark.parametrize("count", [-1, -4])
+    def test_negative_count_rejected(self, count):
+        with pytest.raises(ValueError, match=f"cannot carry {count} data packets"):
+            frame_duration(count, TimingConfig())
 

@@ -22,7 +22,6 @@ from uavex.experiments import (
     sweep_full_set_rate,
 )
 from uavex.mac import (
-    FrameKind,
     Pcg64Draws,
     TimingConfig,
     frame_duration,
@@ -242,8 +241,7 @@ AIR_TIMINGS = [
 
 
 def frame_air_times(num_packets, timing):
-    return (frame_duration(FrameKind.REQUEST, 0, timing),
-            [frame_duration(FrameKind.REPLY, k, timing) for k in range(1, num_packets + 1)])
+    return [frame_duration(k, timing) for k in range(num_packets + 1)]
 
 
 class TestAirTimeTable:
@@ -252,9 +250,9 @@ class TestAirTimeTable:
     @pytest.mark.parametrize("timing", AIR_TIMINGS)
     def test_table_equals_frame_duration(self, timing):
         for num_packets in range(1, 41):
-            request, replies = _air_times(num_packets, timing)
-            assert (request, list(replies[1:])) == frame_air_times(num_packets, timing)
-            assert len(replies) == num_packets + 1
+            table = _air_times(num_packets, timing)
+            assert list(table) == frame_air_times(num_packets, timing)
+            assert table[0] == timing.preamble_us  # a request carries no data
 
     @pytest.mark.parametrize("field, value", [("preamble_us", 23), ("payload_us_per_packet", 2003)])
     def test_timings_differing_in_one_air_time_get_their_own_tables(self, field, value):
@@ -264,7 +262,7 @@ class TestAirTimeTable:
         for num_packets in (1, 6, 10, 40):
             first, second = _air_times(num_packets, TIMING), _air_times(num_packets, other)
             assert first != second
-            assert (second[0], list(second[1][1:])) == frame_air_times(num_packets, other)
+            assert list(second) == frame_air_times(num_packets, other)
 
     @pytest.mark.parametrize("scheme", [Scheme.PROPOSED, Scheme.MECHANISM_ONLY])
     def test_delay_moves_by_exactly_the_air_time_of_the_frames(self, scheme):
@@ -294,8 +292,7 @@ class TestAirTimeTable:
                     request_collisions += event == "collision"
                 elif event in ("reply", "collision"):
                     k = len(record.packets)
-                    expected += (frame_duration(FrameKind.REPLY, k, other)
-                                 - frame_duration(FrameKind.REPLY, k, base))
+                    expected += frame_duration(k, other) - frame_duration(k, base)
                     reply_collisions += event == "collision"
                 # A request stays open through reply collisions, until a reply or timeout.
                 open_request = event == "request" or (open_request and event == "collision")
