@@ -15,11 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ClusterId, IndicatorVector, Rng, UavId
-
-
-class InfeasibleClusterCount(ValueError):
-    """Raised when the requested cluster count cannot be seeded from the fleet."""
+from .core import (ClusterId, IndicatorVector, InfeasibleClusterCount, Rng, UavId,
+                   check_cluster_count)
 
 
 def hamming_distance(a: int, b: int) -> int:
@@ -67,13 +64,9 @@ def reads_tie_break(num_clusters: int) -> bool:
 
 
 def _check_feasible(num_uavs: int, num_clusters: int) -> None:
-    if num_clusters < 1:
-        raise InfeasibleClusterCount("cluster count must be at least 1")
-    if num_clusters > num_uavs:
-        raise InfeasibleClusterCount(
-            f"cannot form {num_clusters} clusters from {num_uavs} UAVs"
-        )
-    if num_clusters % 2 == 1 and num_clusters + 1 > num_uavs:
+    # N must lie in [1, U]; above 1, seeds come in pairs, so an odd N needs a spare UAV.
+    check_cluster_count(num_uavs, num_clusters)
+    if reads_tie_break(num_clusters) and num_clusters == num_uavs:
         raise InfeasibleClusterCount(
             f"odd cluster count {num_clusters} needs {num_clusters + 1} seed UAVs, "
             f"got {num_uavs}"
@@ -110,6 +103,8 @@ def initialize_clusters(
     """
     _check_feasible(len(masks), num_clusters)
     need = num_clusters if num_clusters % 2 == 0 else num_clusters + 1
+    if need > len(masks):  # N = 1, exempt from the rule as cluster_network never seeds it
+        raise InfeasibleClusterCount(f"odd cluster count 1 needs 2 seed UAVs, got {len(masks)}")
     pool = set(range(len(masks)))
     seeds: list[UavId] = []
     while len(seeds) < need:
@@ -175,15 +170,13 @@ def cluster_network(
     is consumed only for the odd-count seed drop, so it may be None whenever
     ``reads_tie_break(num_clusters)`` is false. A single-cluster request
     short-circuits to "everyone together", which is what the no-clustering
-    exchange variants use. For every count, an empty fleet is infeasible and
-    vectors of unequal lengths raise ``ValueError``.
+    exchange variants use. ``InfeasibleClusterCount`` reads "cannot form N clusters
+    from U UAVs" for every count outside [1, U], and an odd count above 1 also
+    needs a spare seed UAV. Vectors of unequal lengths raise ``ValueError``.
     """
     if rng is None and reads_tie_break(num_clusters):
         raise ValueError(f"clustering into {num_clusters} clusters needs a tie-break stream")
-    if num_clusters != 1:
-        _check_feasible(len(vectors), num_clusters)
-    elif not vectors:  # one cluster takes no seed pair, only a UAV
-        raise InfeasibleClusterCount("cannot form 1 clusters from 0 UAVs")
+    _check_feasible(len(vectors), num_clusters)
     length, union = vectors[0].length, 0
     for v in vectors:
         if v.length != length:

@@ -129,9 +129,19 @@ class IndicatorVector:
         return frozenset(mask_packets(self.mask))
 
 
+class InfeasibleClusterCount(ValueError):
+    """Raised when the requested cluster count cannot be formed from the fleet."""
+
+
+def check_cluster_count(num_uavs: int, num_clusters: int) -> None:
+    """Raise ``InfeasibleClusterCount`` unless ``num_clusters`` lies in [1, ``num_uavs``]."""
+    if not 1 <= num_clusters <= num_uavs:
+        raise InfeasibleClusterCount(f"cannot form {num_clusters} clusters from {num_uavs} UAVs")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Inputs of one Monte-Carlo scenario."""
+    """One Monte-Carlo scenario; a cluster count outside [1, U] raises InfeasibleClusterCount."""
 
     num_uavs: int
     num_packets: int
@@ -144,12 +154,11 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.num_uavs < 1:
             raise ValueError("num_uavs must be positive")
+        check_cluster_count(self.num_uavs, self.num_clusters)
         if self.num_packets < 1:
             raise ValueError("num_packets must be positive")
         if not 0.0 <= self.delivery_rate <= 1.0:
             raise ValueError("delivery_rate must lie in [0, 1]")
-        if not 1 <= self.num_clusters <= self.num_uavs:
-            raise ValueError("num_clusters must lie in [1, num_uavs]")
         if not isinstance(self.scheme, Scheme):
             object.__setattr__(self, "scheme", Scheme(self.scheme))
         if self.seed < 0:

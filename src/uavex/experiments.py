@@ -131,19 +131,6 @@ def _run_receipts(
     )
 
 
-def _checked_count(base: ScenarioConfig, value: object) -> int:
-    """``value`` as a cluster count of ``base``'s fleet; ValueError if it is infeasible.
-
-    Feasibility depends on the fleet size and the count alone, so it is
-    decided before any run: a count outside [1, U] fails the config, and an
-    odd count with no spare seed UAV fails clustering's check.
-    """
-    num_clusters = replace(base, num_clusters=int(value)).num_clusters
-    if num_clusters != 1:
-        _check_feasible(base.num_uavs, num_clusters)
-    return num_clusters
-
-
 def _full_set_fractions(
     config: ScenarioConfig, counts: Sequence[int], runs: int
 ) -> list[np.ndarray]:
@@ -172,10 +159,11 @@ def _full_set_fractions(
 def full_set_rate_samples(config: ScenarioConfig, runs: int) -> np.ndarray:
     """Per-run fraction of clusters whose combined holdings are complete.
 
-    Runs the clustering stage only; no exchange is simulated. An infeasible
-    cluster count raises ``InfeasibleClusterCount`` before any run.
+    Runs the clustering stage only; no exchange is simulated. A count that
+    ``cluster_network`` cannot form raises ``InfeasibleClusterCount`` before any run.
     """
-    return _full_set_fractions(config, [_checked_count(config, config.num_clusters)], runs)[0]
+    _check_feasible(config.num_uavs, config.num_clusters)
+    return _full_set_fractions(config, [config.num_clusters], runs)[0]
 
 
 def _scheme_samples(
@@ -233,7 +221,8 @@ def sweep_full_set_rate(spec: SweepSpec) -> list[AggregateRow]:
     counts: list[int | ValueError] = []
     for value in spec.values:
         try:
-            counts.append(_checked_count(spec.base, value))
+            _check_feasible(spec.base.num_uavs, int(value))
+            counts.append(int(value))
         except ValueError as exc:
             counts.append(exc)
     fractions = iter(_full_set_fractions(
@@ -413,14 +402,12 @@ _NO_CLUSTER_COUNT = "cluster count required: pass --clusters or set num_clusters
 
 
 def _scenario_from(settings: dict) -> ScenarioConfig:
-    """The scenario ``settings`` describe; a cluster count above the fleet size is infeasible."""
+    """The scenario ``settings`` describe."""
     if "num_clusters" not in settings:
         raise ValueError(_NO_CLUSTER_COUNT)
     missing = [k for k in ("num_uavs", "num_packets", "delivery_rate") if k not in settings]
     if missing:
         raise ValueError(f"missing scenario settings: {missing} (flags or config file)")
-    if 1 <= settings["num_uavs"] < settings["num_clusters"]:
-        _check_feasible(settings["num_uavs"], settings["num_clusters"])
     return ScenarioConfig(**settings)
 
 

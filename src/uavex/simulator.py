@@ -164,7 +164,11 @@ def _run_exchange(
             f"contention window of {timing.cw_total_us} us is too long: "
             f"cw_total_us must be below 2**63"
         )
-    held = [holdings[u].mask for u in order]
+    # A member whose vector has another length drops out here, and the count shows it.
+    held = [v.mask for u in order if (v := holdings[u]).length == num_packets]
+    if len(held) < len(order) or len(set(order)) < len(order):
+        raise ValueError(f"cluster members {order} must be distinct and hold vectors of "
+                         f"one length, got lengths {[holdings[u].length for u in order]}")
     return _exchange(order, held, num_packets, timing, scheme.uses_priority_backoff,
                      rng, trace, cluster_id), held
 

@@ -125,6 +125,9 @@ class TestInitializeClusters:
         with pytest.raises(InfeasibleClusterCount):
             # Odd target needs one extra seed beyond the fleet size.
             initialize_clusters([mask(1, 0)] * 3, 3, stream(0, 0, "tie-break"))
+        with pytest.raises(InfeasibleClusterCount):
+            # Seeding one cluster extracts a pair too, unlike cluster_network's one cluster.
+            initialize_clusters([mask(1, 0)], 1, stream(0, 0, "tie-break"))
 
 
 class TestMergeIteration:

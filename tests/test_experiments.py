@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavex import core, experiments, selftest, simulator
-from uavex.core import ScenarioConfig, Scheme, stream
+import uavex
+from uavex import clustering, core, experiments, selftest, simulator
+from uavex.clustering import InfeasibleClusterCount, cluster_network
+from uavex.core import IndicatorVector, ScenarioConfig, Scheme, stream
 from uavex.experiments import (
     SweepSpec,
     cli_main,
@@ -206,8 +208,8 @@ class TestSweepsMatchPerPointLoops:
         assert [row.runs for row in rows] == [5] * 8 + [0] * 3
         assert err == (
             "warning: skipping rho=0.5;N=9: odd cluster count 9 needs 10 seed UAVs, got 9\n"
-            "warning: skipping rho=0.5;N=10: num_clusters must lie in [1, num_uavs]\n"
-            "warning: skipping rho=0.5;N=11: num_clusters must lie in [1, num_uavs]\n"
+            "warning: skipping rho=0.5;N=10: cannot form 10 clusters from 9 UAVs\n"
+            "warning: skipping rho=0.5;N=11: cannot form 11 clusters from 9 UAVs\n"
         )
 
 
@@ -297,6 +299,63 @@ class TestCsv:
         line = rows_to_csv(sweep_full_set_rate(spec)).splitlines()[1]
         fields = line.split(",")
         assert fields[2] == "" and fields[4] == ""
+
+
+class TestOneFeasibilityRule:
+    """Every entry point decides a cluster count by one rule, with one error and message."""
+
+    @staticmethod
+    def feasible(num_uavs, num_clusters):
+        # N in [1, U]; seeds come in pairs, so an odd N above 1 needs a spare UAV.
+        in_range = 1 <= num_clusters <= num_uavs
+        return in_range and (num_clusters == 1 or num_clusters % 2 == 0
+                             or num_clusters < num_uavs)
+
+    def test_one_error_class(self):
+        assert uavex.InfeasibleClusterCount is core.InfeasibleClusterCount
+        assert clustering.InfeasibleClusterCount is core.InfeasibleClusterCount
+
+    def test_cluster_network_follows_the_rule(self):
+        for num_uavs in range(13):
+            vectors = [IndicatorVector.from_mask(u % 8, 3) for u in range(num_uavs)]
+            for num_clusters in range(-1, 15):
+                try:
+                    cluster_network(vectors, num_clusters, stream(0, 0, "tie-break"))
+                except InfeasibleClusterCount as exc:
+                    assert not self.feasible(num_uavs, num_clusters), (num_uavs, num_clusters)
+                    if not 1 <= num_clusters <= num_uavs:
+                        assert str(exc) == \
+                            f"cannot form {num_clusters} clusters from {num_uavs} UAVs"
+                else:
+                    assert self.feasible(num_uavs, num_clusters), (num_uavs, num_clusters)
+
+    def test_scenario_config_raises_the_same_error(self):
+        for num_uavs in range(1, 13):
+            for num_clusters in [*range(-1, 1), *range(num_uavs + 1, 15)]:
+                with pytest.raises(InfeasibleClusterCount) as raised:
+                    ScenarioConfig(num_uavs, 4, 0.5, num_clusters)
+                assert str(raised.value) == \
+                    f"cannot form {num_clusters} clusters from {num_uavs} UAVs"
+
+    @pytest.mark.parametrize("command", ["compare", "trace"])
+    @pytest.mark.parametrize("count", ["0", "-1", "5"])
+    def test_every_count_outside_the_fleet_exits_two(self, command, count, capsys):
+        code = cli_main([command, "--uavs", "4", "--packets", "3", "--rho", "0.5",
+                         "--clusters", count, "--runs", "3"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: infeasible scenario: cannot form {count} clusters from 4 UAVs\n"
+        )
+
+    def test_full_set_rate_warns_with_the_same_message(self, capsys):
+        code = cli_main(["full-set-rate", "--uavs", "4", "--packets", "3", "--rho", "0.5",
+                         "--clusters", "0,5", "--runs", "3"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "warning: skipping rho=0.5;N=0: cannot form 0 clusters from 4 UAVs\n"
+            "warning: skipping rho=0.5;N=5: cannot form 5 clusters from 4 UAVs\n"
+            "error: every requested cluster count was infeasible\n"
+        )
 
 
 class TestCli:
@@ -598,7 +657,7 @@ class TestCli:
         ] + [("rho=0.5;N=5", "0"), ("rho=0.5;N=6", "0")]
         assert err == (
             "warning: skipping rho=0.5;N=5: odd cluster count 5 needs 6 seed UAVs, got 5\n"
-            "warning: skipping rho=0.5;N=6: num_clusters must lie in [1, num_uavs]\n"
+            "warning: skipping rho=0.5;N=6: cannot form 6 clusters from 5 UAVs\n"
         )
 
     def test_counts_all_above_the_fleet_exit_two(self, capsys):

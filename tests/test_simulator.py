@@ -190,6 +190,21 @@ class TestClusterExchangeEdges:
         # The give-up happens after DIFS + request + DIFS + full window.
         assert result.delay_us > TIMING.cw_total_us
 
+    @pytest.mark.parametrize("members, bits, lengths", [
+        ([0, 0, 1], ((1, 0, 1, 0), (0, 1, 0, 1)), "[4, 4, 4]"),  # a phantom second UAV 0
+        ([0, 1], ((1, 0, 1), (0, 1, 0, 1)), "[3, 4]"),
+        ([1, 0], ((1, 0, 1, 1), (0, 1, 0)), "[4, 3]"),
+    ])
+    def test_repeated_ids_and_unequal_lengths_are_refused(self, members, bits, lengths):
+        holdings = [IndicatorVector(b) for b in bits]
+        with pytest.raises(ValueError) as raised:
+            run_cluster_exchange(members, holdings, TIMING, Scheme.MECHANISM_ONLY,
+                                 stream(0, 0, "backoff/0"))
+        assert str(raised.value) == (
+            f"cluster members {sorted(members)} must be distinct and hold vectors of one "
+            f"length, got lengths {lengths}"
+        )
+
     def test_lone_uav_with_gap(self):
         holdings = {0: IndicatorVector((1, 0))}
         result = run_cluster_exchange(
