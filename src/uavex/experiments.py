@@ -40,23 +40,37 @@ from .simulator import (
 # Run indices whose streams one StreamBlock seeds.
 _BLOCK_RUNS = 256
 
-CSV_COLUMNS = (
-    "param",
-    "scheme",
-    "mean_exchanges",
-    "sd_exchanges",
-    "mean_delay_us",
-    "sd_delay_us",
-    "full_set_rate",
-    "completion_rate",
-    "runs",
-    "seed",
-)
+# Every config key, each also the dest of the flag that sets it, with its type.
+_SETTINGS = {
+    "num_uavs": int, "num_packets": int, "delivery_rate": float, "num_clusters": int,
+    "scheme": Scheme, "seed": int, "runs": int,
+    "difs_us": int, "cw_total_us": int, "preamble_us": int, "payload_us_per_packet": int,
+}
+
+
+def _setting(key: str, value: object, kind: type) -> Any:
+    """Setting ``key`` as ``kind`` (int, float or Scheme); a ValueError naming the key otherwise.
+
+    JSON nulls, booleans, lists and objects are refused, and so is a fraction
+    for an integer setting; strings convert as ``kind`` parses them.
+    """
+    fraction = kind is int and isinstance(value, float) and not value.is_integer()
+    if value is None or isinstance(value, (bool, list, dict)) or fraction:
+        raise ValueError(f"setting {key} must be {kind.__name__}, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"setting {key} must be {kind.__name__}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: a base scenario, the parameter swept, and the values to visit."""
+    """One sweep: a base scenario, the parameter swept, and the values to visit.
+
+    Each value is typed as the config setting of that name is (``_setting``):
+    an ``int`` cluster count or a ``Scheme``. A fraction, a boolean or a string
+    that does not parse raises ``ValueError`` naming the parameter and value.
+    """
 
     base: ScenarioConfig
     parameter: str  # "num_clusters" | "scheme"
@@ -70,6 +84,9 @@ class SweepSpec:
             raise ValueError("sweep needs at least one value")
         if self.runs < 1:
             raise ValueError("runs must be positive")
+        kind = _SETTINGS[self.parameter]
+        typed = tuple(_setting(self.parameter, value, kind) for value in self.values)
+        object.__setattr__(self, "values", typed)
 
 
 @dataclass(frozen=True)
@@ -100,35 +117,65 @@ class AggregateRow:
         return [cell(getattr(self, column)) for column in CSV_COLUMNS]
 
 
-def _sd(values: np.ndarray) -> float | None:
-    if values.size < 2:
+CSV_COLUMNS = tuple(field.name for field in fields(AggregateRow))
+
+
+def _mean(values: np.ndarray | None) -> float | None:
+    return float(values.mean()) if values is not None and values.size else None
+
+
+def _sd(values: np.ndarray | None) -> float | None:
+    if values is None or values.size < 2:
         return None
     return float(np.std(values, ddof=1))
 
 
-def _param_tag(config: ScenarioConfig) -> str:
+def _param_tag(delivery_rate: float, num_clusters: int) -> str:
     # Semicolon, not comma, so CSV cells never need quoting.
-    return f"rho={config.delivery_rate:g};N={config.num_clusters}"
+    return f"rho={delivery_rate:g};N={num_clusters}"
 
 
-def _blocks(
-    seed: int, runs: int, labels: Sequence[str]
-) -> Iterator[tuple[int, core.StreamBlock]]:
-    """Each run index below ``runs`` with the StreamBlock that seeds its ``labels``."""
-    for start in range(0, runs, _BLOCK_RUNS):
-        block = core.StreamBlock(seed, range(start, min(start + _BLOCK_RUNS, runs)), labels)
-        for k in block.run_indices:
-            yield k, block
+def _row(
+    base: ScenarioConfig, num_clusters: int, scheme: Scheme, fractions: np.ndarray,
+    exchanges: np.ndarray | None = None, delays: np.ndarray | None = None,
+) -> AggregateRow:
+    """The row of a sweep point from its per-run full-cluster fractions, exchanges and delays.
 
-
-def _run_receipts(
-    config: ScenarioConfig, run_index: int, block: core.StreamBlock
-) -> list[IndicatorVector]:
-    """The receipts of one run, shared by every scheme and cluster count swept at it."""
-    return sample_initial_receipts(
-        config.num_uavs, config.num_packets, config.delivery_rate,
-        core.stream(config.seed, run_index, "bs-delivery", block=block),
+    A run completed when its fraction is 1. Delay statistics count completed
+    runs only, since the give-up timeout dominates the others' delay. A cell
+    with no sample is blank: the exchange cells of a clustering-only point and
+    every metric of a point with no runs, such as a count that cannot be formed.
+    """
+    completed = fractions == 1.0
+    if delays is not None:
+        delays = delays[completed]
+    return AggregateRow(
+        _param_tag(base.delivery_rate, num_clusters), scheme.value,
+        _mean(exchanges), _sd(exchanges), _mean(delays), _sd(delays),
+        _mean(fractions), _mean(completed), fractions.size, base.seed,
     )
+
+
+def _runs(
+    config: ScenarioConfig, runs: int, counts: Sequence[int], backoffs: int = 0
+) -> Iterator[tuple[int, core.StreamBlock, list[IndicatorVector]]]:
+    """Each run index below ``runs``, the StreamBlock that seeds its streams, and its receipts.
+
+    The sweep's points cluster at ``counts`` and read ``backoffs`` backoff
+    streams per run. With no counts there is no point, and nothing is sampled.
+    """
+    if not counts:
+        return
+    labels = ["bs-delivery", *(f"backoff/{i}" for i in range(backoffs))]
+    if any(reads_tie_break(n) for n in counts):
+        labels.append("tie-break")
+    for start in range(0, runs, _BLOCK_RUNS):
+        block = core.StreamBlock(config.seed, range(start, min(start + _BLOCK_RUNS, runs)), labels)
+        for k in block.run_indices:
+            yield k, block, sample_initial_receipts(
+                config.num_uavs, config.num_packets, config.delivery_rate,
+                core.stream(config.seed, k, "bs-delivery", block=block),
+            )
 
 
 def _full_set_fractions(
@@ -138,14 +185,10 @@ def _full_set_fractions(
 
     Each count that reads a tie-break stream derives the run's stream just
     before clustering, as ``run_scenario`` does, so every such count starts
-    from the same stream. No counts, no runs: nothing is sampled.
+    from the same stream.
     """
     fractions = [np.empty(runs) for _ in counts]
-    labels = ["bs-delivery"]
-    if any(reads_tie_break(n) for n in counts):
-        labels.append("tie-break")
-    for k, block in _blocks(config.seed, runs if counts else 0, labels):
-        receipts = _run_receipts(config, k, block)
+    for k, block, receipts in _runs(config, runs, counts):
         for num_clusters, fraction in zip(counts, fractions):
             tie_break = (
                 core.stream(config.seed, k, "tie-break", block=block)
@@ -169,30 +212,20 @@ def full_set_rate_samples(config: ScenarioConfig, runs: int) -> np.ndarray:
 def _scheme_samples(
     config: ScenarioConfig, schemes: Sequence[Scheme], runs: int, timing: TimingConfig | None
 ) -> list[dict[str, np.ndarray]]:
-    """Per-run samples of ``config`` under each scheme, all from each run's receipts."""
+    """Per-run exchanges, delay and full-cluster fraction of ``config`` under each scheme."""
     configs = [replace(config, scheme=scheme) for scheme in schemes]
     samples = [
-        {
-            "exchanges": np.empty(runs),
-            "delay_us": np.empty(runs),
-            "completed": np.empty(runs, dtype=bool),
-            "full_fraction": np.empty(runs),
-        }
+        {"exchanges": np.empty(runs), "delay_us": np.empty(runs), "full_fraction": np.empty(runs)}
         for _ in configs
     ]
     counts = [clusters_for_scheme(c) for c in configs]
-    labels = ["bs-delivery", *(f"backoff/{i}" for i in range(max(counts)))]
-    if any(reads_tie_break(n) for n in counts):
-        labels.append("tie-break")
-    for k, block in _blocks(config.seed, runs, labels):
-        receipts = _run_receipts(config, k, block)
+    for k, block, receipts in _runs(config, runs, counts, backoffs=max(counts)):
         for scheme_config, sample in zip(configs, samples):
             result = run_scenario(
                 scheme_config, k, timing=timing, receipts=receipts, block=block
             )
             sample["exchanges"][k] = result.reported_exchanges
             sample["delay_us"][k] = result.reported_delay_us
-            sample["completed"][k] = result.all_completed
             sample["full_fraction"][k] = result.full_cluster_fraction
     return samples
 
@@ -200,87 +233,44 @@ def _scheme_samples(
 def scheme_metric_samples(
     config: ScenarioConfig, runs: int, timing: TimingConfig | None = None
 ) -> dict[str, np.ndarray]:
-    """Per-run reported exchanges, delay, and completion for one scheme."""
-    return _scheme_samples(config, [config.scheme], runs, timing)[0]
+    """Per-run reported exchanges, delay, full-cluster fraction and completion for one scheme."""
+    samples = _scheme_samples(config, [config.scheme], runs, timing)[0]
+    samples["completed"] = samples["full_fraction"] == 1.0
+    return samples
 
 
 def sweep_full_set_rate(spec: SweepSpec) -> list[AggregateRow]:
     """Full-set rate for each swept cluster count (clustering only, no exchange).
 
-    Infeasible cluster counts produce a metric-less warning row instead of
-    aborting the sweep.
+    A count ``cluster_network`` cannot form prints a warning and gets a row
+    with no runs instead of aborting the sweep; every other error propagates.
+    The counts it can form share one pass over the runs.
     """
     if spec.parameter != "num_clusters":
         raise ValueError("full-set-rate sweeps vary num_clusters")
-
-    def skipped(tag: str, exc: ValueError) -> AggregateRow:
-        print(f"warning: skipping {tag}: {exc}", file=sys.stderr)
-        return AggregateRow(tag, spec.base.scheme.value, None, None, None, None,
-                            None, None, 0, spec.base.seed)
-
-    counts: list[int | ValueError] = []
-    for value in spec.values:
+    base = spec.base
+    feasible = []
+    for num_clusters in spec.values:
         try:
-            _check_feasible(spec.base.num_uavs, int(value))
-            counts.append(int(value))
-        except ValueError as exc:
-            counts.append(exc)
-    fractions = iter(_full_set_fractions(
-        spec.base, [n for n in counts if not isinstance(n, ValueError)], spec.runs
-    ))
-    rows = []
-    for value, num_clusters in zip(spec.values, counts):
-        tag = f"rho={spec.base.delivery_rate:g};N={int(value)}"
-        if isinstance(num_clusters, ValueError):
-            rows.append(skipped(tag, num_clusters))
-            continue
-        fraction = next(fractions)
-        rows.append(
-            AggregateRow(
-                param=tag,
-                scheme=spec.base.scheme.value,
-                mean_exchanges=None,
-                sd_exchanges=None,
-                mean_delay_us=None,
-                sd_delay_us=None,
-                full_set_rate=float(fraction.mean()),
-                completion_rate=float((fraction == 1.0).mean()),
-                runs=spec.runs,
-                seed=spec.base.seed,
-            )
-        )
-    return rows
+            _check_feasible(base.num_uavs, num_clusters)
+        except InfeasibleClusterCount as exc:
+            tag = _param_tag(base.delivery_rate, num_clusters)
+            print(f"warning: skipping {tag}: {exc}", file=sys.stderr)
+        else:
+            feasible.append(num_clusters)
+    fractions = dict(zip(feasible, _full_set_fractions(base, feasible, spec.runs)))
+    return [_row(base, n, base.scheme, fractions.get(n, np.empty(0))) for n in spec.values]
 
 
 def compare_schemes(spec: SweepSpec, timing: TimingConfig | None = None) -> list[AggregateRow]:
-    """Mean exchanges and delay per scheme on matched receipt samples.
-
-    Runs whose cluster unions lack packets cannot finish completely; they
-    count toward the completion and full-set rates but are left out of the
-    delay means, since their delay is dominated by the give-up timeout.
-    """
+    """Mean exchanges and delay per scheme on matched receipts; delay counts completed runs."""
     if spec.parameter != "scheme":
         raise ValueError("compare sweeps vary the scheme")
-    schemes = [Scheme(value) for value in spec.values]
-    rows = []
-    for scheme, samples in zip(schemes, _scheme_samples(spec.base, schemes, spec.runs, timing)):
-        finished = samples["completed"]
-        delays = samples["delay_us"][finished]
-        rows.append(
-            AggregateRow(
-                param=_param_tag(spec.base),
-                scheme=scheme.value,
-                mean_exchanges=float(samples["exchanges"].mean()),
-                sd_exchanges=_sd(samples["exchanges"]),
-                mean_delay_us=float(delays.mean()) if delays.size else None,
-                sd_delay_us=_sd(delays),
-                full_set_rate=float(samples["full_fraction"].mean()),
-                completion_rate=float(finished.mean()),
-                runs=spec.runs,
-                seed=spec.base.seed,
-            )
-        )
-    return rows
+    base = spec.base
+    return [
+        _row(base, base.num_clusters, scheme, s["full_fraction"], s["exchanges"], s["delay_us"])
+        for scheme, s in zip(spec.values, _scheme_samples(base, spec.values, spec.runs, timing))
+    ]
 
 
 def rows_to_csv(rows: Sequence[AggregateRow]) -> str:
@@ -328,6 +318,8 @@ def _parse_cluster_values(text: str) -> list[int]:
             values = [int(part) for part in text.split(",")]
     except ValueError:
         values = []
+    except (OverflowError, MemoryError):
+        raise ValueError(f"--clusters range {text!r} is too large to hold") from None
     if not values:
         raise ValueError(
             f"--clusters takes N, N,M,... or a range LO..HI with LO <= HI; got {text!r}"
@@ -356,28 +348,7 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-# Every config key, each also the dest of the flag that sets it, with its type.
-_SETTINGS = {
-    "num_uavs": int, "num_packets": int, "delivery_rate": float, "num_clusters": int,
-    "scheme": Scheme, "seed": int, "runs": int,
-    "difs_us": int, "cw_total_us": int, "preamble_us": int, "payload_us_per_packet": int,
-}
 _TIMING_KEYS = tuple(field.name for field in fields(TimingConfig))
-
-
-def _setting(key: str, value: object, kind: type) -> Any:
-    """Setting ``key`` as ``kind`` (int, float or Scheme); a ValueError naming the key otherwise.
-
-    JSON nulls, booleans, lists and objects are refused, and so is a fraction
-    for an integer setting; strings convert as ``kind`` parses them.
-    """
-    fraction = kind is int and isinstance(value, float) and not value.is_integer()
-    if value is None or isinstance(value, (bool, list, dict)) or fraction:
-        raise ValueError(f"setting {key} must be {kind.__name__}, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"setting {key} must be {kind.__name__}, got {value!r}") from None
 
 
 def _gather_settings(args: argparse.Namespace) -> tuple[dict, TimingConfig]:
@@ -553,6 +524,6 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except InfeasibleClusterCount as exc:
         print(f"error: infeasible scenario: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clustering import ClusterAssignment, cluster_network
+from .clustering import ClusterAssignment, InfeasibleClusterCount, _check_feasible, cluster_network
 from .core import IndicatorVector, Scheme, UavId, stream
 from .mac import Pcg64Draws, TimingConfig, draw_backoff, subwindow_bounds
 from .protocol import TraceRecord
@@ -93,8 +93,11 @@ def check_backoff_priority(rng: np.random.Generator, pairs: int) -> None:
 def _feasible_cluster_count(rng: np.random.Generator, num_uavs: int) -> int:
     while True:
         n = int(rng.integers(1, num_uavs + 1))
-        if n == 1 or n % 2 == 0 or n + 1 <= num_uavs:
-            return n
+        try:
+            _check_feasible(num_uavs, n)
+        except InfeasibleClusterCount:
+            continue
+        return n
 
 
 def check_clustering(rng: np.random.Generator, fleets: int) -> list[ClusteringCase]:

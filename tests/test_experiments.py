@@ -4,11 +4,13 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -60,6 +62,36 @@ class TestSweepSpec:
     def test_rejects_empty_values(self):
         with pytest.raises(ValueError):
             SweepSpec(base_config(), "num_clusters", ())
+
+
+class TestSweepValuesTypedOnce:
+    """Sweep values are typed by the config settings rule when the sweep is built."""
+
+    @pytest.mark.parametrize("value", [2.5, "abc", True])
+    def test_a_count_that_is_not_an_integer_is_refused_before_any_run(self, value, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("no run may start")
+
+        monkeypatch.setattr(experiments, "sample_initial_receipts", no_run)
+        with pytest.raises(ValueError, match=f"num_clusters.*{re.escape(repr(value))}"):
+            sweep_full_set_rate(SweepSpec(base_config(), "num_clusters", (2, value), runs=3))
+
+    def test_an_unknown_scheme_is_refused_at_construction(self):
+        with pytest.raises(ValueError, match="scheme.*'bogus'"):
+            SweepSpec(base_config(), "scheme", ("bogus",))
+
+    def test_integral_values_take_the_type_the_setting_does(self):
+        spec = SweepSpec(base_config(), "num_clusters", ("3", 4.0, 2), runs=3)
+        assert spec.values == (3, 4, 2)
+        assert all(type(value) is int for value in spec.values)
+
+    def test_scheme_names_give_the_rows_of_scheme_members(self):
+        names = SweepSpec(base_config(num_clusters=3), "scheme",
+                          ("baseline_csma", "proposed"), runs=6)
+        members = SweepSpec(base_config(num_clusters=3), "scheme",
+                            (Scheme.BASELINE_CSMA, Scheme.PROPOSED), runs=6)
+        assert names.values == members.values
+        assert compare_schemes(names) == compare_schemes(members)
 
 
 class TestFullSetRateSweep:
@@ -697,3 +729,47 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+
+class TestSelftestClusterCounts:
+    def test_counts_are_drawn_by_the_clustering_rule(self, monkeypatch):
+        # The self check asks clustering which counts it can form; a stricter
+        # rule must reach the drawn fleets without restating it in selftest.
+        drawn = selftest.check_clustering(np.random.default_rng(0), 40)
+        assert any(case.num_clusters == 2 for case in drawn)
+        original = clustering._check_feasible
+
+        def refuse_two(num_uavs, num_clusters):
+            if num_clusters == 2:
+                raise InfeasibleClusterCount("two clusters refused")
+            original(num_uavs, num_clusters)
+
+        monkeypatch.setattr(selftest, "_check_feasible", refuse_two)
+        cases = selftest.check_clustering(np.random.default_rng(0), 40)
+        assert len(cases) == 40
+        assert all(case.num_clusters != 2 for case in cases)
+
+
+class TestOversizedInputs:
+    """Inputs too large to hold exit 1 with one error line, not a traceback.
+
+    Each size exceeds a 47-bit user address space, so the allocation fails at
+    once whatever the host's overcommit setting.
+    """
+
+    SCENARIO = ["--uavs", "10", "--packets", "6", "--rho", "0.7"]
+
+    @pytest.mark.parametrize("clusters", [f"1..{10**30}", f"1..{10**18}"])
+    def test_cluster_range_names_the_flag(self, clusters, capsys):
+        code = cli_main(["full-set-rate", *self.SCENARIO, "--clusters", clusters, "--runs", "2"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --clusters range {clusters!r} is too large to hold\n"
+
+    def test_run_count_exits_one(self, capsys):
+        code = cli_main(["compare", *self.SCENARIO, "--clusters", "3", "--runs", str(10**15)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
