@@ -12,14 +12,8 @@ the vectors themselves and returns one combined vector per cluster.
 
 import numpy as np
 
-from uavex import (
-    IndicatorVector,
-    cluster_network,
-    hamming_distance,
-    initialize_clusters,
-    merge_iteration,
-    stream,
-)
+from uavex import IndicatorVector, cluster_network, stream
+from uavex.clustering import hamming_distance, initialize_clusters, merge_iteration
 
 fleet = [
     IndicatorVector((1, 1, 1, 1, 1, 0)),

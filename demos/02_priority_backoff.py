@@ -8,13 +8,8 @@ draws anywhere in the window.
 
 import numpy as np
 
-from uavex import (
-    draw_backoff,
-    draw_baseline_backoff,
-    stream,
-    subwindow_bounds,
-    subwindow_for_count,
-)
+from uavex import stream
+from uavex.mac import draw_backoff, draw_baseline_backoff, subwindow_bounds, subwindow_for_count
 
 M = 6
 WINDOW = 9207

@@ -8,16 +8,11 @@ clustering, the contention-window model, a deterministic contention-round
 simulator of the exchange, and a Monte-Carlo experiment harness.
 
 The names below are the library's public surface; everything else, such as
-the per-event protocol rules, is imported from its own module.
+the clustering stages, the backoff draws and the per-event protocol rules, is
+imported from its own module.
 """
 
-from .clustering import (
-    InfeasibleClusterCount,
-    cluster_network,
-    hamming_distance,
-    initialize_clusters,
-    merge_iteration,
-)
+from .clustering import InfeasibleClusterCount, cluster_network
 from .core import IndicatorVector, ScenarioConfig, Scheme, packet_label, stream
 from .experiments import (
     SweepSpec,
@@ -26,13 +21,7 @@ from .experiments import (
     rows_to_csv,
     sweep_full_set_rate,
 )
-from .mac import (
-    TimingConfig,
-    draw_backoff,
-    draw_baseline_backoff,
-    subwindow_bounds,
-    subwindow_for_count,
-)
+from .mac import TimingConfig
 from .protocol import trace_line
 from .simulator import run_cluster_exchange, run_scenario, sample_initial_receipts
 
@@ -47,20 +36,13 @@ __all__ = [
     "TimingConfig",
     "cluster_network",
     "compare_schemes",
-    "draw_backoff",
-    "draw_baseline_backoff",
     "full_set_rate_samples",
-    "hamming_distance",
-    "initialize_clusters",
-    "merge_iteration",
     "packet_label",
     "rows_to_csv",
     "run_cluster_exchange",
     "run_scenario",
     "sample_initial_receipts",
     "stream",
-    "subwindow_bounds",
-    "subwindow_for_count",
     "sweep_full_set_rate",
     "trace_line",
 ]

@@ -4,17 +4,17 @@ One exchange simulates one cluster's shared channel in integer microseconds.
 Clusters sit on disjoint channels, so a scenario run simulates them
 independently and reports the per-cluster maxima.
 
-The channel resolves one contention round at a time: it idles for DIFS, then
-the shortest pending draw transmits. While no request is outstanding, UAVs
-with request draws contend. A clean request makes every other UAV that can
-supply some of it draw a reply backoff, and only those repliers contend until
-one reply gets through. Draws are never counted down: a pending request draw
-is held at its full value until the transaction closes with a reply (or, when
-nobody can supply anything, with a timeout after DIFS plus a full window of
-silence), and then contends again, whole, in the next round. Equal shortest
-draws collide: all their frames are lost and the colliders redraw within
-their current subwindows, in order of (frame end, uav), once the last frame
-has ended.
+Requests and replies contend by one rule. Each round the channel idles for
+DIFS, then the shortest draw of the contending list transmits: the request
+draws while no request is open, the open request's reply draws otherwise.
+Equal shortest draws collide, requests and replies alike: all their frames
+are lost and the colliders redraw within their current subwindows, in order
+of (frame end, uav), once the last frame has ended. A clean request makes
+every other UAV that can supply some of it draw a reply backoff, or, when
+nobody can, times out after DIFS plus a full window of silence; a clean reply
+closes the transaction. Draws are never counted down: a pending request draw
+is held at its full value until the transaction closes, and then contends
+again, whole, in the next round.
 
 A cluster's exchange is one loop over parallel int lists indexed by position
 in the sorted member list (holdings and given-up packets as bitmasks, request
@@ -23,15 +23,16 @@ loop keeps the clock, picks the transmitters from plain ints, takes frame air
 times from a table built once per (packet count, timing) pair, and records the
 trace only when a trace list is given; each protocol rule is one ``protocol``
 call per channel event (first draws, clean request, clean reply, collision,
-timeout). A member whose request draw is 0 once a transaction has closed wants
-nothing more: it is done, and no longer contends for requests, though it keeps
-answering them.
+timeout). Whenever no request is open, a member whose request draw is 0 wants
+nothing more: it is done from then on, and no longer contends for requests,
+though it keeps answering them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -185,68 +186,74 @@ def _exchange(
 ) -> ClusterResult:
     """Run contention rounds until every member is done; ``held`` is updated in place.
 
-    Each clean exchange shrinks the total wanted count and each timeout
-    retires its requester, so only collisions repeat a round; with every
-    subwindow at least two values wide, colliders separate eventually.
+    Each round is one contention step over ``contending``: every member's
+    request draw while no request is open (``asked`` is 0), the reply draws for
+    the open request's packets ``asked`` otherwise, with ``senders[k]`` the
+    member behind entry k. Only collisions repeat a round (clean exchanges
+    shrink the wanted count, timeouts retire requesters), and colliders
+    separate in subwindows two or more values wide.
     """
     n = len(order)
     full = (1 << num_packets) - 1
     difs, window = timing.difs_us, timing.cw_total_us
     air = _air_times(num_packets, timing)
-    request_air = air[0]
     gone = [0] * n
-    requests = first_draws(held, full, num_packets, window, priority, rng)
-    now = finish = exchanges = collisions = 0
-    done = requests.count(0)
-    if trace is not None:
-        live = [i for i in range(n) if requests[i]]
-        for i in range(n):
-            if not requests[i]:
-                trace.append(TraceRecord(0, order[i], "done", (), None, cluster_id))
-    while done < n:
-        shortest = min(filter(None, requests))
-        now += difs + shortest
-        tied = requests.count(shortest)
-        if tied > 1:
-            collisions += 1
-            winners = [requests.index(shortest)]
-            while len(winners) < tied:
-                winners.append(requests.index(shortest, winners[-1] + 1))
-            frames = [full & ~(held[i] | gone[i]) for i in winners]
-            if trace is not None:
-                trace.append(TraceRecord(now, order[winners[1]], "collision",
-                                         mask_packets(frames[1]), None, cluster_id))
-            now += request_air  # request frames all end together: colliders redraw in uav order
-            redraw_colliders(requests, winners, frames, num_packets, window, priority, rng)
-            continue
-        requester = requests.index(shortest)
-        requests[requester] = 0
-        asked = full & ~(held[requester] | gone[requester])
-        now += request_air
-        if trace is not None:
-            trace.append(TraceRecord(now, order[requester], "request", mask_packets(asked),
-                                     None, cluster_id))
-        repliers, draws = open_request(held, asked, num_packets, window, priority, rng)
-        if repliers:
-            while True:
-                shortest = min(draws)
-                now += difs + shortest
-                if draws.count(shortest) == 1:
-                    break
-                collisions += 1
-                colliders = [k for k, draw in enumerate(draws) if draw == shortest]
-                frames = [asked & held[repliers[k]] for k in colliders]
+    requests = contending = first_draws(held, full, num_packets, window, priority, rng)
+    senders = everyone = live = range(n)
+    now = finish = exchanges = collisions = done = asked = 0
+    while True:
+        if not asked:
+            # No request is open: a member without a request draw wants nothing more.
+            retired = requests.count(0)
+            if retired > done:
+                done, finish = retired, now
                 if trace is not None:
-                    trace.append(TraceRecord(now, order[repliers[colliders[1]]], "collision",
-                                             mask_packets(frames[1]), None, cluster_id))
-                ends = sorted(
-                    (now + air[frame.bit_count()], k, frame)
-                    for k, frame in zip(colliders, frames)
-                )
+                    trace.extend(TraceRecord(now, order[i], "done", (), None, cluster_id)
+                                 for i in live if not requests[i])
+                    live = [i for i in live if requests[i]]
+                if done == n:
+                    break
+            shortest = min(filter(None, requests))
+        else:
+            shortest = min(contending)
+        now += difs + shortest
+        if contending.count(shortest) > 1:
+            # All frames are lost. Request frames carry no data and end together;
+            # colliders redraw in (frame end, position) order once the last has ended.
+            collisions += 1
+            colliders = [k for k, draw in enumerate(contending) if draw == shortest]
+            frames = ([asked & held[senders[k]] for k in colliders] if asked
+                      else [full & ~(held[i] | gone[i]) for i in colliders])
+            if trace is not None:
+                trace.append(TraceRecord(now, order[senders[colliders[1]]], "collision",
+                                         mask_packets(frames[1]), None, cluster_id))
+            if not asked:
+                now += air[0]
+            else:
+                ends = sorted((now + air[frame.bit_count()], k, frame)
+                              for k, frame in zip(colliders, frames))
                 now = ends[-1][0]
-                redraw_colliders(draws, [k for _, k, _ in ends], [f for _, _, f in ends],
-                                 num_packets, window, priority, rng)
-            sender = repliers[draws.index(shortest)]
+                _, colliders, frames = map(list, zip(*ends))
+            redraw_colliders(contending, colliders, frames, num_packets, window, priority, rng)
+            continue
+        if not asked:
+            requester = contending.index(shortest)
+            requests[requester] = 0
+            asked = full & ~(held[requester] | gone[requester])
+            now += air[0]
+            if trace is not None:
+                trace.append(TraceRecord(now, order[requester], "request", mask_packets(asked),
+                                         None, cluster_id))
+            senders, contending = open_request(held, asked, num_packets, window, priority, rng)
+            if senders:
+                continue
+            now += difs + window
+            time_out(gone, requester, asked)
+            if trace is not None:
+                trace.append(TraceRecord(now, order[requester], "unobtainable",
+                                         mask_packets(asked), None, cluster_id))
+        else:
+            sender = senders[contending.index(shortest)]
             supply = asked & held[sender]
             now += air[supply.bit_count()]
             exchanges += 1
@@ -255,25 +262,9 @@ def _exchange(
                                          order[requester], cluster_id))
             absorb_reply(held, gone, requests, requester, supply, full, num_packets, window,
                          priority, rng)
-        else:
-            now += difs + window
-            time_out(gone, requester, asked)
-            if trace is not None:
-                trace.append(TraceRecord(now, order[requester], "unobtainable",
-                                         mask_packets(asked), None, cluster_id))
-        retired = requests.count(0)
-        if retired > done:
-            done, finish = retired, now
-            if trace is not None:
-                for i in live:
-                    if not requests[i]:
-                        trace.append(TraceRecord(now, order[i], "done", (), None, cluster_id))
-                live = [i for i in live if requests[i]]
-    unobtainable = 0
-    for mask in gone:
-        unobtainable |= mask
+        senders, contending, asked = everyone, requests, 0
     return ClusterResult(exchanges, finish, held.count(full) == n, collisions,
-                         frozenset(mask_packets(unobtainable)))
+                         frozenset(mask_packets(reduce(or_, gone))))
 
 
 def clusters_for_scheme(config: ScenarioConfig) -> int:

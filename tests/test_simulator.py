@@ -624,14 +624,17 @@ class TestReferenceExchange:
     def test_engine_equals_the_reference(self, case):
         self.check(*case)
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("window", [12, 24])
-    def test_contended_plain_csma_equals_the_reference(self, window):
-        # Tight windows make plain CSMA repliers with different packet counts
-        # collide, the one case where (frame end, uav) order is not uav order.
+    def test_contended_exchange_equals_the_reference(self, scheme, window):
+        # Tight windows make requests and replies collide in every scheme, down
+        # to the narrowest legal window (W = 2M = 12). Plain CSMA repliers with
+        # different packet counts collide too, the one case where (frame end,
+        # uav) order is not uav order.
         timing = replace(TIMING, cw_total_us=window)
         for seed in range(100):
             receipts = sample_initial_receipts(10, 6, 0.5, stream(seed, 0, "bs-delivery"))
-            self.check(range(10), dict(enumerate(receipts)), timing, Scheme.BASELINE_CSMA, seed)
+            self.check(range(10), dict(enumerate(receipts)), timing, scheme, seed)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("window, holder", [(2, 0), (3, 1), (24, 0), (61, 1)])
