@@ -1,24 +1,22 @@
 """Request/reply rules of the UAVs on one shared cluster channel, one function per channel event.
 
 A cluster's exchange state is a few parallel int lists, indexed by each UAV's
-position in the sorted member list: ``held`` and ``gone`` (the packets it has
-given up on) are bitmasks, bit m for packet m, and ``requests`` holds its
-pending request draw in whole microseconds, 0 for none. While a request is
-open, its repliers' draws sit in a list beside their positions. A request
-draw is sized by how many packets the UAV still wants, a reply draw by how
-many of the open request's packets it can supply. Backoff *values* persist
-between contention rounds; they are replaced only when the owner's stake
-changes, when a collision forces a redraw, or when the draw is consumed by
-transmitting.
+position in the sorted member list: ``held`` is its bitmask, bit m for packet
+m, and ``requests`` and, while a request is open, the reply draws hold its
+draws in whole microseconds, 0 for none. A UAV wants every packet it does not
+hold; a request draw is sized by how many it wants, a reply draw by how many of
+the open request's packets it can supply. Backoff *values* persist between
+contention rounds; they are replaced only when the owner's stake changes, when
+a collision forces a redraw, or when the draw is consumed by transmitting.
 
 The rules are the first request draws (``first_draws``), a clean request
-(``open_request``), a clean reply (``absorb_reply``), a collision
-(``redraw_colliders``) and a request nobody can supply (``time_out``). Each
-takes the packet count, the window, whether the scheme uses priority
-backoff, and the cluster's draw source. Each draw is one call of this
-module's ``draw_backoff`` or ``draw_baseline_backoff``, looked up when it is
-made, so a cluster's stream is consumed in event order and, within an event,
-in uav order (colliders in the order they are given).
+(``open_request``), a clean reply (``absorb_reply``) and a collision
+(``redraw_colliders``); a request nobody can supply changes no draw. Each
+takes the packet count, the window, whether the scheme uses priority backoff,
+and the cluster's draw source. Each draw is one call of this module's
+``draw_backoff`` or ``draw_baseline_backoff``, looked up when it is made, so a
+cluster's stream is consumed in event order and, within an event, in uav order
+(colliders in the order they are given).
 """
 
 from __future__ import annotations
@@ -47,39 +45,37 @@ def first_draws(
 
 def open_request(
     held: list[int], asked: int, num_packets: int, window: int, priority: bool, rng: Rng
-) -> tuple[list[int], list[int]]:
-    """Reply draws of every UAV holding some of a clean request's packets ``asked``.
+) -> list[int]:
+    """One reply draw per UAV for a clean request's packets ``asked``, sized by how many it holds.
 
-    The stake is how many of the requested packets the UAV holds; the
-    requester holds none of them. Returns the repliers' positions and their
-    draws, in uav order; both are empty when nobody can reply.
+    The draw is 0 for a UAV holding none of them, the requester included;
+    every draw is 0 when nobody can reply.
     """
-    repliers, draws = [], []
-    for i, mask in enumerate(held):
+    draws = []
+    for mask in held:
         supplied = asked & mask
-        if supplied:
-            repliers.append(i)
-            draws.append(
-                draw_backoff(num_packets, supplied.bit_count(), window, rng) if priority
-                else draw_baseline_backoff(window, rng)
-            )
-    return repliers, draws
+        if not supplied:
+            draws.append(0)
+        elif priority:
+            draws.append(draw_backoff(num_packets, supplied.bit_count(), window, rng))
+        else:
+            draws.append(draw_baseline_backoff(window, rng))
+    return draws
 
 
 def absorb_reply(
-    held: list[int], gone: list[int], requests: list[int], requester: int, supply: int,
-    full: int, num_packets: int, window: int, priority: bool, rng: Rng,
+    held: list[int], requests: list[int], requester: int, supply: int, full: int,
+    num_packets: int, window: int, priority: bool, rng: Rng,
 ) -> None:
     """Close a transaction: every UAV takes in the packets ``supply`` of an overheard reply.
 
     The reply ends the open request, so the other reply draws lapse with it.
-    Holdings only ever gain packets; anything received stops being given up
-    on. A UAV that gains packets while holding a request draw has a smaller
-    wanted count, so its draw is redrawn from the new subwindow, or dropped
-    once nothing is wanted anymore; a stale draw would misstate the priority.
-    The sender already holds the packets, so nothing changes for it. Last,
-    the requester draws again if it still wants packets. A reply naming a
-    packet outside the scenario raises ``ValueError`` and changes nothing.
+    Holdings only ever gain packets. A UAV that gains packets while holding a
+    request draw wants fewer, so its draw is redrawn from the new subwindow, or
+    dropped once it wants nothing; a stale draw would misstate the priority.
+    The sender already holds the packets, so nothing changes for it. Last, the
+    requester draws again if it still wants packets. A reply naming a packet
+    outside the scenario raises ``ValueError`` and changes nothing.
     """
     if supply & ~full:
         raise ValueError(f"reply mask {supply} does not fit {num_packets} packets")
@@ -87,16 +83,15 @@ def absorb_reply(
         if not supply & ~mask:
             continue  # nothing new: holdings and stake are unchanged
         held[i] = mask = mask | supply
-        gone[i] &= ~supply
         if requests[i]:
-            stake = (full & ~(mask | gone[i])).bit_count()
+            stake = (full & ~mask).bit_count()
             if not stake:
                 requests[i] = 0
             elif priority:
                 requests[i] = draw_backoff(num_packets, stake, window, rng)
             else:
                 requests[i] = draw_baseline_backoff(window, rng)
-    stake = (full & ~(held[requester] | gone[requester])).bit_count()
+    stake = (full & ~held[requester]).bit_count()
     if stake:
         requests[requester] = (
             draw_backoff(num_packets, stake, window, rng) if priority
@@ -119,11 +114,6 @@ def redraw_colliders(
             draw_backoff(num_packets, frame.bit_count(), window, rng) if priority
             else draw_baseline_backoff(window, rng)
         )
-
-
-def time_out(gone: list[int], requester: int, asked: int) -> None:
-    """Give up on every packet of an own request that drew no reply: no cluster mate holds one."""
-    gone[requester] |= asked
 
 
 @dataclass(frozen=True)

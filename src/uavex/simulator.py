@@ -17,22 +17,21 @@ is held at its full value until the transaction closes, and then contends
 again, whole, in the next round.
 
 A cluster's exchange is one loop over parallel int lists indexed by position
-in the sorted member list (holdings and given-up packets as bitmasks, request
-draws with 0 for none, and the open request's repliers and reply draws). The
-loop keeps the clock, picks the transmitters from plain ints, takes frame air
-times from a table built once per (packet count, timing) pair, and records the
-trace only when a trace list is given; each protocol rule is one ``protocol``
-call per channel event (first draws, clean request, clean reply, collision,
-timeout). Whenever no request is open, a member whose request draw is 0 wants
-nothing more: it is done from then on, and no longer contends for requests,
-though it keeps answering them.
+in the sorted member list: holdings as bitmasks, request and reply draws with 0
+for none. The loop keeps the clock, picks the transmitters from plain ints,
+takes frame air times from a table built once per (packet count, timing) pair,
+and records the trace only when a trace list is given; each protocol rule is
+one ``protocol`` call per channel event (first draws, clean request, clean
+reply, collision). Whenever no request is open, a member whose request draw is
+0 wants nothing more: it is done from then on, and no longer contends for
+requests, though it keeps answering them. So is a member whose request nobody
+could supply: it asked for every packet it lacks, and no member holds any.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,19 +40,16 @@ from . import core  # core.stream is read at call time, so rebinding it reaches 
 from .clustering import cluster_network, reads_tie_break
 from .core import IndicatorVector, Rng, ScenarioConfig, Scheme, UavId, mask_packets
 from .mac import Pcg64Draws, TimingConfig, frame_duration
-from .protocol import (
-    TraceRecord,
-    absorb_reply,
-    first_draws,
-    open_request,
-    redraw_colliders,
-    time_out,
-)
+from .protocol import TraceRecord, absorb_reply, first_draws, open_request, redraw_colliders
 
 
 @dataclass(frozen=True)
 class ClusterResult:
-    """Outcome of one cluster's exchange."""
+    """Outcome of one cluster's exchange.
+
+    ``unobtainable`` is the packets no member held (each timeout asks for all
+    of them), and ``completed`` is ``not unobtainable``: no request timed out.
+    """
 
     exchange_count: int
     delay_us: int
@@ -186,21 +182,20 @@ def _exchange(
 ) -> ClusterResult:
     """Run contention rounds until every member is done; ``held`` is updated in place.
 
-    Each round is one contention step over ``contending``: every member's
-    request draw while no request is open (``asked`` is 0), the reply draws for
-    the open request's packets ``asked`` otherwise, with ``senders[k]`` the
-    member behind entry k. Only collisions repeat a round (clean exchanges
-    shrink the wanted count, timeouts retire requesters), and colliders
-    separate in subwindows two or more values wide.
+    Each round is one contention step over ``contending``, one draw per
+    member with 0 for none: the request draws while no request is open
+    (``asked`` is 0), the reply draws for the open request's packets ``asked``
+    otherwise. Only collisions repeat a round (clean exchanges shrink the
+    wanted count, timeouts retire requesters), and colliders separate in
+    subwindows two or more values wide.
     """
     n = len(order)
     full = (1 << num_packets) - 1
     difs, window = timing.difs_us, timing.cw_total_us
     air = _air_times(num_packets, timing)
-    gone = [0] * n
     requests = contending = first_draws(held, full, num_packets, window, priority, rng)
-    senders = everyone = live = range(n)
-    now = finish = exchanges = collisions = done = asked = 0
+    live = range(n)
+    now = finish = exchanges = collisions = done = asked = unobtainable = 0
     while True:
         if not asked:
             # No request is open: a member without a request draw wants nothing more.
@@ -213,25 +208,23 @@ def _exchange(
                     live = [i for i in live if requests[i]]
                 if done == n:
                     break
-            shortest = min(filter(None, requests))
-        else:
-            shortest = min(contending)
+        shortest = min(filter(None, contending))
         now += difs + shortest
         if contending.count(shortest) > 1:
             # All frames are lost. Request frames carry no data and end together;
             # colliders redraw in (frame end, position) order once the last has ended.
             collisions += 1
-            colliders = [k for k, draw in enumerate(contending) if draw == shortest]
-            frames = ([asked & held[senders[k]] for k in colliders] if asked
-                      else [full & ~(held[i] | gone[i]) for i in colliders])
+            colliders = [i for i, draw in enumerate(contending) if draw == shortest]
+            frames = ([asked & held[i] for i in colliders] if asked
+                      else [full & ~held[i] for i in colliders])
             if trace is not None:
-                trace.append(TraceRecord(now, order[senders[colliders[1]]], "collision",
+                trace.append(TraceRecord(now, order[colliders[1]], "collision",
                                          mask_packets(frames[1]), None, cluster_id))
             if not asked:
                 now += air[0]
             else:
-                ends = sorted((now + air[frame.bit_count()], k, frame)
-                              for k, frame in zip(colliders, frames))
+                ends = sorted((now + air[frame.bit_count()], i, frame)
+                              for i, frame in zip(colliders, frames))
                 now = ends[-1][0]
                 _, colliders, frames = map(list, zip(*ends))
             redraw_colliders(contending, colliders, frames, num_packets, window, priority, rng)
@@ -239,32 +232,32 @@ def _exchange(
         if not asked:
             requester = contending.index(shortest)
             requests[requester] = 0
-            asked = full & ~(held[requester] | gone[requester])
+            asked = full & ~held[requester]
             now += air[0]
             if trace is not None:
                 trace.append(TraceRecord(now, order[requester], "request", mask_packets(asked),
                                          None, cluster_id))
-            senders, contending = open_request(held, asked, num_packets, window, priority, rng)
-            if senders:
+            contending = open_request(held, asked, num_packets, window, priority, rng)
+            if any(contending):
                 continue
             now += difs + window
-            time_out(gone, requester, asked)
+            unobtainable |= asked
             if trace is not None:
                 trace.append(TraceRecord(now, order[requester], "unobtainable",
                                          mask_packets(asked), None, cluster_id))
         else:
-            sender = senders[contending.index(shortest)]
+            sender = contending.index(shortest)
             supply = asked & held[sender]
             now += air[supply.bit_count()]
             exchanges += 1
             if trace is not None:
                 trace.append(TraceRecord(now, order[sender], "reply", mask_packets(supply),
                                          order[requester], cluster_id))
-            absorb_reply(held, gone, requests, requester, supply, full, num_packets, window,
-                         priority, rng)
-        senders, contending, asked = everyone, requests, 0
-    return ClusterResult(exchanges, finish, held.count(full) == n, collisions,
-                         frozenset(mask_packets(reduce(or_, gone))))
+            absorb_reply(held, requests, requester, supply, full, num_packets, window, priority,
+                         rng)
+        contending, asked = requests, 0
+    return ClusterResult(exchanges, finish, not unobtainable, collisions,
+                         frozenset(mask_packets(unobtainable)))
 
 
 def clusters_for_scheme(config: ScenarioConfig) -> int:

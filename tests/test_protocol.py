@@ -19,7 +19,6 @@ from uavex.protocol import (
     first_draws,
     open_request,
     redraw_colliders,
-    time_out,
     trace_line,
 )
 from uavex.simulator import run_cluster_exchange, sample_initial_receipts
@@ -137,44 +136,46 @@ class TestDecideRequest:
 class TestDecideReply:
     def test_best_supplier_always_wins(self):
         held = walkthrough_held()
-        repliers, draws = reply_draws(held, FULL & ~held[2])
-        assert repliers == [0, 1, 3]
-        best, partial = draws[2], draws[0]
+        draws = reply_draws(held, FULL & ~held[2])
+        assert [d > 0 for d in draws] == [True, True, False, True]
+        best, partial = draws[3], draws[0]
         assert in_subwindow(best, 3)  # supplies all four requested packets
         assert in_subwindow(partial, 4)  # supplies three
         assert best < partial
 
     def test_holder_of_nothing_requested_declines(self):
-        assert reply_draws([mask(0, 1)], mask(5)) == ([], [])
+        assert reply_draws([mask(0, 1)], mask(5)) == [0]
 
     def test_own_request_declines(self):
         held = walkthrough_held()
-        repliers, _ = reply_draws(held, FULL & ~held[2])
-        assert 2 not in repliers
+        assert reply_draws(held, FULL & ~held[2])[2] == 0
 
     def test_equal_supply_shares_a_subwindow(self):
-        _, draws = reply_draws([FULL, FULL], mask(2, 4))
+        draws = reply_draws([FULL, FULL], mask(2, 4))
         assert all(in_subwindow(d, 5) for d in draws) and len(draws) == 2
 
 
 def replay_frames(holdings, trace):
-    """Check every request against what its sender wants and every reply against what it holds."""
+    """Check every request against what its sender lacks and every reply against what it holds.
+
+    A UAV whose request timed out never requests again.
+    """
     have = {u: v.mask for u, v in holdings.items()}
-    gone = dict.fromkeys(holdings, 0)
     every = (1 << len(next(iter(holdings.values())))) - 1
+    timed_out = set()
     asked = None
     for record in trace:
         packets = packet_mask(record.packets)
         if record.event == "request":
-            assert packets == every & ~(have[record.uav] | gone[record.uav])
+            assert record.uav not in timed_out
+            assert packets == every & ~have[record.uav]
             asked = packets
         elif record.event == "reply":
             assert packets == asked & have[record.uav]
             for u in have:
                 have[u] |= packets
-                gone[u] &= ~packets
         elif record.event == "unobtainable":
-            gone[record.uav] |= packets
+            timed_out.add(record.uav)
 
 
 class TestBuildFrames:
@@ -205,7 +206,8 @@ class TestBuildFrames:
 
     def test_no_supply_is_an_error(self):
         # Only holders of some requested packet draw a reply.
-        assert reply_draws([mask(0), mask(5), mask(4, 5), 0], mask(5))[0] == [1, 2]
+        draws = reply_draws([mask(0), mask(5), mask(4, 5), 0], mask(5))
+        assert [d > 0 for d in draws] == [False, True, True, False]
 
 
 def after_request(requester=2):
@@ -213,61 +215,53 @@ def after_request(requester=2):
     held = walkthrough_held()
     requests = draw_requests(held)
     requests[requester] = 0
-    return held, [0] * len(held), requests
+    return held, requests
 
 
-def absorb(held, gone, requests, *packets, requester=2):
-    absorb_reply(held, gone, requests, requester, mask(*packets), FULL, M, WINDOW, True, rng())
+def absorb(held, requests, *packets, requester=2):
+    absorb_reply(held, requests, requester, mask(*packets), FULL, M, WINDOW, True, rng())
 
 
 class TestAbsorbReply:
     def test_partial_absorption_redraws(self):
-        held, gone, requests = after_request()
+        held, requests = after_request()
         assert in_subwindow(requests[0], 4)  # UAV 0 misses {w3,w5,w6}
-        absorb(held, gone, requests, 0, 1, 3, 5)
+        absorb(held, requests, 0, 1, 3, 5)
         assert held[0] == FULL & ~mask(2, 4)
         assert in_subwindow(requests[0], 5)  # redrawn for two missing
 
     def test_disjoint_reply_keeps_draw(self):
-        held, gone, requests = after_request()
+        held, requests = after_request()
         original = requests[0]
-        absorb(held, gone, requests, 0, 1)
+        absorb(held, requests, 0, 1)
         assert requests[0] == original
 
     def test_covering_reply_finishes(self):
-        held, gone, requests = after_request()
-        absorb(held, gone, requests, 2, 4, 5)
+        held, requests = after_request()
+        absorb(held, requests, 2, 4, 5)
         assert held[0] == FULL
         assert requests[0] == 0
 
     def test_holdings_never_shrink(self):
-        held, gone, requests = after_request()
+        held, requests = after_request()
         before = list(held)
-        absorb(held, gone, requests, 0, 2)
+        absorb(held, requests, 0, 2)
         assert all(b & ~a == 0 for a, b in zip(held, before))
 
-    def test_received_packets_leave_unobtainable(self):
-        held, gone, requests = after_request()
-        gone[0] = mask(2)
-        absorb(held, gone, requests, 2)
-        assert gone[0] == 0
-        assert held[0] & mask(2)
-
     def test_reply_naming_a_packet_beyond_the_scenario_is_refused(self):
-        held, gone, requests = after_request()
-        gone[0] = mask(2)
-        before = (list(held), list(gone), list(requests))
+        held, requests = after_request()
+        before = (list(held), list(requests))
         for packets in ((6,), (2, 6), (0, 9)):
             with pytest.raises(ValueError, match="does not fit 6 packets"):
-                absorb(held, gone, requests, *packets)
-            assert (held, gone, requests) == before
+                absorb(held, requests, *packets)
+            assert (held, requests) == before
 
     def test_requester_draws_again_only_while_wanting(self):
-        held, gone, requests = after_request()  # requester 2 misses {0, 1, 3, 5}
-        absorb(held, gone, requests, 0, 1)
+        held, requests = after_request()  # requester 2 misses {0, 1, 3, 5}
+        absorb(held, requests, 0, 1)
         assert in_subwindow(requests[2], 5)  # two still missing
         requests[2] = 0  # it requests again
-        absorb(held, gone, requests, 3, 5)
+        absorb(held, requests, 3, 5)
         assert requests[2] == 0
 
 
@@ -287,10 +281,10 @@ class TestCancelReply:
         assert [requests[i] == before[i] for i in range(4)] == [True, False, True, True]
 
     def test_own_transmission_is_no_op(self):
-        held, gone, requests = after_request()
-        before = held[3], gone[3], requests[3]
-        absorb(held, gone, requests, 0, 1, 3, 5)  # UAV 3's own reply
-        assert (held[3], gone[3], requests[3]) == before
+        held, requests = after_request()
+        before = held[3], requests[3]
+        absorb(held, requests, 0, 1, 3, 5)  # UAV 3's own reply
+        assert (held[3], requests[3]) == before
 
 
 class TestRedrawColliders:
@@ -311,11 +305,17 @@ class TestRedrawColliders:
 
 class TestMarkUnobtainable:
     def test_own_silent_request_gives_up(self):
-        held, gone = [mask(0, 1, 2, 3, 4)], [0]  # missing {5}
-        time_out(gone, 0, FULL & ~held[0])
-        assert gone == [mask(5)]
-        assert FULL & ~(held[0] | gone[0]) == 0  # wants nothing more
-        assert held[0] != FULL
+        # Both UAVs miss w6, which neither holds: each asks for it once, hears
+        # no reply, and is done without holding it.
+        full_but_w6 = IndicatorVector.from_mask(mask(0, 1, 2, 3, 4), M)
+        for seed in range(10):
+            result, trace = run({0: full_but_w6, 1: full_but_w6}, seed=seed)
+            for uav in (0, 1):
+                own = [(r.event, r.packets) for r in trace
+                       if r.uav == uav and r.event in ("request", "unobtainable", "done")]
+                assert own == [("request", (5,)), ("unobtainable", (5,)), ("done", ())]
+            assert result.unobtainable == {5}
+            assert not result.completed
 
     def test_only_still_missing_ids_are_marked(self):
         # Packet 3 exists nowhere; packet 2 only at UAV 1. UAV 0 first gets
@@ -332,12 +332,13 @@ class TestPhaseAndBackoffFields:
     def test_backoff_positive_in_backoff_phases(self):
         held = walkthrough_held()
         assert all(0 < d <= WINDOW for d in draw_requests(held))
-        assert all(0 < d <= WINDOW for d in reply_draws(held, FULL & ~held[2])[1])
+        draws = reply_draws(held, FULL & ~held[2])
+        assert [0 < d <= WINDOW for d in draws] == [True, True, False, True]
 
     def test_idle_without_draws(self):
         # Once the first reply lands, UAVs 1 and 2 want nothing and hold no draw.
-        held, gone, requests = after_request()
-        absorb(held, gone, requests, 0, 1, 3, 5, requester=2)
+        held, requests = after_request()
+        absorb(held, requests, 0, 1, 3, 5, requester=2)
         assert [d > 0 for d in requests] == [True, False, False, True]
         assert [FULL & ~m == 0 for m in held] == [False, True, True, False]
 
