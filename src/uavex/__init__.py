@@ -9,7 +9,8 @@ simulator of the exchange, and a Monte-Carlo experiment harness.
 
 The names below are the library's public surface; everything else, such as
 the clustering stages, the backoff draws and the per-event protocol rules, is
-imported from its own module.
+imported from its own module. The command line (``uavex.cli``) is not imported
+with the package; ``experiments.cli_main`` loads it on its first call.
 """
 
 from .clustering import InfeasibleClusterCount, cluster_network

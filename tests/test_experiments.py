@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -729,6 +730,32 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+
+class TestLeanImport:
+    """``import uavex`` loads the library alone; the command line loads when a command runs."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def _python(self, *args: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=env, check=False)
+
+    def test_import_loads_neither_the_cli_nor_its_parsers(self):
+        proc = self._python("-c", "import sys, uavex; print(sorted(m for m in "
+                                  "('argparse', 'json', 'uavex.cli') if m in sys.modules))")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    def test_the_installed_script_target_answers_help(self):
+        scripts = tomllib.loads((self.ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+        module, attr = scripts["uavex"].split(":")
+        # A console script calls its target with no arguments, so argv carries the flag.
+        run_target = f"import sys, {module}; sys.exit({module}.{attr}())"
+        proc = self._python("-c", run_target, "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: uavex")
+        assert proc.stderr == ""
 
 
 class TestSelftestClusterCounts:
