@@ -13,6 +13,7 @@ entry point ``cluster_network`` takes and returns ``IndicatorVector``s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .core import (ClusterId, IndicatorVector, InfeasibleClusterCount, Rng, UavId,
@@ -161,6 +162,14 @@ def merge_iteration(
     return new_members, new_masks, new_pool
 
 
+@lru_cache(maxsize=64)
+def _everyone(num_uavs: int) -> tuple[UavId, ...]:
+    """The single cluster's members, built once per fleet size and shared by every N = 1 call."""
+    # CPython 3.11 pushes a freed 20-element tuple onto its free list but never
+    # pops one from it, so a fresh tuple(range(20)) per call would pile up there.
+    return tuple(range(num_uavs))
+
+
 def cluster_network(
     vectors: Sequence[IndicatorVector], num_clusters: int, rng: Rng | None
 ) -> ClusterAssignment:
@@ -184,13 +193,16 @@ def cluster_network(
         union |= v.mask
     if num_clusters == 1:
         union_vector = IndicatorVector.from_mask(union, length)
-        return ClusterAssignment((tuple(range(len(vectors))),), (union_vector,))
+        return ClusterAssignment((_everyone(len(vectors)),), (union_vector,))
     masks = [v.mask for v in vectors]
     members, pool = initialize_clusters(masks, num_clusters, rng)
     cluster_masks = [masks[group[0]] for group in members]
     while pool:
         members, cluster_masks, pool = merge_iteration(members, cluster_masks, pool, masks)
+    # A tuple built from a generator is allocated at a guessed length and then
+    # resized, so it is freed onto another length's free list than the one it
+    # came from; built from a list, it takes and returns the same slot.
     return ClusterAssignment(
-        tuple(tuple(group) for group in members),
+        tuple([tuple(group) for group in members]),
         tuple(IndicatorVector._from_masks(cluster_masks, length)),
     )

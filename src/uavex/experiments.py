@@ -78,7 +78,8 @@ class SweepSpec:
         if self.runs < 1:
             raise ValueError("runs must be positive")
         kind = _SETTINGS[self.parameter]
-        typed = tuple(_setting(self.parameter, value, kind) for value in self.values)
+        # From a list, not a generator: see clustering.cluster_network's result.
+        typed = tuple([_setting(self.parameter, value, kind) for value in self.values])
         object.__setattr__(self, "values", typed)
 
 
@@ -251,7 +252,9 @@ def sweep_full_set_rate(spec: SweepSpec) -> list[AggregateRow]:
             print(f"warning: skipping {tag}: {exc}", file=sys.stderr)
         else:
             feasible.append(num_clusters)
-    fractions = dict(zip(feasible, _full_set_fractions(base, feasible, spec.runs)))
+    # A comprehension, not dict(): the type call allocates outside the dict free
+    # list, yet the dict is freed onto it, which grows pass by pass up to 80.
+    fractions = {n: f for n, f in zip(feasible, _full_set_fractions(base, feasible, spec.runs))}
     return [_row(base, n, base.scheme, fractions.get(n, np.empty(0))) for n in spec.values]
 
 

@@ -48,14 +48,18 @@ class ClusterResult:
     """Outcome of one cluster's exchange.
 
     ``unobtainable`` is the packets no member held (each timeout asks for all
-    of them), and ``completed`` is ``not unobtainable``: no request timed out.
+    of them).
     """
 
     exchange_count: int
     delay_us: int
-    completed: bool
     collision_count: int
     unobtainable: frozenset[int] = frozenset()
+
+    @property
+    def completed(self) -> bool:
+        """``not unobtainable``: no request timed out, so every member holds every packet."""
+        return not self.unobtainable
 
 
 @dataclass(frozen=True)
@@ -256,8 +260,7 @@ def _exchange(
             absorb_reply(held, requests, requester, supply, full, num_packets, window, priority,
                          rng)
         contending, asked = requests, 0
-    return ClusterResult(exchanges, finish, not unobtainable, collisions,
-                         frozenset(mask_packets(unobtainable)))
+    return ClusterResult(exchanges, finish, collisions, frozenset(mask_packets(unobtainable)))
 
 
 def clusters_for_scheme(config: ScenarioConfig) -> int:

@@ -15,7 +15,9 @@ paired gaps so the difference stays in view.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from reference import brute_force_cluster, replay_trace, single_cluster_full_rat
 
 TIMING = TimingConfig()
 RUNS = 500
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def criterion(number, description):
@@ -105,6 +108,19 @@ def test_criterion_3_trend_reproduction():
     assert not violations, violations
 
 
+@functools.cache
+def scheme_samples(num_uavs, num_packets, rho, num_clusters, seed, runs):
+    """``scheme_metric_samples`` of every scheme at one scenario, by scheme name.
+
+    Cached, so criterion 4 and the README check share one set of runs (pass
+    every argument, positionally, so equal calls share a key); the arrays are
+    shared too, so callers only read them.
+    """
+    base = ScenarioConfig(num_uavs, num_packets, rho, num_clusters, seed=seed)
+    return {scheme.value: scheme_metric_samples(replace(base, scheme=scheme), runs)
+            for scheme in Scheme}
+
+
 def paired_gap(samples, better, worse, metric):
     """Mean and 2 SE of the run-by-run difference worse - better on matched runs.
 
@@ -120,15 +136,10 @@ def paired_gap(samples, better, worse, metric):
 @criterion(4, "priority schemes need fewer exchanges than plain CSMA by >2 paired SE "
               "(500 matched runs)")
 def test_criterion_4_scheme_ordering():
-    schemes = (Scheme.PROPOSED, Scheme.MECHANISM_ONLY, Scheme.BASELINE_CSMA)
     violations = []
     unpromised = []
     for num_uavs, num_packets, rho, n in ((10, 6, 0.7, 3), (20, 10, 0.6, 6)):
-        base = ScenarioConfig(num_uavs, num_packets, rho, n, seed=42)
-        samples = {
-            scheme.value: scheme_metric_samples(replace(base, scheme=scheme), RUNS)
-            for scheme in schemes
-        }
+        samples = scheme_samples(num_uavs, num_packets, rho, n, 42, RUNS)
         tag = f"U={num_uavs},M={num_packets},rho={rho},N={n}"
         for better in ("mechanism_only", "proposed"):
             gap, two_se = paired_gap(samples, better, "baseline_csma", "exchanges")
@@ -148,6 +159,63 @@ def test_criterion_4_scheme_ordering():
         unpromised.append(f"{tag}: " + ", ".join(figures))
     assert not violations, "\n".join(violations)
     return "not promised (paired gap +- 2 SE): " + "; ".join(unpromised)
+
+
+def model_outcome_figures(label, samples, runs):
+    """The figures of one README row label at one scenario, and the cell's text around them."""
+    kind, _, what = label.partition(", ")
+    if kind == "mean exchanges":
+        return [samples[what]["exchanges"].mean()], "{}"
+    if kind == "runs completed":
+        return [samples[what]["completed"].sum(), runs], "{} of {}"
+    worse, _, better = what.partition(" - ")
+    if kind == "exchanges":
+        return list(paired_gap(samples, better, worse, "exchanges")), "{} ± {}"
+    if kind == "delay":
+        return [x / 1000 for x in paired_gap(samples, better, worse, "delay_us")], "{} ± {} ms"
+    raise AssertionError(f"README row {label!r} has no recomputation here")
+
+
+def as_printed(value, printed):
+    """``value`` with the printed figure's sign style and number of decimals."""
+    decimals = len(printed.partition(".")[2])
+    return format(value, ("+" if printed[0] in "+-" else "") + f".{decimals}f")
+
+
+def test_readme_model_outcome_figures():
+    """Every figure in the README's "Known model outcome" tables, recomputed.
+
+    A table's header reads "seed S, R runs" and then one "U=../M=../rho=../N=.."
+    scenario per column; each row label names what ``model_outcome_figures``
+    recomputes at each column's scenario.
+    """
+    section = README.read_text().split("## Known model outcome\n")[1].split("\n## ")[0]
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines()
+            if line.startswith("|") and not line.startswith("| ---")]
+    mismatches, labels = [], set()
+    for row in rows:
+        if (header := re.fullmatch(r"seed (\d+), (\d+) runs", row[0])):
+            seed, runs = map(int, header.groups())
+            scenarios = [re.fullmatch(r"U=(\d+)/M=(\d+)/rho=([\d.]+)/N=(\d+)", cell).groups()
+                         for cell in row[1:]]
+            continue
+        labels.add(row[0])
+        for (u, m, rho, n), cell in zip(scenarios, row[1:], strict=True):
+            samples = scheme_samples(int(u), int(m), float(rho), int(n), seed, runs)
+            values, form = model_outcome_figures(row[0], samples, runs)
+            printed = re.findall(r"[+-]?\d+(?:\.\d+)?", cell)
+            expected = form.format(*(as_printed(v, p) for v, p in zip(values, printed)))
+            if len(printed) != len(values) or cell != expected:
+                mismatches.append(f"{row[0]} at U={u}: README {cell!r}, recomputed {expected!r}")
+    quoted = {
+        "mean exchanges, proposed", "mean exchanges, mechanism_only",
+        "mean exchanges, baseline_csma", "runs completed, proposed",
+        "exchanges, proposed - mechanism_only", "delay, proposed - mechanism_only",
+        "delay, mechanism_only - baseline_csma", "delay, proposed - baseline_csma",
+    }
+    assert quoted <= labels, f"README rows missing: {sorted(quoted - labels)}"
+    assert not mismatches, "\n".join(mismatches)
 
 
 @criterion(5, "four-UAV walkthrough completes in exactly 2 exchanges, in order")

@@ -1,6 +1,7 @@
 """Sweep mechanics, CSV output, matched sampling, and the command line."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tomllib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +317,45 @@ class TestReceiptsSampledOncePerRun:
         spec = SweepSpec(base_config(num_uavs=3), "num_clusters", (5,), runs=4)
         outcome_and_stderr(sweep_full_set_rate, spec)
         assert calls == []
+
+
+class TestFlatMemoryAcrossPasses:
+    """Repeated sweeps return every block they take, free lists included.
+
+    CPython 3.11 keeps up to 2,000 freed tuples of each length 1-20 for reuse.
+    A tuple that is freed onto another length's list than the one it came
+    from (a generator-built tuple, resized from a guessed length) or onto the
+    20-element list, which 3.11 never pops, stays allocated there, so the
+    blocks of such a pass grow with the pass count until those lists are full.
+    """
+
+    # Building those tuples afresh per call held about 1,200 more blocks here.
+    BOUND = 100
+
+    @staticmethod
+    def _one_pass():
+        base = ScenarioConfig(20, 10, 0.6, 10, seed=3, runs=5)
+        sweep_full_set_rate(SweepSpec(base, "num_clusters", tuple(range(1, 11)), runs=5))
+        compare = replace(base, num_clusters=6)
+        compare_schemes(SweepSpec(compare, "scheme", tuple(Scheme), runs=5))
+
+    def test_allocated_blocks_stay_flat_over_repeated_passes(self):
+        # A full collection empties every free list, so an automatic one inside
+        # the window would hide the growth; the passes make no cyclic garbage.
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(5):
+                self._one_pass()
+            before = sys.getallocatedblocks()
+            for _ in range(20):
+                self._one_pass()
+            grown = sys.getallocatedblocks() - before
+        finally:
+            if enabled:
+                gc.enable()
+        assert grown <= self.BOUND, f"{grown} blocks held after 20 more passes"
 
 
 class TestCsv:
