@@ -164,7 +164,7 @@ def _build_parser() -> _Parser:
     p_cmp.add_argument("--clusters", dest="num_clusters", type=int,
                        help="cluster count for the proposed scheme "
                             "(default: num_clusters from --config)")
-    p_cmp.add_argument("--schemes", default="proposed,mechanism_only,baseline_csma",
+    p_cmp.add_argument("--schemes", default=",".join(scheme.value for scheme in Scheme),
                        help="comma list of schemes to compare")
 
     p_trace = sub.add_parser("trace", help="single run with the full event trace")
@@ -225,7 +225,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     settings, timing = _gather_settings(args)
     trace: list[TraceRecord] = []
     if args.fig1:
-        run = RunResult.from_clusters([_fig1_exchange(timing, settings.get("seed", 0), trace)])
+        run = RunResult((_fig1_exchange(timing, settings.get("seed", 0), trace),))
     else:
         run = run_scenario(_scenario_from(settings), args.run_index, timing=timing, trace=trace)
     lines = "".join(trace_line(rec) + "\n" for rec in trace)

@@ -20,7 +20,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -33,12 +33,9 @@ from .simulator import clusters_for_scheme, run_scenario, sample_initial_receipt
 # Run indices whose streams one StreamBlock seeds.
 _BLOCK_RUNS = 256
 
-# Every config key, each also the dest of the CLI flag that sets it, with its type.
-_SETTINGS = {
-    "num_uavs": int, "num_packets": int, "delivery_rate": float, "num_clusters": int,
-    "scheme": Scheme, "seed": int, "runs": int,
-    "difs_us": int, "cw_total_us": int, "preamble_us": int, "payload_us_per_packet": int,
-}
+# Every config key, each also the dest of the CLI flag that sets it, with its type:
+# the fields of the two config dataclasses.
+_SETTINGS = {**get_type_hints(ScenarioConfig), **get_type_hints(TimingConfig)}
 
 
 def _setting(key: str, value: object, kind: type) -> Any:
@@ -58,19 +55,22 @@ def _setting(key: str, value: object, kind: type) -> Any:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: a base scenario, the parameter swept, and the values to visit.
+    """One sweep: a base scenario, the parameter swept, the values to visit and the run count.
 
     Each value is typed as the config setting of that name is (``_setting``):
     an ``int`` cluster count or a ``Scheme``. A fraction, a boolean or a string
     that does not parse raises ``ValueError`` naming the parameter and value.
+    ``runs`` defaults to ``base.runs``.
     """
 
     base: ScenarioConfig
     parameter: str  # "num_clusters" | "scheme"
     values: tuple
-    runs: int = 500
+    runs: int | None = None
 
     def __post_init__(self) -> None:
+        if self.runs is None:
+            object.__setattr__(self, "runs", self.base.runs)
         if self.parameter not in ("num_clusters", "scheme"):
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
         if not self.values:

@@ -40,8 +40,9 @@ class TimingConfig:
     payload_us_per_packet: int = 2000
 
     def __post_init__(self) -> None:
-        for name in ("difs_us", "cw_total_us", "preamble_us", "payload_us_per_packet"):
-            value = getattr(self, name)
+        # Not fields(self): its generator-built tuple, once per run_scenario call
+        # given no timing, drifts the tuple free lists (TestFlatMemoryAcrossPasses).
+        for name, value in vars(self).items():
             if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
 

@@ -64,29 +64,28 @@ class ClusterResult:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one scenario run: per-cluster results plus the reported maxima.
+    """Outcome of one scenario run: the per-cluster results, and the figures derived from them.
 
     Clusters exchange in parallel on disjoint channels, so the slowest,
     busiest cluster determines the figures reported for the whole network.
     """
 
     cluster_results: tuple[ClusterResult, ...]
-    reported_exchanges: int
-    reported_delay_us: int
-    all_completed: bool
 
-    @classmethod
-    def from_clusters(cls, results: Sequence[ClusterResult]) -> RunResult:
-        results = tuple(results)
-        exchanges = delay = 0
-        completed = True
-        for r in results:
-            if r.exchange_count > exchanges:
-                exchanges = r.exchange_count
-            if r.delay_us > delay:
-                delay = r.delay_us
-            completed = completed and r.completed
-        return cls(results, exchanges, delay, completed)
+    @property
+    def reported_exchanges(self) -> int:
+        """The most exchanges any cluster made."""
+        return max((r.exchange_count for r in self.cluster_results), default=0)
+
+    @property
+    def reported_delay_us(self) -> int:
+        """The longest cluster delay: when the last cluster finished."""
+        return max((r.delay_us for r in self.cluster_results), default=0)
+
+    @property
+    def all_completed(self) -> bool:
+        """Whether every cluster finished with every member complete."""
+        return all(r.completed for r in self.cluster_results)
 
     @property
     def full_cluster_fraction(self) -> float:
@@ -192,14 +191,37 @@ def _exchange(
     otherwise. Only collisions repeat a round (clean exchanges shrink the
     wanted count, timeouts retire requesters), and colliders separate in
     subwindows two or more values wide.
+
+    A streak of collision rounds longer than ``(b + 1) * (60 + s)``, with b
+    the bit length of n and s that of 2n(M + 1), raises ``RuntimeError``: a
+    uniform draw source gets that far with probability below 2**-60 per
+    exchange, so the source is faulty. The derivation:
+
+    - Held draws never change during a streak, and colliders redraw in their
+      own subwindow, so only the g <= n members drawing in the lowest
+      occupied subwindow (plain CSMA: the whole window) can collide until the
+      streak ends. That subwindow holds w >= 2 values, since W >= 2M.
+    - At w = 2 the members that did not collide all hold the upper value. Of
+      k colliders, Binomial(k, 1/2) redraw the lower one: one ends the
+      streak, j >= 2 collide again, and none leaves all g tied on the upper
+      one. From any k, this chain survives b + 1 more rounds with
+      probability below 0.34, and wider subwindows survive less. Both are
+      computed exactly in ``TestCollisionStreakCap``: the chain for every
+      g < 256, the wider subwindows for g <= 4 and widths 3 to 6.
+    - So a streak outlasts 60 + s blocks of b + 1 rounds with probability
+      below 2**-(60 + s). Each streak ends in a clean round, and there are
+      fewer than 2**s of those: at most nM replies, each handing its
+      requester a packet it lacked, as many requests answered, and n
+      timeouts.
     """
     n = len(order)
     full = (1 << num_packets) - 1
     difs, window = timing.difs_us, timing.cw_total_us
     air = _air_times(num_packets, timing)
+    cap = (n.bit_length() + 1) * (60 + (2 * n * (num_packets + 1)).bit_length())
     requests = contending = first_draws(held, full, num_packets, window, priority, rng)
     live = range(n)
-    now = finish = exchanges = collisions = done = asked = unobtainable = 0
+    now = finish = exchanges = collisions = streak = done = asked = unobtainable = 0
     while True:
         if not asked:
             # No request is open: a member without a request draw wants nothing more.
@@ -218,6 +240,10 @@ def _exchange(
             # All frames are lost. Request frames carry no data and end together;
             # colliders redraw in (frame end, position) order once the last has ended.
             collisions += 1
+            streak += 1
+            if streak > cap:
+                raise RuntimeError(f"{streak} collision rounds in a row, past the cap of {cap}: "
+                                   "the draw source is not uniform")
             colliders = [i for i, draw in enumerate(contending) if draw == shortest]
             frames = ([asked & held[i] for i in colliders] if asked
                       else [full & ~held[i] for i in colliders])
@@ -233,6 +259,7 @@ def _exchange(
                 _, colliders, frames = map(list, zip(*ends))
             redraw_colliders(contending, colliders, frames, num_packets, window, priority, rng)
             continue
+        streak = 0
         if not asked:
             requester = contending.index(shortest)
             requests[requester] = 0
@@ -310,4 +337,4 @@ def run_scenario(
             group, receipts, timing, config.scheme, Pcg64Draws(backoff.bit_generator),
             trace, cluster_id,
         ))
-    return RunResult.from_clusters(results)
+    return RunResult(tuple(results))

@@ -1,5 +1,6 @@
 """Sweep mechanics, CSV output, matched sampling, and the command line."""
 
+import argparse
 import contextlib
 import gc
 import io
@@ -36,8 +37,12 @@ from uavex.simulator import sample_initial_receipts
 from reference import per_point_compare, per_point_full_set_rate, single_cluster_full_rate
 
 
-CONFIG_KEYS = ("num_uavs", "num_packets", "delivery_rate", "num_clusters", "scheme", "seed",
-               "runs", "difs_us", "cw_total_us", "preamble_us", "payload_us_per_packet")
+# The config surface, key by key with its type: the fields of ScenarioConfig, then TimingConfig's.
+CONFIG_KEYS = {
+    "num_uavs": int, "num_packets": int, "delivery_rate": float, "num_clusters": int,
+    "scheme": Scheme, "seed": int, "runs": int,
+    "difs_us": int, "cw_total_us": int, "preamble_us": int, "payload_us_per_packet": int,
+}
 
 # JSON values of every type but number: null, bool, list, object, string.
 NON_NUMBER_JSON = st.one_of(
@@ -65,6 +70,34 @@ class TestSweepSpec:
     def test_rejects_empty_values(self):
         with pytest.raises(ValueError):
             SweepSpec(base_config(), "num_clusters", ())
+
+    def test_runs_default_to_the_config_runs(self):
+        spec = SweepSpec(base_config(runs=3), "num_clusters", (2,))
+        assert spec.runs == 3
+        (row,) = sweep_full_set_rate(spec)
+        assert row.runs == 3
+
+
+class TestConfigSurface:
+    """A field added to either config dataclass becomes a config key only on purpose."""
+
+    def test_the_keys_are_the_config_fields_with_their_types(self):
+        assert list(experiments._SETTINGS.items()) == list(CONFIG_KEYS.items())
+
+    @pytest.mark.parametrize("command, without", [
+        ("trace", set()),
+        ("compare", {"scheme"}),                         # --schemes lists the schemes
+        ("full-set-rate", {"num_clusters", "scheme"}),  # --clusters lists the counts
+    ])
+    def test_each_key_is_the_dest_of_one_flag(self, command, without):
+        from uavex.cli import _build_parser
+
+        (commands,) = [action for action in _build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        dests = [action.dest for action in commands.choices[command]._actions]
+        assert sorted(dest for dest in dests if dest in CONFIG_KEYS) == sorted(
+            set(CONFIG_KEYS) - without
+        )
 
 
 class TestSweepValuesTypedOnce:
@@ -591,7 +624,7 @@ class TestCli:
         assert f"setting {key} must be" in capsys.readouterr().err
 
     @settings(max_examples=150, deadline=None)
-    @given(key=st.sampled_from(CONFIG_KEYS), value=NON_NUMBER_JSON)
+    @given(key=st.sampled_from(list(CONFIG_KEYS)), value=NON_NUMBER_JSON)
     def test_config_values_of_every_json_type_exit_cleanly(self, key, value):
         # Strings carry no decimal digit, so none parses as a large run count.
         with tempfile.TemporaryDirectory() as tmp:

@@ -1,8 +1,10 @@
 """Engine behaviour: receipts sampling, the four-UAV golden trace, invariants."""
 
+import collections
 import contextlib
 import hashlib
 import io
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -393,12 +395,10 @@ class TestRunScenario:
         assert len(result.cluster_results) == 1  # baseline ignores clustering
 
     def test_full_cluster_fraction(self):
-        results = RunResult.from_clusters(
-            [
-                run_scenario(ScenarioConfig(10, 6, 0.7, 3, seed=5), k).cluster_results[0]
-                for k in range(3)
-            ]
-        )
+        results = RunResult(tuple(
+            run_scenario(ScenarioConfig(10, 6, 0.7, 3, seed=5), k).cluster_results[0]
+            for k in range(3)
+        ))
         assert 0.0 <= results.full_cluster_fraction <= 1.0
 
 
@@ -489,6 +489,86 @@ class TestContentionWindowGuard:
         assert code in (0, 1, 2), err.getvalue()
         if num_clusters <= num_uavs and _feasible(num_uavs, num_clusters):
             assert code == (1 if window < 2 * num_packets else 0), err.getvalue()
+
+
+class _RepeatingDraws:
+    """A faulty draw source: every draw is the low end of its bounds."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def integers(self, low, high):
+        self.calls += 1
+        return low
+
+
+def _streak_survival(g, w, rounds):
+    """Exact chance that ``rounds`` more rounds all collide, at worst over g tied draws on 1..w.
+
+    The colliders redraw uniformly on 1..w; the other draws are held.
+    """
+    values = range(1, w + 1)
+    tied = [c for c in itertools.combinations_with_replacement(values, g) if c[0] == c[1]]
+    index = {c: i for i, c in enumerate(tied)}
+    steps = []
+    for config in tied:
+        k = config.count(config[0])
+        after = collections.Counter(tuple(sorted(config[k:] + fresh))
+                                    for fresh in itertools.product(values, repeat=k))
+        steps.append([(index[c], count / w**k) for c, count in after.items() if c[0] == c[1]])
+    alive = [1.0] * len(tied)
+    for _ in range(rounds):
+        alive = [sum(p * alive[j] for j, p in step) for step in steps]
+    return max(alive)
+
+
+class TestCollisionStreakCap:
+    """The engine's bound on consecutive collision rounds (``simulator._exchange``)."""
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_a_repeating_draw_source_raises_at_the_cap(self, scheme):
+        # Two UAVs want all three packets, so they draw equal backoffs forever.
+        holdings = [IndicatorVector.from_mask(0, 3), IndicatorVector.from_mask(0, 3),
+                    IndicatorVector.ones(3)]
+        source = _RepeatingDraws()
+        with pytest.raises(RuntimeError, match="collision rounds in a row"):
+            run_cluster_exchange(range(3), holdings, TIMING, scheme, source)
+        cap = ((3).bit_length() + 1) * (60 + (2 * 3 * 4).bit_length())
+        # The two first draws, then two redraws per collision round below the cap.
+        assert source.calls == 2 + 2 * cap
+
+    def test_the_narrowest_windows_never_raise(self):
+        # W = 2M leaves 2 values per subwindow: the longest correct streaks.
+        for config in (ScenarioConfig(10, 6, 0.7, 3), ScenarioConfig(20, 10, 0.6, 6),
+                       ScenarioConfig(40, 4, 0.3, 4)):
+            timing = TimingConfig(cw_total_us=2 * config.num_packets)
+            collisions = 0
+            for scheme in Scheme:
+                for k in range(100):
+                    result = run_scenario(replace(config, scheme=scheme), k, timing=timing)
+                    collisions += sum(r.collision_count for r in result.cluster_results)
+            assert collisions > 1000
+
+    def test_the_cap_rests_on_blocks_survived_with_under_half_chance(self):
+        # At w = 2, k colliders put Binomial(k, 1/2) on the lower value: one ends the
+        # streak, j >= 2 collide again, none ties all g members on the upper value.
+        # chain[k, j] is the chance of j; alive[k, g] is the chance that k colliders
+        # among g members collide in every one of the rounds so far.
+        size = 256
+        chain = np.array([[math.comb(k, j) / 2**k for j in range(size)] for k in range(size)])
+        alive = np.ones((size, size))
+        survived = {}
+        for rounds in range(1, size.bit_length() + 1):
+            alive = chain[:, 2:] @ alive[2:] + np.outer(chain[:, 0], np.diag(alive))
+            survived[rounds] = {g: alive[2:g + 1, g].max() for g in range(2, size)}
+        worst = max(survived[g.bit_length() + 1][g] for g in range(2, size))
+        assert 0.33 < worst < 0.34
+        # The chain is the exact law at w = 2, and wider subwindows survive less.
+        for g in range(2, 5):
+            rounds = g.bit_length() + 1
+            assert _streak_survival(g, 2, rounds) == pytest.approx(survived[rounds][g])
+            for w in range(3, 7):
+                assert _streak_survival(g, w, rounds) < survived[rounds][g]
 
 
 def _first_round_closed_form(k, w):
