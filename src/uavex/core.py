@@ -163,8 +163,8 @@ class ScenarioConfig:
             object.__setattr__(self, "scheme", Scheme(self.scheme))
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.runs < 1:
-            raise ValueError("runs must be positive")
+        if type(self.runs) is not int or self.runs < 1:  # type, not isinstance: True is refused
+            raise ValueError(f"runs must be a positive integer, got {self.runs!r}")
 
 
 def _label_entropy(label: str) -> int:

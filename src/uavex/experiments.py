@@ -75,8 +75,8 @@ class SweepSpec:
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
         if not self.values:
             raise ValueError("sweep needs at least one value")
-        if self.runs < 1:
-            raise ValueError("runs must be positive")
+        if type(self.runs) is not int or self.runs < 1:  # type, not isinstance: True is refused
+            raise ValueError(f"runs must be a positive integer, got {self.runs!r}")
         kind = _SETTINGS[self.parameter]
         # From a list, not a generator: see clustering.cluster_network's result.
         typed = tuple([_setting(self.parameter, value, kind) for value in self.values])

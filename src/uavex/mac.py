@@ -7,12 +7,13 @@ a replier) draws uniformly inside subwindow ``M - m + 1``, so a higher stake
 always yields a strictly shorter backoff than a lower one. Each draw takes
 its bounds from two integer divisions. A scenario run hands the engine a
 ``Pcg64Draws`` over each just-derived backoff stream, which replays numpy's
-bounded-int algorithm over the stream's raw words; the draw functions run its
-32-bit step, which serves every span from 2 to 2**32, in their own frame, and
-make one ``integers(low, high)`` call for any other span or rng, a plain
-``Generator`` included. Every frame's air time is the preamble plus the payload
-of the data packets it carries: a reply carries the packets it supplies, and a
-request, a control frame, is the frame that carries none.
+bounded-int algorithm over the stream's raw words, fetched in blocks (its
+position counts a block's unread words as not yet drawn); the draw functions
+run its 32-bit step, which serves every span from 2 to 2**32, in their own
+frame, and make one ``integers(low, high)`` call for any other span or rng, a
+plain ``Generator`` included. Every frame's air time is the preamble plus the
+payload of the data packets it carries: a reply carries the packets it
+supplies, and a request, a control frame, is the frame that carries none.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Rng
+
+BLOCK_WORDS = 32  # raw words per random_raw call; 16 and 64 ran no faster (BENCH_block_words.json)
 
 
 @dataclass(frozen=True)
@@ -40,8 +43,6 @@ class TimingConfig:
     payload_us_per_packet: int = 2000
 
     def __post_init__(self) -> None:
-        # Not fields(self): its generator-built tuple, once per run_scenario call
-        # given no timing, drifts the tuple free lists (TestFlatMemoryAcrossPasses).
         for name, value in vars(self).items():
             if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
@@ -91,7 +92,10 @@ def draw_backoff(num_packets: int, relevant_count: int, window_us: int, rng: Rng
             rng.has_uint32 = 0
             m = rng.uinteger * span
         else:
-            word = rng._raw()
+            try:
+                word = rng.unread.pop()
+            except IndexError:
+                word = rng._raw()
             rng.has_uint32 = 1
             rng.uinteger = word >> 32
             m = (word & 0xFFFF_FFFF) * span
@@ -116,7 +120,10 @@ def draw_baseline_backoff(window_us: int, rng: Rng) -> int:
             rng.has_uint32 = 0
             m = rng.uinteger * window_us
         else:
-            word = rng._raw()
+            try:
+                word = rng.unread.pop()
+            except IndexError:
+                word = rng._raw()
             rng.has_uint32 = 1
             rng.uinteger = word >> 32
             m = (word & 0xFFFF_FFFF) * window_us
@@ -140,10 +147,11 @@ class Pcg64Draws:
     in ``has_uint32``/``uinteger``; wider spans on whole raw words. (numpy
     returns a bare word for a span of exactly 2**32 or 2**64, which is what
     the method gives there too.) This does the same in Python, one raw word
-    at a time, so each result, each error and the word position match numpy's
+    at a time from blocks of ``BLOCK_WORDS`` that one ``random_raw`` call
+    fetches, so each result, each error and the word position match numpy's
     draw for draw on a twin generator, without numpy's per-call overhead;
     backoff values then rest on PCG64's raw output, not on numpy's choice of
-    draw algorithm.
+    draw algorithm. The position is the generator's less the ``unread`` words.
 
     The source starts with no pending half-word, as a PCG64 seeded just now
     does, and reads nothing from the generator's state; it keeps its pending
@@ -151,10 +159,11 @@ class Pcg64Draws:
     source alone.
     """
 
-    __slots__ = ("_raw", "has_uint32", "uinteger")
+    __slots__ = ("_fetch", "unread", "has_uint32", "uinteger")
 
     def __init__(self, bit_generator: np.random.PCG64) -> None:
-        self._raw = bit_generator.random_raw
+        self._fetch = bit_generator.random_raw
+        self.unread: list[int] = []
         self.has_uint32 = self.uinteger = 0
 
     def integers(self, low: int, high: int) -> int:
@@ -181,6 +190,11 @@ class Pcg64Draws:
             while (m & 0xFFFF_FFFF_FFFF_FFFF) < threshold:
                 m = self._raw() * span
         return low + (m >> 64)
+
+    def _raw(self) -> int:
+        if not self.unread:
+            self.unread = self._fetch(BLOCK_WORDS)[::-1].tolist()
+        return self.unread.pop()
 
     def _next32(self) -> int:
         if self.has_uint32:

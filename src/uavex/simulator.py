@@ -19,10 +19,10 @@ again, whole, in the next round.
 A cluster's exchange is one loop over parallel int lists indexed by position
 in the sorted member list: holdings as bitmasks, request and reply draws with 0
 for none. The loop keeps the clock, picks the transmitters from plain ints,
-takes frame air times from a table built once per (packet count, timing) pair,
-and records the trace only when a trace list is given; each protocol rule is
-one ``protocol`` call per channel event (first draws, clean request, clean
-reply, collision). Whenever no request is open, a member whose request draw is
+takes frame air times from a table built once per (packet count, preamble,
+payload), and records the trace only when a trace list is given; each protocol
+rule is one ``protocol`` call per channel event (first draws, clean request,
+clean reply, collision). Whenever no request is open, a member whose request draw is
 0 wants nothing more: it is done from then on, and no longer contends for
 requests, though it keeps answering them. So is a member whose request nobody
 could supply: it asked for every packet it lacks, and no member holds any.
@@ -41,6 +41,8 @@ from .clustering import cluster_network, reads_tie_break
 from .core import IndicatorVector, Rng, ScenarioConfig, Scheme, UavId, mask_packets
 from .mac import Pcg64Draws, TimingConfig, frame_duration
 from .protocol import TraceRecord, absorb_reply, first_draws, open_request, redraw_colliders
+
+_DEFAULT_TIMING = TimingConfig()  # one shared instance for every run given no timing
 
 
 @dataclass(frozen=True)
@@ -72,15 +74,19 @@ class RunResult:
 
     cluster_results: tuple[ClusterResult, ...]
 
+    def __post_init__(self) -> None:
+        if not self.cluster_results:
+            raise ValueError("a run has at least one cluster result")
+
     @property
     def reported_exchanges(self) -> int:
         """The most exchanges any cluster made."""
-        return max((r.exchange_count for r in self.cluster_results), default=0)
+        return max(r.exchange_count for r in self.cluster_results)
 
     @property
     def reported_delay_us(self) -> int:
         """The longest cluster delay: when the last cluster finished."""
-        return max((r.delay_us for r in self.cluster_results), default=0)
+        return max(r.delay_us for r in self.cluster_results)
 
     @property
     def all_completed(self) -> bool:
@@ -173,9 +179,10 @@ def _run_exchange(
                      rng, trace, cluster_id), held
 
 
-@lru_cache(maxsize=64)
-def _air_times(num_packets: int, timing: TimingConfig) -> tuple[int, ...]:
+@lru_cache(maxsize=64)  # int keys hash and compare faster than a TimingConfig
+def _air_times(num_packets: int, preamble_us: int, payload_us_per_packet: int) -> tuple[int, ...]:
     """Frame air time indexed by data packets carried: entry 0 is a request, k a k-packet reply."""
+    timing = TimingConfig(preamble_us=preamble_us, payload_us_per_packet=payload_us_per_packet)
     return tuple(frame_duration(k, timing) for k in range(num_packets + 1))
 
 
@@ -217,7 +224,7 @@ def _exchange(
     n = len(order)
     full = (1 << num_packets) - 1
     difs, window = timing.difs_us, timing.cw_total_us
-    air = _air_times(num_packets, timing)
+    air = _air_times(num_packets, timing.preamble_us, timing.payload_us_per_packet)
     cap = (n.bit_length() + 1) * (60 + (2 * n * (num_packets + 1)).bit_length())
     requests = contending = first_draws(held, full, num_packets, window, priority, rng)
     live = range(n)
@@ -236,7 +243,9 @@ def _exchange(
                     break
         shortest = min(filter(None, contending))
         now += difs + shortest
-        if contending.count(shortest) > 1:
+        if contending.count(shortest) == 1:
+            streak = 0  # a short branch: its jump fits one byte, so 3.11 specializes the test
+        else:
             # All frames are lost. Request frames carry no data and end together;
             # colliders redraw in (frame end, position) order once the last has ended.
             collisions += 1
@@ -259,7 +268,6 @@ def _exchange(
                 _, colliders, frames = map(list, zip(*ends))
             redraw_colliders(contending, colliders, frames, num_packets, window, priority, rng)
             continue
-        streak = 0
         if not asked:
             requester = contending.index(shortest)
             requests[requester] = 0
@@ -287,6 +295,8 @@ def _exchange(
             absorb_reply(held, requests, requester, supply, full, num_packets, window, priority,
                          rng)
         contending, asked = requests, 0
+    if not unobtainable:  # the default: one empty frozenset for every completed exchange
+        return ClusterResult(exchanges, finish, collisions)
     return ClusterResult(exchanges, finish, collisions, frozenset(mask_packets(unobtainable)))
 
 
@@ -316,7 +326,7 @@ def run_scenario(
     which it does when none are given. A sweep likewise hands over the
     ``block`` that seeded its streams in advance; the streams are the same.
     """
-    timing = timing or TimingConfig()
+    timing = timing or _DEFAULT_TIMING
     seed = config.seed
     if receipts is None:
         receipts = sample_initial_receipts(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -274,7 +275,9 @@ def reference_exchange(members, holdings, timing, scheme, rng, cluster_id=0):
 # -- stream positions ---------------------------------------------------------
 
 # Where a stream stands after its draws, told the same way for a Generator and
-# for a Pcg64Draws: PCG64's 128-bit state and the pending half-word.
+# for a Pcg64Draws: PCG64's 128-bit state and the pending half-word. A
+# Pcg64Draws fetches raw words in blocks, so its generator stands past the
+# words it has read by the block's unread words.
 
 
 def numpy_position(rng):
@@ -284,8 +287,21 @@ def numpy_position(rng):
 
 
 def source_position(source, bit_generator):
-    """Where a ``Pcg64Draws`` over ``bit_generator`` stands, as ``numpy_position`` tells it."""
-    return bit_generator.state["state"], source.has_uint32, source.uinteger
+    """Where a ``Pcg64Draws`` over ``bit_generator`` stands, as ``numpy_position`` tells it.
+
+    A copy of the generator's state is rewound by the source's unread words,
+    so the position counts the words the source has read, not those fetched.
+    """
+    rewound = np.random.PCG64(0)
+    rewound.state = bit_generator.state
+    rewound.advance(-len(source.unread))
+    return rewound.state["state"], source.has_uint32, source.uinteger
+
+
+def counting_fetches(bit_generator):
+    """A stand-in for ``bit_generator`` whose ``random_raw(k)`` calls append k to ``fetched``."""
+    fetched, fetch = [], bit_generator.random_raw
+    return SimpleNamespace(random_raw=lambda k: fetched.append(k) or fetch(k), fetched=fetched)
 
 
 # -- per-point sweep loops ---------------------------------------------------

@@ -191,6 +191,11 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(**base)
 
+    @pytest.mark.parametrize("runs", [2.5, True, "3"])
+    def test_runs_must_be_a_positive_int(self, runs):
+        with pytest.raises(ValueError, match=f"runs must be a positive integer, got {runs!r}"):
+            ScenarioConfig(6, 4, 0.5, 2, runs=runs)
+
 
 class TestStreams:
     def test_same_triple_same_stream(self):

@@ -77,6 +77,11 @@ class TestSweepSpec:
         (row,) = sweep_full_set_rate(spec)
         assert row.runs == 3
 
+    @pytest.mark.parametrize("runs", [2.5, True, "3"])
+    def test_runs_must_be_a_positive_int(self, runs):
+        with pytest.raises(ValueError, match=f"runs must be a positive integer, got {runs!r}"):
+            SweepSpec(base_config(), "num_clusters", (2,), runs=runs)
+
 
 class TestConfigSurface:
     """A field added to either config dataclass becomes a config key only on purpose."""

@@ -7,6 +7,7 @@ from scipy import stats
 
 from uavex.core import stream
 from uavex.mac import (
+    BLOCK_WORDS,
     Pcg64Draws,
     TimingConfig,
     draw_backoff,
@@ -16,7 +17,7 @@ from uavex.mac import (
     subwindow_for_count,
 )
 
-from reference import numpy_position, source_position
+from reference import counting_fetches, numpy_position, source_position
 
 WINDOW = TimingConfig().cw_total_us  # 9207
 
@@ -269,13 +270,13 @@ class TestPcg64Draws:
         # 2**32 mod (2**31 + 1) rejects nearly half the words, each retry
         # taking one more half-word.
         ours, theirs = stream(9, 0, "backoff"), stream(9, 0, "backoff")
-        source = Pcg64Draws(ours.bit_generator)
-        raw, words = source._raw, []
-        source._raw = lambda: words.append(1) or raw()
+        counted = counting_fetches(ours.bit_generator)
+        source = Pcg64Draws(counted)
         span = (1 << 31) + 1
         values = [source.integers(0, span) for _ in range(400)]
         assert values == [int(theirs.integers(0, span)) for _ in range(400)]
-        assert len(words) > 300  # 200 words serve 400 draws without rejection
+        # 200 words serve 400 draws without rejection.
+        assert sum(counted.fetched) - len(source.unread) > 300
         assert source_position(source, ours.bit_generator) == numpy_position(theirs)
 
     def test_span_of_one_consumes_nothing(self):
@@ -335,6 +336,41 @@ class TestInlineDraws:
         assert ([_draw_outcome(source, *call) for call in calls]
                 == [_draw_outcome(theirs, *call) for call in calls])
         assert source_position(source, ours.bit_generator) == numpy_position(theirs)
+
+
+# Each step is a draw that reads at least a half-word (any stake, or a
+# rejection-heavy span just above 2**31), then, at times, a draw from another
+# branch: a span of 1 (no word), a 64-bit span (a whole word, while the first
+# draw may have left a half-word pending) or a call numpy refuses.
+_STEP = st.tuples(
+    st.one_of(
+        _M.flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m), st.integers(2 * m, 3 * m))),
+        st.tuples(st.just(1), st.sampled_from([0, 1]), near(1 << 31, 4)),
+        st.tuples(_M, st.just(0), st.sampled_from([2, 24, 9207])),
+    ),
+    st.sampled_from([None, (6, 2, 6), (1, 0, (1 << 32) + 1), (4, 4, 1 << 40), (3, 3, 2),
+                     (1, 0, 1 << 63)]),
+)
+
+
+class TestBlockBoundaries:
+    """Draw sequences reading several blocks of raw words, against a twin ``Generator``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), pattern=st.lists(_STEP, min_size=1, max_size=24))
+    def test_matches_generator_across_blocks(self, seed, pattern):
+        # A pattern repeated to more than 6 blocks' worth of steps (a long
+        # generated list costs seconds); rejections move where blocks end.
+        steps = pattern * (6 * BLOCK_WORDS // len(pattern) + 1)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        counted = counting_fetches(ours.bit_generator)
+        source = Pcg64Draws(counted)
+        calls = [call for step in steps for call in step if call is not None]
+        assert ([_draw_outcome(source, *call) for call in calls]
+                == [_draw_outcome(theirs, *call) for call in calls])
+        assert source_position(source, ours.bit_generator) == numpy_position(theirs)
+        # Every step reads at least a half-word, so more than 3 blocks were read.
+        assert sum(counted.fetched) - len(source.unread) > 3 * BLOCK_WORDS
 
 
 class TestFrameDuration:

@@ -42,6 +42,7 @@ from uavex.simulator import (
 )
 
 from reference import (
+    counting_fetches,
     numpy_position,
     per_point_full_set_rate,
     reference_exchange,
@@ -262,12 +263,16 @@ def frame_air_times(num_packets, timing):
 
 
 class TestAirTimeTable:
-    """``_air_times`` is built once per (M, timing) and must equal ``frame_duration``."""
+    """``_air_times`` is built once per (M, preamble, payload) and equals ``frame_duration``."""
+
+    @staticmethod
+    def table(num_packets, timing):
+        return _air_times(num_packets, timing.preamble_us, timing.payload_us_per_packet)
 
     @pytest.mark.parametrize("timing", AIR_TIMINGS)
     def test_table_equals_frame_duration(self, timing):
         for num_packets in range(1, 41):
-            table = _air_times(num_packets, timing)
+            table = self.table(num_packets, timing)
             assert list(table) == frame_air_times(num_packets, timing)
             assert table[0] == timing.preamble_us  # a request carries no data
 
@@ -277,7 +282,7 @@ class TestAirTimeTable:
         # alone would be handed to the other timing.
         other = replace(TIMING, **{field: value})
         for num_packets in (1, 6, 10, 40):
-            first, second = _air_times(num_packets, TIMING), _air_times(num_packets, other)
+            first, second = self.table(num_packets, TIMING), self.table(num_packets, other)
             assert first != second
             assert list(second) == frame_air_times(num_packets, other)
 
@@ -400,6 +405,11 @@ class TestRunScenario:
             for k in range(3)
         ))
         assert 0.0 <= results.full_cluster_fraction <= 1.0
+
+    def test_a_run_without_clusters_is_refused(self):
+        # Its fraction of full clusters would divide by zero.
+        with pytest.raises(ValueError, match="at least one cluster"):
+            RunResult(())
 
 
 def _feasible_cluster_count(num_uavs, draw):
@@ -717,6 +727,16 @@ class TestReferenceExchange:
         for seed in range(100):
             receipts = sample_initial_receipts(10, 6, 0.5, stream(seed, 0, "bs-delivery"))
             self.check(range(10), dict(enumerate(receipts)), timing, scheme, seed)
+
+    def test_exchange_whose_draws_cross_word_blocks(self):
+        # Plain CSMA over 20 UAVs makes about 150 draws, so its source reads
+        # past its first block of raw words.
+        receipts = sample_initial_receipts(20, 10, 0.6, stream(0, 0, "bs-delivery"))
+        holdings = dict(enumerate(receipts))
+        counted = counting_fetches(stream(0, 0, "backoff/0").bit_generator)
+        run_cluster_exchange(range(20), holdings, TIMING, Scheme.BASELINE_CSMA, Pcg64Draws(counted))
+        assert len(counted.fetched) >= 2
+        self.check(range(20), holdings, TIMING, Scheme.BASELINE_CSMA, 0)
 
     def test_timeout_heavy_exchanges_equal_the_reference(self):
         # Four UAVs at rho = 0.3 often leave a packet with no holder, so many
