@@ -8,7 +8,7 @@ clustering, the contention-window model, a deterministic contention-round
 simulator of the exchange, and a Monte-Carlo experiment harness.
 
 The names below are the library's public surface; everything else, such as
-the clustering stages, the backoff draws and the per-event protocol rules, is
+the clustering stages, the backoff draws and the stake-draw rule, is
 imported from its own module. The command line (``uavex.cli``) is not imported
 with the package; ``experiments.cli_main`` loads it on its first call.
 """

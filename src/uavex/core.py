@@ -152,6 +152,11 @@ class ScenarioConfig:
     runs: int = 500
 
     def __post_init__(self) -> None:
+        for name in ("num_uavs", "num_packets", "num_clusters", "seed", "runs"):
+            value = getattr(self, name)
+            if type(value) is not int:  # type, not isinstance: True is refused
+                sign = "non-negative" if name == "seed" else "positive"
+                raise ValueError(f"{name} must be a {sign} integer, got {value!r}")
         if self.num_uavs < 1:
             raise ValueError("num_uavs must be positive")
         check_cluster_count(self.num_uavs, self.num_clusters)
@@ -163,7 +168,7 @@ class ScenarioConfig:
             object.__setattr__(self, "scheme", Scheme(self.scheme))
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if type(self.runs) is not int or self.runs < 1:  # type, not isinstance: True is refused
+        if self.runs < 1:
             raise ValueError(f"runs must be a positive integer, got {self.runs!r}")
 
 

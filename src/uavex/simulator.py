@@ -20,12 +20,15 @@ A cluster's exchange is one loop over parallel int lists indexed by position
 in the sorted member list: holdings as bitmasks, request and reply draws with 0
 for none. The loop keeps the clock, picks the transmitters from plain ints,
 takes frame air times from a table built once per (packet count, preamble,
-payload), and records the trace only when a trace list is given; each protocol
-rule is one ``protocol`` call per channel event (first draws, clean request,
-clean reply, collision). Whenever no request is open, a member whose request draw is
-0 wants nothing more: it is done from then on, and no longer contends for
-requests, though it keeps answering them. So is a member whose request nobody
-could supply: it asked for every packet it lacks, and no member holds any.
+payload), takes in each reply's packets, and records the trace only when a
+trace list is given. Every draw follows ``protocol.stake_draws``, called once
+per channel event: the first draws and a clean request over every member, a
+collision over its colliders, and a clean reply over the members that gained
+packets while holding a request draw, then the requester. Whenever no request
+is open, a member whose request draw is 0 wants nothing more: it is done from
+then on, and no longer contends for requests, though it keeps answering them.
+So is a member whose request nobody could supply: it asked for every packet it
+lacks, and no member holds any.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from . import core  # core.stream is read at call time, so rebinding it reaches 
 from .clustering import cluster_network, reads_tie_break
 from .core import IndicatorVector, Rng, ScenarioConfig, Scheme, UavId, mask_packets
 from .mac import Pcg64Draws, TimingConfig, frame_duration
-from .protocol import TraceRecord, absorb_reply, first_draws, open_request, redraw_colliders
+from .protocol import TraceRecord, stake_draws
 
 _DEFAULT_TIMING = TimingConfig()  # one shared instance for every run given no timing
 
@@ -226,8 +229,9 @@ def _exchange(
     difs, window = timing.difs_us, timing.cw_total_us
     air = _air_times(num_packets, timing.preamble_us, timing.payload_us_per_packet)
     cap = (n.bit_length() + 1) * (60 + (2 * n * (num_packets + 1)).bit_length())
-    requests = contending = first_draws(held, full, num_packets, window, priority, rng)
-    live = range(n)
+    everyone = live = range(n)
+    requests = contending = stake_draws(held, everyone, full, full, num_packets, window, priority,
+                                        rng)
     now = finish = exchanges = collisions = streak = done = asked = unobtainable = 0
     while True:
         if not asked:
@@ -254,19 +258,20 @@ def _exchange(
                 raise RuntimeError(f"{streak} collision rounds in a row, past the cap of {cap}: "
                                    "the draw source is not uniform")
             colliders = [i for i, draw in enumerate(contending) if draw == shortest]
-            frames = ([asked & held[i] for i in colliders] if asked
-                      else [full & ~held[i] for i in colliders])
+            flip, keep = (0, asked) if asked else (full, full)
             if trace is not None:
                 trace.append(TraceRecord(now, order[colliders[1]], "collision",
-                                         mask_packets(frames[1]), None, cluster_id))
+                                         mask_packets((held[colliders[1]] ^ flip) & keep), None,
+                                         cluster_id))
             if not asked:
                 now += air[0]
             else:
-                ends = sorted((now + air[frame.bit_count()], i, frame)
-                              for i, frame in zip(colliders, frames))
+                ends = sorted((now + air[(asked & held[i]).bit_count()], i) for i in colliders)
                 now = ends[-1][0]
-                _, colliders, frames = map(list, zip(*ends))
-            redraw_colliders(contending, colliders, frames, num_packets, window, priority, rng)
+                colliders = [i for _, i in ends]
+            draws = stake_draws(held, colliders, flip, keep, num_packets, window, priority, rng)
+            for i, draw in zip(colliders, draws):
+                contending[i] = draw
             continue
         if not asked:
             requester = contending.index(shortest)
@@ -276,7 +281,7 @@ def _exchange(
             if trace is not None:
                 trace.append(TraceRecord(now, order[requester], "request", mask_packets(asked),
                                          None, cluster_id))
-            contending = open_request(held, asked, num_packets, window, priority, rng)
+            contending = stake_draws(held, everyone, 0, asked, num_packets, window, priority, rng)
             if any(contending):
                 continue
             now += difs + window
@@ -292,8 +297,19 @@ def _exchange(
             if trace is not None:
                 trace.append(TraceRecord(now, order[sender], "reply", mask_packets(supply),
                                          order[requester], cluster_id))
-            absorb_reply(held, requests, requester, supply, full, num_packets, window, priority,
-                         rng)
+            # Every member takes in the reply, and the other reply draws lapse with the
+            # request. A member that gained packets while holding a request draw wants
+            # fewer, so it redraws (0 once it wants nothing); then the requester draws.
+            redraw = []
+            for i, mask in enumerate(held):
+                if (gained := mask | supply) != mask:  # 3.11 specializes this compare
+                    held[i] = gained
+                    if requests[i]:
+                        redraw.append(i)
+            redraw.append(requester)
+            draws = stake_draws(held, redraw, full, full, num_packets, window, priority, rng)
+            for i, draw in zip(redraw, draws):
+                requests[i] = draw
         contending, asked = requests, 0
     if not unobtainable:  # the default: one empty frozenset for every completed exchange
         return ClusterResult(exchanges, finish, collisions)

@@ -196,6 +196,15 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=f"runs must be a positive integer, got {runs!r}"):
             ScenarioConfig(6, 4, 0.5, 2, runs=runs)
 
+    @pytest.mark.parametrize("name", ["num_uavs", "num_packets", "num_clusters", "seed"])
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, "2"])
+    def test_counts_and_seed_must_be_ints(self, name, value):
+        # Before, 6.5 UAVs or seed=1.5 failed later inside numpy, and 2.0 clusters ran.
+        base = dict(num_uavs=6, num_packets=4, delivery_rate=0.5, num_clusters=2)
+        base[name] = value
+        with pytest.raises(ValueError, match=rf"^{name} must be a [a-z-]+ integer, got {value!r}$"):
+            ScenarioConfig(**base)
+
 
 class TestStreams:
     def test_same_triple_same_stream(self):

@@ -1,26 +1,23 @@
-"""The per-event protocol rules, built around the four-UAV walkthrough, and the frames they send.
+"""The stake-draw rule, built around the four-UAV walkthrough, and the frames the UAVs send.
 
 A cluster's state is a list per quantity, indexed by position in the sorted
 member list; the walkthrough fleet's positions are its uav ids. Frames exist
 only as trace records, so the frame rules are checked on the traces of random
-exchanges.
+exchanges. Who redraws after a reply or a collision is checked on the
+``stake_draws`` calls the exchange loop makes, recorded with the stake of each
+priority draw.
 """
 
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from uavex import protocol, simulator
 from uavex.core import IndicatorVector, Scheme, packet_mask, stream
-from uavex.mac import TimingConfig, draw_backoff, subwindow_bounds
-from uavex.protocol import (
-    TraceRecord,
-    absorb_reply,
-    first_draws,
-    open_request,
-    redraw_colliders,
-    trace_line,
-)
+from uavex.mac import TimingConfig, draw_backoff, frame_duration, subwindow_bounds
+from uavex.protocol import TraceRecord, stake_draws, trace_line
 from uavex.simulator import run_cluster_exchange, sample_initial_receipts
 
 TIMING = TimingConfig()
@@ -44,23 +41,61 @@ def walkthrough_held():
 
 
 def draw_requests(held, priority=True, source=None):
-    return first_draws(held, FULL, M, WINDOW, priority, source or rng())
+    return stake_draws(held, range(len(held)), FULL, FULL, M, WINDOW, priority, source or rng())
 
 
 def reply_draws(held, asked):
-    return open_request(held, asked, M, WINDOW, True, rng())
+    return stake_draws(held, range(len(held)), 0, asked, M, WINDOW, True, rng())
 
 
-def in_subwindow(draw, subwindow, num_packets=M):
-    lo, hi = subwindow_bounds(num_packets, subwindow, WINDOW)
+def in_subwindow(draw, subwindow, num_packets=M, window=WINDOW):
+    lo, hi = subwindow_bounds(num_packets, subwindow, window)
     return lo < draw <= hi
 
 
-def run(holdings, scheme=Scheme.MECHANISM_ONLY, seed=0):
+def run(holdings, scheme=Scheme.MECHANISM_ONLY, seed=0, timing=TIMING):
     trace = []
-    result = run_cluster_exchange(list(holdings), holdings, TIMING, scheme,
+    result = run_cluster_exchange(list(holdings), holdings, timing, scheme,
                                   stream(seed, 0, "backoff/0"), trace=trace)
     return result, trace
+
+
+@pytest.fixture
+def draw_calls(monkeypatch):
+    """The exchange loop's ``stake_draws`` calls, recorded as they are made.
+
+    Each call keeps its positions (``uavs``), the holdings it saw (``held``),
+    the ``(num_packets, stake)`` of each priority draw it made (``stakes``)
+    and the draws it returned (``draws``).
+    """
+    calls = []
+    staked, drawn = protocol.stake_draws, protocol.draw_backoff
+
+    def recorded_stake_draws(held, uavs, *args):
+        call = SimpleNamespace(uavs=list(uavs), held=list(held), stakes=[])
+        calls.append(call)
+        draws = staked(held, uavs, *args)
+        call.draws = list(draws)
+        return draws
+
+    def recorded_draw(num_packets, stake, window, source):
+        calls[-1].stakes.append((num_packets, stake))
+        return drawn(num_packets, stake, window, source)
+
+    monkeypatch.setattr(simulator, "stake_draws", recorded_stake_draws)
+    monkeypatch.setattr(protocol, "draw_backoff", recorded_draw)
+    return calls
+
+
+def walkthrough(seed=42, timing=TIMING):
+    """The walkthrough fleet's exchange under the mechanism-only scheme.
+
+    ``GOLDEN_TRACE`` in ``test_simulator.py`` is its trace at seed 42: UAV 2
+    asks for {w1,w2,w4,w6} and UAV 3 supplies all four; then UAV 0 asks for
+    {w3,w5} and UAV 1 supplies both.
+    """
+    holdings = {u: IndicatorVector.from_mask(m, M) for u, m in enumerate(walkthrough_held())}
+    return run(holdings, seed=seed, timing=timing)
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,59 +245,89 @@ class TestBuildFrames:
         assert [d > 0 for d in draws] == [False, True, True, False]
 
 
-def after_request(requester=2):
-    """The walkthrough fleet with first draws, once ``requester`` has sent its request."""
-    held = walkthrough_held()
-    requests = draw_requests(held)
-    requests[requester] = 0
-    return held, requests
-
-
-def absorb(held, requests, *packets, requester=2):
-    absorb_reply(held, requests, requester, mask(*packets), FULL, M, WINDOW, True, rng())
+class TestOneCallPerChannelEvent:
+    def test_walkthrough_calls(self, draw_calls):
+        # First draws, then UAV 2's request, UAV 3's reply, UAV 0's request
+        # and UAV 1's reply: one call per event, each sized by its stakes.
+        _, trace = walkthrough()
+        assert [r.event for r in trace if r.event != "done"] == [
+            "request", "reply", "request", "reply"]
+        assert [(c.uavs, c.stakes) for c in draw_calls] == [
+            ([0, 1, 2, 3], [(M, 3), (M, 1), (M, 4), (M, 1)]),  # what each lacks
+            ([0, 1, 2, 3], [(M, 3), (M, 3), (M, 4)]),  # what each holds of {w1,w2,w4,w6}
+            ([0, 1, 2], [(M, 2)]),
+            ([0, 1, 2, 3], [(M, 2), (M, 2), (M, 1)]),  # what each holds of {w3,w5}
+            ([3, 0], []),
+        ]
+        assert [[d > 0 for d in c.draws] for c in draw_calls] == [
+            [True] * 4, [True, True, False, True], [True, False, False],
+            [False, True, True, True], [False, False],
+        ]
 
 
 class TestAbsorbReply:
-    def test_partial_absorption_redraws(self):
-        held, requests = after_request()
-        assert in_subwindow(requests[0], 4)  # UAV 0 misses {w3,w5,w6}
-        absorb(held, requests, 0, 1, 3, 5)
-        assert held[0] == FULL & ~mask(2, 4)
-        assert in_subwindow(requests[0], 5)  # redrawn for two missing
+    """After a clean reply, who redraws a request draw, in what order and for what stake."""
 
-    def test_disjoint_reply_keeps_draw(self):
-        held, requests = after_request()
-        original = requests[0]
-        absorb(held, requests, 0, 1)
-        assert requests[0] == original
+    def test_partial_absorption_redraws(self, draw_calls):
+        walkthrough()
+        reply = draw_calls[2]
+        assert reply.held[0] == FULL & ~mask(2, 4)  # UAV 0 took in w6 of the reply
+        assert reply.uavs[0] == 0 and reply.stakes[0] == (M, 2)
+        assert in_subwindow(reply.draws[0], 5)  # redrawn for two missing
 
-    def test_covering_reply_finishes(self):
-        held, requests = after_request()
-        absorb(held, requests, 2, 4, 5)
-        assert held[0] == FULL
-        assert requests[0] == 0
+    def test_disjoint_reply_keeps_draw(self, draw_calls):
+        # UAV 1 asks for {w1,w2,w4}; UAV 2 supplies {w1,w2}, which UAV 0
+        # already holds, so only the requester redraws. UAV 0's first draw
+        # then sends its request, whole.
+        holdings = {0: IndicatorVector((1, 1, 0, 0)), 1: IndicatorVector((0, 0, 1, 0)),
+                    2: IndicatorVector((1, 1, 1, 0))}
+        _, trace = run(holdings)
+        request, reply, second = [r for r in trace if r.event in ("request", "reply")][:3]
+        assert (request.uav, reply.uav, reply.packets, second.uav) == (1, 2, (0, 1), 0)
+        assert (draw_calls[2].uavs, draw_calls[2].stakes) == ([1], [(4, 1)])
+        assert second.time_us == (reply.time_us + TIMING.difs_us + draw_calls[0].draws[0]
+                                  + frame_duration(0, TIMING))
 
-    def test_holdings_never_shrink(self):
-        held, requests = after_request()
-        before = list(held)
-        absorb(held, requests, 0, 2)
-        assert all(b & ~a == 0 for a, b in zip(held, before))
+    def test_covering_reply_finishes(self, draw_calls):
+        walkthrough()
+        reply = draw_calls[2]
+        assert reply.held[1] == FULL  # UAV 1 took in w1
+        assert reply.uavs[1] == 1 and reply.draws[1] == 0
+        assert reply.stakes == [(M, 2)]  # UAV 0's draw only: a full UAV draws nothing
 
-    def test_reply_naming_a_packet_beyond_the_scenario_is_refused(self):
-        held, requests = after_request()
-        before = (list(held), list(requests))
-        for packets in ((6,), (2, 6), (0, 9)):
-            with pytest.raises(ValueError, match="does not fit 6 packets"):
-                absorb(held, requests, *packets)
-            assert (held, requests) == before
+    @pytest.mark.parametrize("seed", range(5))
+    def test_holdings_never_shrink(self, draw_calls, seed):
+        walkthrough(seed)
+        for before, after in zip(draw_calls, draw_calls[1:]):
+            assert all(b & ~a == 0 for a, b in zip(after.held, before.held))
+        assert draw_calls[-1].held == [FULL, FULL, FULL, FULL]
 
-    def test_requester_draws_again_only_while_wanting(self):
-        held, requests = after_request()  # requester 2 misses {0, 1, 3, 5}
-        absorb(held, requests, 0, 1)
-        assert in_subwindow(requests[2], 5)  # two still missing
-        requests[2] = 0  # it requests again
-        absorb(held, requests, 3, 5)
-        assert requests[2] == 0
+    def test_requester_draws_again_only_while_wanting(self, draw_calls):
+        walkthrough()  # UAV 2 gets all four packets it asked for
+        assert draw_calls[2].uavs[-1] == 2 and draw_calls[2].draws[-1] == 0
+        del draw_calls[:]
+        # UAV 0 asks for {w3,w4} and gets w3 alone, so it draws again, last,
+        # for the one packet it still lacks.
+        holdings = {0: IndicatorVector((1, 1, 0, 0)), 1: IndicatorVector((1, 1, 1, 0))}
+        _, trace = run(holdings, seed=3)
+        assert [(r.event, r.uav) for r in trace[:2]] == [("request", 0), ("reply", 1)]
+        reply = draw_calls[2]
+        assert (reply.uavs, reply.stakes) == ([0], [(4, 1)])
+        assert in_subwindow(reply.draws[0], 4, num_packets=4)
+
+
+CONTENDED = TimingConfig(cw_total_us=8)
+
+
+def contended_replies():
+    """A plain CSMA trace: UAV 0 holds nothing of 4 packets, UAVs 1, 2 and 3 hold 3, 2 and 1.
+
+    At seed 11 in an 8 us window, UAVs 1 and 2 collide replying to UAV 0's
+    first request.
+    """
+    holdings = {0: IndicatorVector.from_mask(0, 4), 1: IndicatorVector.from_mask(0b111, 4),
+                2: IndicatorVector.from_mask(0b11, 4), 3: IndicatorVector.from_mask(0b1, 4)}
+    return run(holdings, Scheme.BASELINE_CSMA, seed=11, timing=CONTENDED)[1]
 
 
 class TestCancelReply:
@@ -272,35 +337,47 @@ class TestCancelReply:
             events = [r.event for r in trace if r.event in ("request", "reply")]
             assert "reply,reply" not in ",".join(events)
 
-    def test_unrelated_request_does_not_cancel(self):
-        # A collision redraws the colliders' draws and leaves the others pending.
-        held = walkthrough_held()
-        requests = draw_requests(held)
-        before = list(requests)
-        redraw_colliders(requests, [1], [FULL & ~held[1]], M, WINDOW, True, rng())
-        assert [requests[i] == before[i] for i in range(4)] == [True, False, True, True]
+    def test_unrelated_request_does_not_cancel(self, draw_calls):
+        # UAVs 1 and 2 collide replying to UAV 0; only they redraw, and UAV
+        # 3's pending reply draw then wins the next round, unchanged.
+        trace = contended_replies()
+        request, collision, reply = trace[:3]
+        assert (request.uav, collision.event, reply.event, reply.uav) == (
+            0, "collision", "reply", 3)
+        assert sorted(draw_calls[2].uavs) == [1, 2]
+        end = collision.time_us + frame_duration(3, CONTENDED)  # UAV 1's three-packet frame
+        assert reply.time_us == (end + CONTENDED.difs_us + draw_calls[1].draws[3]
+                                 + frame_duration(1, CONTENDED))
 
-    def test_own_transmission_is_no_op(self):
-        held, requests = after_request()
-        before = held[3], requests[3]
-        absorb(held, requests, 0, 1, 3, 5)  # UAV 3's own reply
-        assert (held[3], requests[3]) == before
+    def test_own_transmission_is_no_op(self, draw_calls):
+        walkthrough()  # UAV 3 sends the first reply
+        assert 3 not in draw_calls[2].uavs
+        assert draw_calls[3].held[3] == walkthrough_held()[3]
 
 
 class TestRedrawColliders:
     def test_redraws_in_order_within_current_subwindows(self):
         held = walkthrough_held()
         asked = FULL & ~held[2]  # {0, 1, 3, 5}
-        draws, twin = [0] * 4, rng()
-        redraw_colliders(draws, [3, 0], [asked & held[3], asked & held[0]], M, WINDOW, True,
-                         rng())
-        assert draws[3] == draw_backoff(M, 4, WINDOW, twin)
-        assert draws[0] == draw_backoff(M, 3, WINDOW, twin)
-        requests = [0] * 4
-        redraw_colliders(requests, [1, 0], [FULL & ~held[1], FULL & ~held[0]], M, WINDOW, True,
-                         rng())
-        assert in_subwindow(requests[1], 6)  # missing one
-        assert in_subwindow(requests[0], 4)  # missing three
+        twin = rng()
+        assert stake_draws(held, [3, 0], 0, asked, M, WINDOW, True, rng()) == [
+            draw_backoff(M, 4, WINDOW, twin), draw_backoff(M, 3, WINDOW, twin)]
+        requests = stake_draws(held, [1, 0], FULL, FULL, M, WINDOW, True, rng())
+        assert in_subwindow(requests[0], 6)  # UAV 1 misses one
+        assert in_subwindow(requests[1], 4)  # UAV 0 misses three
+
+    def test_colliders_redraw_in_frame_end_order(self, draw_calls):
+        # UAV 2's two-packet reply ends before UAV 1's three-packet one.
+        contended_replies()
+        assert draw_calls[2].uavs == [2, 1]
+
+    def test_equal_frames_redraw_in_position_order_for_their_stake(self, draw_calls):
+        # In a 12 us window UAVs 1 and 2 collide four times replying to UAV 0's {w3,w5}.
+        _, trace = walkthrough(seed=1, timing=TimingConfig(cw_total_us=12))
+        assert [r.event for r in trace].count("collision") == 4
+        redraws = draw_calls[4:8]
+        assert [(c.uavs, c.stakes) for c in redraws] == [([1, 2], [(M, 2), (M, 2)])] * 4
+        assert all(in_subwindow(d, 5, window=12) for c in redraws for d in c.draws)
 
 
 class TestMarkUnobtainable:
@@ -335,12 +412,15 @@ class TestPhaseAndBackoffFields:
         draws = reply_draws(held, FULL & ~held[2])
         assert [0 < d <= WINDOW for d in draws] == [True, True, False, True]
 
-    def test_idle_without_draws(self):
+    def test_idle_without_draws(self, draw_calls):
         # Once the first reply lands, UAVs 1 and 2 want nothing and hold no draw.
-        held, requests = after_request()
-        absorb(held, requests, 0, 1, 3, 5, requester=2)
+        walkthrough()
+        requests = list(draw_calls[0].draws)
+        requests[2] = 0  # UAV 2's draw sent its request
+        for i, draw in zip(draw_calls[2].uavs, draw_calls[2].draws):
+            requests[i] = draw
         assert [d > 0 for d in requests] == [True, False, False, True]
-        assert [FULL & ~m == 0 for m in held] == [False, True, True, False]
+        assert [FULL & ~m == 0 for m in draw_calls[3].held] == [False, True, True, False]
 
 
 def test_trace_line_format_is_stable():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavex import core, protocol
+from uavex import core, protocol, simulator
 from uavex.clustering import cluster_network, reads_tie_break
 from uavex.core import IndicatorVector, ScenarioConfig, Scheme, packet_mask, stream
 from uavex.experiments import (
@@ -931,12 +931,24 @@ class TestDrawCallsPerRun:
                 return _original(*args)
 
             monkeypatch.setattr(protocol, name, counted)
+        # perfbench counts protocol calls at the simulator's protocol imports:
+        # one per channel event, the first draws of each cluster included.
+        events = []
+        stake_draws = simulator.stake_draws
+
+        def counted_event(*args):
+            events.append(1)
+            return stake_draws(*args)
+
+        monkeypatch.setattr(simulator, "stake_draws", counted_event)
         config = ScenarioConfig(20, 10, 0.6, 6, scheme=Scheme(scheme), seed=0)
         totals = []
         for k in range(20):
-            before = len(calls)
-            run_scenario(config, k)
+            before, events_before, trace = len(calls), len(events), []
+            result = run_scenario(config, k, trace=trace)
             totals.append(len(calls) - before)
+            channel_events = sum(r.event in ("request", "reply", "collision") for r in trace)
+            assert len(events) - events_before == len(result.cluster_results) + channel_events
         assert totals == REF20_RUNS[scheme][0]
         assert sources == {Pcg64Draws}
 
