@@ -7,7 +7,9 @@ cluster's combined holdings.
 
 The stages work on holdings masks (one int per UAV, bit m for packet m), so
 the walkthrough hands them each vector's ``.mask``; ``cluster_network`` takes
-the vectors themselves and returns one combined vector per cluster.
+the vectors themselves and returns one combined vector per cluster. The pool
+of unassigned UAVs is one ascending list, and a merging round updates the
+member lists, the cluster masks and the pool in place.
 """
 
 import numpy as np
@@ -29,12 +31,11 @@ for i in range(len(fleet)):
         print(f"  uav{i} vs uav{j}: {hamming_distance(masks[i], masks[j])}")
 
 members, pool = initialize_clusters(masks, 2, stream(0, 0, "tie-break"))
-print(f"\nseeds after pair extraction: {members}, pool: {sorted(pool)}")
+print(f"\nseeds after pair extraction: {members}, pool: {pool}")
 
-members, cluster_masks, pool = merge_iteration(
-    members, [masks[m[0]] for m in members], pool, masks
-)
-print("after one merging round:")
+cluster_masks = [masks[m[0]] for m in members]
+merge_iteration(members, cluster_masks, pool, masks)
+print(f"after one merging round (pool now {pool}):")
 for n, (group, mask) in enumerate(zip(members, cluster_masks)):
     bits = IndicatorVector.from_mask(mask, 6).bits
     print(f"  cluster {n}: members {group}, combined holdings {bits}")

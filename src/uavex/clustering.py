@@ -12,12 +12,12 @@ entry point ``cluster_network`` takes and returns ``IndicatorVector``s.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .core import (ClusterId, IndicatorVector, InfeasibleClusterCount, Rng, UavId,
-                   check_cluster_count)
+from .core import IndicatorVector, InfeasibleClusterCount, Rng, UavId, check_cluster_count
 
 
 def hamming_distance(a: int, b: int) -> int:
@@ -74,24 +74,9 @@ def _check_feasible(num_uavs: int, num_clusters: int) -> None:
         )
 
 
-def _min_distance_pair(masks: Sequence[int], pool: set[UavId]) -> tuple[UavId, UavId]:
-    # Lexicographically smallest pair wins ties.
-    candidates = sorted(pool)
-    best: tuple[UavId, UavId] | None = None
-    best_dist: int | None = None
-    for idx, i in enumerate(candidates):
-        mask_i = masks[i]
-        for j in candidates[idx + 1:]:
-            d = hamming_distance(mask_i, masks[j])
-            if best_dist is None or d < best_dist:
-                best, best_dist = (i, j), d
-    assert best is not None
-    return best
-
-
 def initialize_clusters(
     masks: Sequence[int], num_clusters: int, rng: Rng
-) -> tuple[list[list[UavId]], set[UavId]]:
+) -> tuple[list[list[UavId]], list[UavId]]:
     """Seed the clusters by repeatedly extracting minimum-distance UAV pairs.
 
     ``masks[u]`` is UAV u's holdings mask. The two UAVs of each extracted pair
@@ -100,66 +85,65 @@ def initialize_clusters(
     extracts one extra seed and then returns one of them, chosen uniformly at
     random, to the pool.
 
-    Returns the singleton member lists and the pool of unassigned UAVs.
+    Returns the singleton member lists and the unassigned UAVs in ascending
+    order. Pairs are scanned in that order, so the first strict minimum is
+    the lexicographically smallest pair at the minimum distance.
     """
     _check_feasible(len(masks), num_clusters)
     need = num_clusters if num_clusters % 2 == 0 else num_clusters + 1
     if need > len(masks):  # N = 1, exempt from the rule as cluster_network never seeds it
         raise InfeasibleClusterCount(f"odd cluster count 1 needs 2 seed UAVs, got {len(masks)}")
-    pool = set(range(len(masks)))
+    pool = list(range(len(masks)))
     seeds: list[UavId] = []
     while len(seeds) < need:
-        i, j = _min_distance_pair(masks, pool)
-        pool.discard(i)
-        pool.discard(j)
-        seeds.extend((i, j))
+        # Not itertools.combinations, which copies the pool into a tuple: a
+        # 20-element one would pile up on CPython 3.11's free list (see _everyone).
+        best_dist = float("inf")
+        for a, i in enumerate(pool):
+            mask_i = masks[i]
+            for j in pool[a + 1:]:
+                d = hamming_distance(mask_i, masks[j])
+                if d < best_dist:
+                    best_i, best_j, best_dist = i, j, d
+        pool.remove(best_i)
+        pool.remove(best_j)
+        seeds.extend((best_i, best_j))
     if num_clusters % 2 == 1:
-        dropped = seeds.pop(int(rng.integers(0, len(seeds))))
-        pool.add(dropped)
+        insort(pool, seeds.pop(int(rng.integers(0, len(seeds)))))
     return [[s] for s in seeds], pool
 
 
 def merge_iteration(
-    members: Sequence[Sequence[UavId]],
-    cluster_masks: Sequence[int],
-    pool: set[UavId],
+    members: list[list[UavId]],
+    cluster_masks: list[int],
+    pool: list[UavId],
     masks: Sequence[int],
-) -> tuple[list[list[UavId]], list[int], set[UavId]]:
-    """One merging round: every cluster absorbs at most one pool UAV.
+) -> None:
+    """One merging round, in place: every cluster absorbs at most one pool UAV.
 
     Each pick takes the cluster-UAV pair with the *largest* Hamming distance
-    (lexicographically smallest pair on ties), removes both from contention,
-    and appends the UAV to the cluster. Distances are evaluated against the
-    cluster masks as they stood when the round began; the OR updates are
-    applied in one batch after the round, so earlier picks do not skew later
-    ones.
+    (lexicographically smallest pair on ties: clusters and the ascending
+    ``pool`` are scanned in order and the first strict maximum wins), removes
+    the UAV from ``pool``, appends it to the cluster's members and ORs its mask
+    into the cluster's. Distances read each cluster's mask as it stood when
+    the round began, so earlier picks do not skew later ones: a cluster's
+    mask changes only with its own pick, which closes it for the round.
     """
     if not pool:
         raise ValueError("pool must be non-empty")
-    new_members = [list(group) for group in members]
-    new_pool = set(pool)
-    open_clusters = set(range(len(new_members)))
-    joined: list[tuple[ClusterId, UavId]] = []
-    while open_clusters and new_pool:
-        best: tuple[ClusterId, UavId] | None = None
+    open_clusters = list(range(len(members)))
+    while open_clusters and pool:
         best_dist = -1
-        pool_order = sorted(new_pool)
-        for n in sorted(open_clusters):
+        for n in open_clusters:
             cluster_mask = cluster_masks[n]
-            for i in pool_order:
+            for i in pool:
                 d = hamming_distance(cluster_mask, masks[i])
                 if d > best_dist:
-                    best, best_dist = (n, i), d
-        assert best is not None
-        n_star, i_star = best
-        open_clusters.discard(n_star)
-        new_pool.discard(i_star)
-        new_members[n_star].append(i_star)
-        joined.append((n_star, i_star))
-    new_masks = list(cluster_masks)
-    for n, i in joined:
-        new_masks[n] |= masks[i]
-    return new_members, new_masks, new_pool
+                    best_n, best_i, best_dist = n, i, d
+        open_clusters.remove(best_n)
+        pool.remove(best_i)
+        members[best_n].append(best_i)
+        cluster_masks[best_n] |= masks[best_i]
 
 
 @lru_cache(maxsize=64)
@@ -198,7 +182,7 @@ def cluster_network(
     members, pool = initialize_clusters(masks, num_clusters, rng)
     cluster_masks = [masks[group[0]] for group in members]
     while pool:
-        members, cluster_masks, pool = merge_iteration(members, cluster_masks, pool, masks)
+        merge_iteration(members, cluster_masks, pool, masks)
     # A tuple built from a generator is allocated at a guessed length and then
     # resized, so it is freed onto another length's free list than the one it
     # came from; built from a list, it takes and returns the same slot.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -11,7 +12,6 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 UavId = int
-ClusterId = int
 PacketId = int
 
 Rng = np.random.Generator
@@ -162,7 +162,10 @@ class ScenarioConfig:
         check_cluster_count(self.num_uavs, self.num_clusters)
         if self.num_packets < 1:
             raise ValueError("num_packets must be positive")
-        if not 0.0 <= self.delivery_rate <= 1.0:
+        rate = self.delivery_rate
+        if not isinstance(rate, numbers.Real) or isinstance(rate, bool):
+            raise ValueError(f"delivery_rate must be a real number, got {rate!r}")
+        if not 0.0 <= rate <= 1.0:
             raise ValueError("delivery_rate must lie in [0, 1]")
         if not isinstance(self.scheme, Scheme):
             object.__setattr__(self, "scheme", Scheme(self.scheme))

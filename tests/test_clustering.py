@@ -90,12 +90,12 @@ class TestInitializeClusters:
         members, pool = initialize_clusters(WALKTHROUGH_MASKS, 2, stream(0, 0, "tie-break"))
         assert members == [[expected_pair[0]], [expected_pair[1]]]
         assert expected_pair == (0, 1)  # frozen from the exhaustive enumeration
-        assert pool == {2, 3}
+        assert pool == [2, 3]
 
     def test_two_uavs_two_clusters(self):
         members, pool = initialize_clusters([mask(1, 0), mask(0, 1)], 2, stream(0, 0, "tie-break"))
         assert sorted(m[0] for m in members) == [0, 1]
-        assert pool == set()
+        assert pool == []
 
     def test_odd_target_returns_one_seed_to_pool(self):
         rng = np.random.default_rng(1)
@@ -106,7 +106,20 @@ class TestInitializeClusters:
         assert len(pool) == 2
         seeds = {m[0] for m in members}
         assert seeds.isdisjoint(pool)
-        assert seeds | pool == set(range(5))
+        assert seeds | set(pool) == set(range(5))
+
+    def test_odd_drop_returns_to_its_sorted_place(self):
+        # Pairs (0, 2) and (1, 4) tie at distance 0 and are extracted in that
+        # order, leaving UAV 3; whichever seed drops goes back in order.
+        masks = [mask(1, 1, 0), mask(0, 0, 1), mask(1, 1, 0), mask(1, 0, 1), mask(0, 0, 1)]
+        pools = set()
+        for k in range(40):
+            members, pool = initialize_clusters(masks, 3, stream(3, k, "tie-break"))
+            (dropped,) = set(pool) - {3}
+            assert [m[0] for m in members] == [s for s in (0, 2, 1, 4) if s != dropped]
+            assert pool == sorted(pool)
+            pools.add(tuple(pool))
+        assert pools == {(0, 3), (2, 3), (1, 3), (3, 4)}
 
     def test_odd_drop_is_uniform_over_seeds(self):
         # With four identical masks every seed is equally likely to drop.
@@ -138,19 +151,22 @@ class TestMergeIteration:
         rng = np.random.default_rng(2)
         masks = random_masks(rng, 8, 6)
         members, cluster_masks = self._singletons(masks, [0, 1, 2])
-        new_members, _, pool = merge_iteration(
-            members, cluster_masks, {3, 4, 5, 6, 7}, masks
-        )
-        assert all(len(m) == 2 for m in new_members)
+        pool = [3, 4, 5, 6, 7]
+        assert merge_iteration(members, cluster_masks, pool, masks) is None
+        assert all(len(m) == 2 for m in members)
         assert len(pool) == 2
+        assert pool == sorted(pool)
+        for group, cluster_mask in zip(members, cluster_masks):
+            assert cluster_mask == masks[group[0]] | masks[group[1]]
 
     def test_pool_exhausts_mid_round(self):
         rng = np.random.default_rng(3)
         masks = random_masks(rng, 5, 6)
         members, cluster_masks = self._singletons(masks, [0, 1, 2])
-        new_members, _, pool = merge_iteration(members, cluster_masks, {3, 4}, masks)
-        assert sorted(len(m) for m in new_members) == [1, 2, 2]
-        assert pool == set()
+        pool = [3, 4]
+        merge_iteration(members, cluster_masks, pool, masks)
+        assert sorted(len(m) for m in members) == [1, 2, 2]
+        assert pool == []
 
     def test_picks_most_distant_uav(self):
         masks = [
@@ -158,13 +174,14 @@ class TestMergeIteration:
             mask(0, 1, 0, 0, 1, 0),  # distance 4
             mask(1, 0, 0, 0, 0, 0),  # distance 1
         ]
-        members, _, pool = merge_iteration([[0]], [masks[0]], {1, 2}, masks)
+        members, pool = [[0]], [1, 2]
+        merge_iteration(members, [masks[0]], pool, masks)
         assert members[0] == [0, 1]
-        assert pool == {2}
+        assert pool == [2]
 
     def test_distances_use_round_start_vectors(self):
         # Two clusters, two pool UAVs. Cluster 0 absorbs UAV 2 first; if its
-        # mask updated immediately, UAV 3 would look closer to cluster 0
+        # updated mask were read again, UAV 3 would look closer to cluster 0
         # than it does against the round-start mask.
         masks = [
             mask(0, 0, 0, 0),  # cluster 0 seed
@@ -172,16 +189,15 @@ class TestMergeIteration:
             mask(1, 1, 1, 1),  # picked first by cluster 0 (distance 4)
             mask(1, 1, 0, 0),  # then cluster 1 must take this one
         ]
-        members, cluster_masks, _ = merge_iteration(
-            [[0], [1]], [masks[0], masks[1]], {2, 3}, masks
-        )
+        members, cluster_masks = [[0], [1]], [masks[0], masks[1]]
+        merge_iteration(members, cluster_masks, [2, 3], masks)
         assert members == [[0, 2], [1, 3]]
         assert cluster_masks[0] == mask(1, 1, 1, 1)
         assert cluster_masks[1] == mask(1, 1, 1, 0)
 
     def test_requires_non_empty_pool(self):
         with pytest.raises(ValueError):
-            merge_iteration([[0]], [mask(1, 0)], set(), [mask(1, 0)])
+            merge_iteration([[0]], [mask(1, 0)], [], [mask(1, 0)])
 
 
 class TestClusterNetwork:
@@ -278,12 +294,10 @@ class TestClusterNetwork:
         members, pool = initialize_clusters(masks, 4, stream(0, 0, "tie-break"))
         cluster_masks = [masks[m[0]] for m in members]
         while pool:
-            new_members, new_masks, pool = merge_iteration(
-                members, cluster_masks, pool, masks
-            )
-            for old, new in zip(cluster_masks, new_masks):
+            before = list(cluster_masks)
+            merge_iteration(members, cluster_masks, pool, masks)
+            for old, new in zip(before, cluster_masks):
                 assert old & ~new == 0  # no held packet is lost
-            members, cluster_masks = new_members, new_masks
 
     def test_oracle_equivalence_small_instances(self):
         rng = np.random.default_rng(7)
@@ -303,6 +317,23 @@ class TestClusterNetwork:
             )
             assert [list(m) for m in ours.members] == ref_members
             assert [v.bits for v in ours.cluster_vectors] == ref_vectors
+
+    @pytest.mark.parametrize("num_packets", [1, 2, 3])
+    def test_oracle_equivalence_where_distances_tie(self, num_packets):
+        # With at most 3 packets every distance lies in 0..3, so most pairs
+        # tie and the scan order alone decides the seeds and the picks.
+        rng = np.random.default_rng(11 + num_packets)
+        for num_uavs in range(2, 21):
+            bits = [tuple(int(b) for b in rng.integers(0, 2, num_packets)) for _ in range(num_uavs)]
+            vectors = [IndicatorVector(b) for b in bits]
+            for n in feasible_counts(num_uavs):
+                def tie_break():
+                    return stream(12, num_uavs, "tie-break") if reads_tie_break(n) else None
+
+                ours = cluster_network(vectors, n, tie_break())
+                ref_members, ref_vectors = brute_force_cluster(bits, n, tie_break())
+                assert [list(m) for m in ours.members] == ref_members, (num_uavs, n)
+                assert [v.bits for v in ours.cluster_vectors] == ref_vectors, (num_uavs, n)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

@@ -205,6 +205,16 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=rf"^{name} must be a [a-z-]+ integer, got {value!r}$"):
             ScenarioConfig(**base)
 
+    @pytest.mark.parametrize("rate", ["0.5", None, True, False])
+    def test_delivery_rate_must_be_a_real_number(self, rate):
+        # Before, "0.5" raised a TypeError naming no setting and True ran as a rate of 1.
+        with pytest.raises(ValueError, match=rf"^delivery_rate must be a real number, got {rate!r}$"):
+            ScenarioConfig(6, 4, rate, 2)
+
+    @pytest.mark.parametrize("rate", [0, 1, 0.5, np.float64(0.25)])
+    def test_delivery_rate_accepts_any_real_number_in_range(self, rate):
+        assert ScenarioConfig(6, 4, rate, 2).delivery_rate == rate
+
 
 class TestStreams:
     def test_same_triple_same_stream(self):
