@@ -4,8 +4,9 @@ The maximum contention window of ``T`` microseconds is split into as many
 subwindows as there are packets in the scenario. A node whose stake is
 ``m`` relevant packets (lost packets for a requester, suppliable packets for
 a replier) draws uniformly inside subwindow ``M - m + 1``, so a higher stake
-always yields a strictly shorter backoff than a lower one. Each draw takes
-its bounds from two integer divisions. A scenario run hands the engine a
+always yields a strictly shorter backoff than a lower one; ``draw_bounds``
+builds every stake's draw range once per (packet count, window), and a draw
+only picks inside the range it is given. A scenario run hands the engine a
 ``Pcg64Draws`` over each just-derived backoff stream, which replays numpy's
 bounded-int algorithm over the stream's raw words, fetched in blocks (its
 position counts a block's unread words as not yet drawn); the draw functions
@@ -19,12 +20,14 @@ supplies, and a request, a control frame, is the frame that carries none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .core import Rng
 
 BLOCK_WORDS = 32  # raw words per random_raw call; 16 and 64 ran no faster (BENCH_block_words.json)
+DrawBounds = tuple[tuple[int, int] | None, ...]  # draw range [low, high) per stake count
 
 
 @dataclass(frozen=True)
@@ -71,19 +74,22 @@ def subwindow_bounds(num_packets: int, subwindow: int, window_us: int) -> tuple[
     return lo, hi
 
 
-def draw_backoff(num_packets: int, relevant_count: int, window_us: int, rng: Rng) -> int:
-    """Uniform integer draw, in us, inside the priority subwindow for ``relevant_count``.
+@lru_cache(maxsize=64)  # int keys, like the engine's air-time table
+def draw_bounds(num_packets: int, window_us: int) -> DrawBounds:
+    """Entry m, for m = 1..M, is subwindow M - m + 1 of ``subwindow_bounds`` shifted by one.
 
-    The draw range [lo + 1, hi + 1) is ``subwindow_bounds`` of subwindow
-    M - m + 1 shifted by one, computed inline: this is the per-draw path.
+    Entry 0 is ``None``: an empty stake makes no draw. A window narrower than
+    M leaves subwindow 1 empty and is refused.
     """
-    if not 1 <= relevant_count <= num_packets:
-        raise ValueError(
-            f"relevant_count must lie in [1, {num_packets}], got {relevant_count}"
-        )
-    prior = num_packets - relevant_count  # subwindows ahead of this one
-    low = prior * window_us // num_packets + 1
-    high = (prior + 1) * window_us // num_packets + 1
+    if window_us < num_packets:
+        raise ValueError(f"subwindow 1 of window {window_us} us is empty; "
+                         f"need window_us >= num_packets ({num_packets})")
+    ranges = [subwindow_bounds(num_packets, k, window_us) for k in range(num_packets, 0, -1)]
+    return (None, *((lo + 1, hi + 1) for lo, hi in ranges))
+
+
+def draw_backoff(low: int, high: int, rng: Rng) -> int:
+    """Uniform integer draw, in us, in [low, high): a ``draw_bounds`` entry, per draw."""
     span = high - low
     if type(rng) is Pcg64Draws and 1 < span <= 1 << 32 and high <= 1 << 63:
         # Pcg64Draws.integers' 32-bit step over _next32, inlined: a method call
@@ -104,11 +110,6 @@ def draw_backoff(num_packets: int, relevant_count: int, window_us: int, rng: Rng
             while (m & 0xFFFF_FFFF) < threshold:
                 m = rng._next32() * span
         return low + (m >> 32)
-    if span < 1:
-        raise ValueError(
-            f"subwindow {prior + 1} of window {window_us} us is empty; "
-            f"need window_us >= num_packets ({num_packets})"
-        )
     return int(rng.integers(low, high))
 
 
@@ -132,8 +133,6 @@ def draw_baseline_backoff(window_us: int, rng: Rng) -> int:
             while (m & 0xFFFF_FFFF) < threshold:
                 m = rng._next32() * window_us
         return 1 + (m >> 32)
-    if window_us < 1:
-        raise ValueError("window_us must be at least 1")
     return int(rng.integers(1, window_us + 1))
 
 

@@ -13,12 +13,12 @@ and ``keep = asked``. An empty stake gives 0 and makes no draw. Backoff
 owner's stake changes, when a collision forces a redraw, or when the draw is
 consumed by transmitting.
 
-The exchange loop calls it once per channel event: the first request draws,
-a clean request's reply draws, a collision's redraws and a clean reply's
-redraws. Each draw is one call of this module's ``draw_backoff`` or
-``draw_baseline_backoff``, looked up when it is made, so a cluster's stream
-is consumed in event order and, within an event, in the order of the
-positions given.
+The exchange loop calls it once per channel event, to write in place the
+first request draws, a clean request's reply draws, a collision's redraws or
+a clean reply's redraws. Each draw is one call of this module's
+``draw_backoff`` or ``draw_baseline_backoff``, looked up when it is made, so
+a cluster's stream is consumed in event order and, within an event, in the
+order of the positions given.
 """
 
 from __future__ import annotations
@@ -27,28 +27,29 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import PacketId, Rng, UavId, packet_label
-from .mac import draw_backoff, draw_baseline_backoff
+from .mac import DrawBounds, draw_backoff, draw_baseline_backoff
 
 
 def stake_draws(
-    held: list[int], uavs: Sequence[int], flip: int, keep: int, num_packets: int, window: int,
-    priority: bool, rng: Rng,
-) -> list[int]:
-    """One draw per position in ``uavs``, in order, sized by the stake ``(held[i] ^ flip) & keep``.
+    held: list[int], uavs: Sequence[int], flip: int, keep: int, bounds: DrawBounds | None,
+    window: int, rng: Rng, draws: list[int],
+) -> None:
+    """Write ``draws[i]`` for each position i in ``uavs``, in order, sized by its stake.
 
-    A priority draw falls in the subwindow of the stake's packet count, a
-    plain CSMA draw anywhere in the window; an empty stake draws 0.
+    A priority draw falls in the ``bounds`` entry of the stake's packet
+    count, a plain CSMA draw (``bounds`` is ``None``) anywhere in the window;
+    an empty stake writes 0. Other positions are left as they are.
     """
-    draws = []
+    if bounds is None:
+        for i in uavs:
+            draws[i] = draw_baseline_backoff(window, rng) if (held[i] ^ flip) & keep else 0
+        return
     for i in uavs:
-        stake = (held[i] ^ flip) & keep
-        if not stake:
-            draws.append(0)
-        elif priority:
-            draws.append(draw_backoff(num_packets, stake.bit_count(), window, rng))
+        if stake := (held[i] ^ flip) & keep:
+            low, high = bounds[stake.bit_count()]
+            draws[i] = draw_backoff(low, high, rng)
         else:
-            draws.append(draw_baseline_backoff(window, rng))
-    return draws
+            draws[i] = 0
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .clustering import ClusterAssignment, InfeasibleClusterCount, _check_feasible, cluster_network
 from .core import IndicatorVector, Scheme, UavId, stream
-from .mac import Pcg64Draws, TimingConfig, draw_backoff, subwindow_bounds
+from .mac import Pcg64Draws, TimingConfig, draw_backoff, draw_bounds, subwindow_bounds
 from .protocol import TraceRecord
 from .simulator import ClusterResult, _run_exchange, sample_initial_receipts
 
@@ -81,8 +81,8 @@ def check_backoff_priority(rng: np.random.Generator, pairs: int) -> None:
     for trial in range(pairs):
         m = int(rng.integers(2, 17))
         low, high = sorted(rng.choice(np.arange(1, m + 1), size=2, replace=False))
-        eager = draw_backoff(m, int(high), window, rng)
-        lazy = draw_backoff(m, int(low), window, rng)
+        bounds = draw_bounds(m, window)
+        eager, lazy = draw_backoff(*bounds[high], rng), draw_backoff(*bounds[low], rng)
         if not eager < lazy:
             raise AssertionError(
                 f"pair {trial} (M={m}): stake {high} drew {eager} us, "

@@ -16,19 +16,20 @@ closes the transaction. Draws are never counted down: a pending request draw
 is held at its full value until the transaction closes, and then contends
 again, whole, in the next round.
 
-A cluster's exchange is one loop over parallel int lists indexed by position
-in the sorted member list: holdings as bitmasks, request and reply draws with 0
+A cluster's exchange is one loop over parallel int lists indexed by position in
+the sorted member list: holdings as bitmasks, request and reply draws with 0
 for none. The loop keeps the clock, picks the transmitters from plain ints,
 takes frame air times from a table built once per (packet count, preamble,
-payload), takes in each reply's packets, and records the trace only when a
-trace list is given. Every draw follows ``protocol.stake_draws``, called once
-per channel event: the first draws and a clean request over every member, a
-collision over its colliders, and a clean reply over the members that gained
-packets while holding a request draw, then the requester. Whenever no request
-is open, a member whose request draw is 0 wants nothing more: it is done from
-then on, and no longer contends for requests, though it keeps answering them.
-So is a member whose request nobody could supply: it asked for every packet it
-lacks, and no member holds any.
+payload) and draw ranges from one built once per (packet count, window), takes
+in each reply's packets, and records the trace only when a trace list is given.
+Every draw follows ``protocol.stake_draws``, called once per channel event to
+write its draws in place: the first draws and a clean request over every
+member, a collision over its colliders, and a clean reply over the members that
+gained packets while holding a request draw, then the requester. Whenever no
+request is open, a member whose request draw is 0 wants nothing more: it is
+done from then on, and no longer contends for requests, though it keeps
+answering them. So is a member whose request nobody could supply: it asked for
+every packet it lacks, and no member holds any.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from . import core  # core.stream is read at call time, so rebinding it reaches every call
 from .clustering import cluster_network, reads_tie_break
 from .core import IndicatorVector, Rng, ScenarioConfig, Scheme, UavId, mask_packets
-from .mac import Pcg64Draws, TimingConfig, frame_duration
+from .mac import DrawBounds, Pcg64Draws, TimingConfig, draw_bounds, frame_duration
 from .protocol import TraceRecord, stake_draws
 
 _DEFAULT_TIMING = TimingConfig()  # one shared instance for every run given no timing
@@ -178,8 +179,8 @@ def _run_exchange(
     if len(held) < len(order) or len(set(order)) < len(order):
         raise ValueError(f"cluster members {order} must be distinct and hold vectors of "
                          f"one length, got lengths {[holdings[u].length for u in order]}")
-    return _exchange(order, held, num_packets, timing, scheme.uses_priority_backoff,
-                     rng, trace, cluster_id), held
+    bounds = draw_bounds(num_packets, timing.cw_total_us) if scheme.uses_priority_backoff else None
+    return _exchange(order, held, num_packets, timing, bounds, rng, trace, cluster_id), held
 
 
 @lru_cache(maxsize=64)  # int keys hash and compare faster than a TimingConfig
@@ -191,16 +192,17 @@ def _air_times(num_packets: int, preamble_us: int, payload_us_per_packet: int) -
 
 def _exchange(
     order: list[UavId], held: list[int], num_packets: int, timing: TimingConfig,
-    priority: bool, rng: Rng | Pcg64Draws, trace: list[TraceRecord] | None, cluster_id: int,
+    bounds: DrawBounds | None, rng: Rng | Pcg64Draws, trace: list[TraceRecord] | None,
+    cluster_id: int,
 ) -> ClusterResult:
     """Run contention rounds until every member is done; ``held`` is updated in place.
 
     Each round is one contention step over ``contending``, one draw per
-    member with 0 for none: the request draws while no request is open
-    (``asked`` is 0), the reply draws for the open request's packets ``asked``
-    otherwise. Only collisions repeat a round (clean exchanges shrink the
-    wanted count, timeouts retire requesters), and colliders separate in
-    subwindows two or more values wide.
+    member with 0 for none, in ``bounds`` (``None``: plain CSMA): the request
+    draws while no request is open (``asked`` is 0), the reply draws for the
+    open request's packets ``asked`` otherwise. Only collisions repeat a round
+    (clean exchanges shrink the wanted count, timeouts retire requesters), and
+    colliders separate in subwindows two or more values wide.
 
     A streak of collision rounds longer than ``(b + 1) * (60 + s)``, with b
     the bit length of n and s that of 2n(M + 1), raises ``RuntimeError``: a
@@ -230,8 +232,9 @@ def _exchange(
     air = _air_times(num_packets, timing.preamble_us, timing.payload_us_per_packet)
     cap = (n.bit_length() + 1) * (60 + (2 * n * (num_packets + 1)).bit_length())
     everyone = live = range(n)
-    requests = contending = stake_draws(held, everyone, full, full, num_packets, window, priority,
-                                        rng)
+    contending = requests = [0] * n
+    replies = [0] * n
+    stake_draws(held, everyone, full, full, bounds, window, rng, requests)
     now = finish = exchanges = collisions = streak = done = asked = unobtainable = 0
     while True:
         if not asked:
@@ -269,9 +272,7 @@ def _exchange(
                 ends = sorted((now + air[(asked & held[i]).bit_count()], i) for i in colliders)
                 now = ends[-1][0]
                 colliders = [i for _, i in ends]
-            draws = stake_draws(held, colliders, flip, keep, num_packets, window, priority, rng)
-            for i, draw in zip(colliders, draws):
-                contending[i] = draw
+            stake_draws(held, colliders, flip, keep, bounds, window, rng, contending)
             continue
         if not asked:
             requester = contending.index(shortest)
@@ -281,8 +282,9 @@ def _exchange(
             if trace is not None:
                 trace.append(TraceRecord(now, order[requester], "request", mask_packets(asked),
                                          None, cluster_id))
-            contending = stake_draws(held, everyone, 0, asked, num_packets, window, priority, rng)
-            if any(contending):
+            stake_draws(held, everyone, 0, asked, bounds, window, rng, replies)
+            contending = replies
+            if any(replies):
                 continue
             now += difs + window
             unobtainable |= asked
@@ -307,9 +309,7 @@ def _exchange(
                     if requests[i]:
                         redraw.append(i)
             redraw.append(requester)
-            draws = stake_draws(held, redraw, full, full, num_packets, window, priority, rng)
-            for i, draw in zip(redraw, draws):
-                requests[i] = draw
+            stake_draws(held, redraw, full, full, bounds, window, rng, requests)
         contending, asked = requests, 0
     if not unobtainable:  # the default: one empty frozenset for every completed exchange
         return ClusterResult(exchanges, finish, collisions)

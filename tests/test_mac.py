@@ -12,6 +12,7 @@ from uavex.mac import (
     TimingConfig,
     draw_backoff,
     draw_baseline_backoff,
+    draw_bounds,
     frame_duration,
     subwindow_bounds,
     subwindow_for_count,
@@ -95,12 +96,15 @@ class TestSubwindowBounds:
             subwindow_bounds(6, 7, 9207)
 
 
+RANGES = draw_bounds(6, WINDOW)  # [low, high) per stake m, at entry m
+
+
 class TestDrawBackoff:
     def test_draw_within_subwindow(self):
         rng = stream(0, 0, "backoff")
         lo, hi = subwindow_bounds(6, 1, WINDOW)  # six of six relevant: subwindow 1
         for _ in range(500):
-            draw = draw_backoff(6, 6, WINDOW, rng)
+            draw = draw_backoff(*RANGES[6], rng)
             assert lo < draw <= hi == 1534
 
     def test_strict_priority_many_pairs(self):
@@ -108,20 +112,21 @@ class TestDrawBackoff:
         for _ in range(10_000):
             m = int(rng.integers(2, 17))
             low_count, high_count = sorted(rng.choice(np.arange(1, m + 1), 2, replace=False))
-            eager = draw_backoff(m, int(high_count), WINDOW, rng)
-            lazy = draw_backoff(m, int(low_count), WINDOW, rng)
+            bounds = draw_bounds(m, WINDOW)
+            eager = draw_backoff(*bounds[high_count], rng)
+            lazy = draw_backoff(*bounds[low_count], rng)
             assert eager < lazy
 
     def test_replay_determinism(self):
-        a = draw_backoff(6, 3, WINDOW, stream(2, 1, "backoff"))
-        b = draw_backoff(6, 3, WINDOW, stream(2, 1, "backoff"))
+        a = draw_backoff(*RANGES[3], stream(2, 1, "backoff"))
+        b = draw_backoff(*RANGES[3], stream(2, 1, "backoff"))
         assert a == b
 
     def test_uniform_within_subwindow(self):
         rng = stream(12, 0, "chi")
         lo, hi = subwindow_bounds(6, 1, WINDOW)
         draws = np.array(
-            [draw_backoff(6, 6, WINDOW, rng) for _ in range(100_000)]
+            [draw_backoff(*RANGES[6], rng) for _ in range(100_000)]
         )
         counts = np.bincount(draws - (lo + 1), minlength=hi - lo)
         result = stats.chisquare(counts)
@@ -129,13 +134,59 @@ class TestDrawBackoff:
 
     def test_window_too_small(self):
         # With a 7 us window over 10 subwindows, subwindow 1 holds no integer.
-        with pytest.raises(ValueError):
-            draw_backoff(10, 10, 7, stream(0, 0, "backoff"))
+        with pytest.raises(ValueError, match="subwindow 1 of window 7 us is empty"):
+            draw_bounds(10, 7)
 
     @pytest.mark.parametrize("count", [0, 7, -1])
     def test_rejects_stake_out_of_range(self, count):
-        with pytest.raises(ValueError, match="relevant_count"):
-            draw_backoff(6, count, WINDOW, stream(0, 0, "backoff"))
+        # Keyed by stake, the table has a draw range for 1..M only: an empty
+        # stake draws nothing, and no other count has a range.
+        assert dict(enumerate(RANGES)).get(count) is None
+
+    @pytest.mark.parametrize("span", [1, 2, 1 << 32, (1 << 32) + 1])
+    def test_matches_generator_integers_at_span(self, span):
+        # A span of 1 draws no word, 2 and 2**32 the 32-bit step (2**32 a bare
+        # half-word), 2**32 + 1 a whole word, through Pcg64Draws.integers.
+        # Both a Pcg64Draws and a plain Generator are checked against a twin.
+        ours, theirs = stream(6, 0, "backoff"), stream(6, 0, "backoff")
+        source = Pcg64Draws(ours.bit_generator)
+        plain, twin = stream(6, 1, "backoff"), stream(6, 1, "backoff")
+        for low in (1, 1535, (1 << 40) + 1):
+            for rng, reference in ((source, theirs), (plain, twin)):
+                values = [draw_backoff(low, low + span, rng) for _ in range(50)]
+                assert values == [int(reference.integers(low, low + span)) for _ in range(50)]
+        assert source_position(source, ours.bit_generator) == numpy_position(theirs)
+        assert numpy_position(plain) == numpy_position(twin)
+
+
+WIDE = [(1 << 31) + 1, (1 << 32) + 1]  # a rejection-heavy span, and one past 32 bits
+
+
+class TestDrawBounds:
+    """The per-(M, W) table of draw ranges, built from ``subwindow_bounds``."""
+
+    @pytest.mark.parametrize("num_packets", range(1, 17))
+    def test_entry_m_is_subwindow_m_from_the_top_shifted_by_one(self, num_packets):
+        for window in (2 * num_packets, 2 * num_packets + 1, 9207, *WIDE):
+            bounds = draw_bounds(num_packets, window)
+            assert len(bounds) == num_packets + 1 and bounds[0] is None
+            for m in range(1, num_packets + 1):
+                lo, hi = subwindow_bounds(num_packets, num_packets - m + 1, window)
+                assert bounds[m] == (lo + 1, hi + 1)
+
+    @pytest.mark.parametrize("num_packets", [2, 6, 10, 40])
+    def test_window_below_m_is_refused(self, num_packets):
+        for window in range(1, num_packets):
+            message = (f"subwindow 1 of window {window} us is empty; "
+                       f"need window_us >= num_packets ({num_packets})")
+            with pytest.raises(ValueError) as error:
+                draw_bounds(num_packets, window)
+            assert str(error.value) == message
+
+    def test_each_pair_gets_its_own_table(self):
+        # Cached on (M, W): the same pair shares one table, and another window gets its own.
+        assert draw_bounds(6, 24) is draw_bounds(6, 24)
+        assert draw_bounds(6, 25) != draw_bounds(6, 24)
 
 
 class _RecordingDraws:
@@ -155,29 +206,21 @@ class TestDrawRanges:
         source, expected = _RecordingDraws(), []
         for m in range(1, 41):
             for window in [*range(m, 4 * m + 61), 1023, 9207]:
+                bounds = draw_bounds(m, window)
                 for stake in range(1, m + 1):
                     lo, hi = subwindow_bounds(m, m - stake + 1, window)
-                    assert draw_backoff(m, stake, window, source) == lo + 1
+                    assert draw_backoff(*bounds[stake], source) == lo + 1
                     expected.append((lo + 1, hi + 1))
         assert source.bounds == expected
 
     def test_empty_subwindows_are_refused_before_any_draw(self):
-        source = _RecordingDraws()
+        # A window below M leaves subwindow 1 empty, and the table refuses it
+        # whole, so no stake of that window has a range to draw in.
         for m in range(2, 41):
             for window in range(1, m):
-                for stake in range(1, m + 1):
-                    k = m - stake + 1
-                    lo, hi = subwindow_bounds(m, k, window)
-                    if lo < hi:
-                        assert draw_backoff(m, stake, window, source) == lo + 1
-                        assert source.bounds.pop() == (lo + 1, hi + 1)
-                        continue
-                    message = (f"subwindow {k} of window {window} us is empty; "
-                               f"need window_us >= num_packets ({m})")
-                    with pytest.raises(ValueError) as error:
-                        draw_backoff(m, stake, window, source)
-                    assert str(error.value) == message
-                    assert source.bounds == []
+                assert subwindow_bounds(m, 1, window)[1] == 0
+                with pytest.raises(ValueError, match=f"subwindow 1 of window {window} us"):
+                    draw_bounds(m, window)
 
     def test_interleaved_draws_match_a_twin_generator(self):
         # Switching (M, W) between draws must not reuse another pair's table.
@@ -189,7 +232,8 @@ class TestDrawRanges:
             m, window = pairs[int(picks.integers(len(pairs)))]
             stake = int(picks.integers(1, m + 1))
             lo, hi = subwindow_bounds(m, m - stake + 1, window)
-            assert draw_backoff(m, stake, window, rng) == int(twin.integers(lo + 1, hi + 1))
+            drawn = draw_backoff(*draw_bounds(m, window)[stake], rng)
+            assert drawn == int(twin.integers(lo + 1, hi + 1))
 
 
 class TestDrawBaseline:
@@ -310,9 +354,13 @@ DRAW_CALLS = st.one_of(
 
 
 def _draw_outcome(source, m, stake, window):
+    # The range of a priority draw is subwindow_bounds' own (TestDrawBounds
+    # pins the table to it), so M = 2**32 needs no 2**32-entry table; an
+    # empty subwindow's range draws as numpy's integers refuses it.
     try:
         if stake:
-            return draw_backoff(m, stake, window, source)
+            lo, hi = subwindow_bounds(m, m - stake + 1, window)
+            return draw_backoff(lo + 1, hi + 1, source)
         return draw_baseline_backoff(window, source)
     except ValueError as exc:
         return str(exc)

@@ -16,14 +16,20 @@ import pytest
 
 from uavex import protocol, simulator
 from uavex.core import IndicatorVector, Scheme, packet_mask, stream
-from uavex.mac import TimingConfig, draw_backoff, frame_duration, subwindow_bounds
+from uavex.mac import (
+    Pcg64Draws, TimingConfig, draw_backoff, draw_baseline_backoff, draw_bounds, frame_duration,
+    subwindow_bounds,
+)
 from uavex.protocol import TraceRecord, stake_draws, trace_line
 from uavex.simulator import run_cluster_exchange, sample_initial_receipts
+
+from reference import source_position
 
 TIMING = TimingConfig()
 WINDOW = TIMING.cw_total_us
 M = 6
 FULL = (1 << M) - 1
+BOUNDS = draw_bounds(M, WINDOW)
 
 
 def mask(*packets):
@@ -40,12 +46,19 @@ def walkthrough_held():
     return [mask(0, 1, 3), mask(1, 2, 3, 4, 5), mask(2, 4), mask(0, 1, 2, 3, 5)]
 
 
+def drawn(held, uavs, flip, keep, bounds=BOUNDS, source=None):
+    """The draws ``stake_draws`` writes at ``uavs``, in their order, into a fresh list."""
+    draws = [0] * len(held)
+    stake_draws(held, uavs, flip, keep, bounds, WINDOW, source or rng(), draws)
+    return [draws[i] for i in uavs]
+
+
 def draw_requests(held, priority=True, source=None):
-    return stake_draws(held, range(len(held)), FULL, FULL, M, WINDOW, priority, source or rng())
+    return drawn(held, range(len(held)), FULL, FULL, BOUNDS if priority else None, source)
 
 
 def reply_draws(held, asked):
-    return stake_draws(held, range(len(held)), 0, asked, M, WINDOW, True, rng())
+    return drawn(held, range(len(held)), 0, asked)
 
 
 def in_subwindow(draw, subwindow, num_packets=M, window=WINDOW):
@@ -65,22 +78,23 @@ def draw_calls(monkeypatch):
     """The exchange loop's ``stake_draws`` calls, recorded as they are made.
 
     Each call keeps its positions (``uavs``), the holdings it saw (``held``),
-    the ``(num_packets, stake)`` of each priority draw it made (``stakes``)
-    and the draws it returned (``draws``).
+    the ``(num_packets, stake)`` of each priority draw it made (``stakes``,
+    found from the draw range in its bounds table) and the draws it wrote at
+    its positions, in their order (``draws``).
     """
     calls = []
-    staked, drawn = protocol.stake_draws, protocol.draw_backoff
+    staked, draw = protocol.stake_draws, protocol.draw_backoff
 
-    def recorded_stake_draws(held, uavs, *args):
-        call = SimpleNamespace(uavs=list(uavs), held=list(held), stakes=[])
+    def recorded_stake_draws(held, uavs, flip, keep, bounds, window, source, draws):
+        call = SimpleNamespace(uavs=list(uavs), held=list(held), bounds=bounds, stakes=[])
         calls.append(call)
-        draws = staked(held, uavs, *args)
-        call.draws = list(draws)
-        return draws
+        staked(held, uavs, flip, keep, bounds, window, source, draws)
+        call.draws = [draws[i] for i in uavs]
 
-    def recorded_draw(num_packets, stake, window, source):
-        calls[-1].stakes.append((num_packets, stake))
-        return drawn(num_packets, stake, window, source)
+    def recorded_draw(low, high, source):
+        bounds = calls[-1].bounds
+        calls[-1].stakes.append((len(bounds) - 1, bounds.index((low, high))))
+        return draw(low, high, source)
 
     monkeypatch.setattr(simulator, "stake_draws", recorded_stake_draws)
     monkeypatch.setattr(protocol, "draw_backoff", recorded_draw)
@@ -245,6 +259,56 @@ class TestBuildFrames:
         assert [d > 0 for d in draws] == [False, True, True, False]
 
 
+class TestStakeDrawsInPlace:
+    """``stake_draws`` writes only its listed positions, in order; an empty stake draws nothing."""
+
+    @staticmethod
+    def sources():
+        """A ``Pcg64Draws`` over the test stream, its generator, and a twin source."""
+        ours = rng()
+        return Pcg64Draws(ours.bit_generator), ours.bit_generator, Pcg64Draws(rng().bit_generator)
+
+    @pytest.mark.parametrize("bounds", [BOUNDS, None], ids=["priority", "csma"])
+    def test_only_listed_positions_are_written(self, bounds):
+        draws = [-1, -2, -3, -4]
+        assert stake_draws(walkthrough_held(), [3, 1], FULL, FULL, bounds, WINDOW, rng(),
+                           draws) is None
+        assert (draws[0], draws[2]) == (-1, -3)
+        assert draws[1] > 0 and draws[3] > 0
+
+    @pytest.mark.parametrize("bounds", [BOUNDS, None], ids=["priority", "csma"])
+    def test_empty_stake_writes_zero_and_draws_nothing(self, bounds):
+        # UAV 0 holds none of {w1,w2}, and the full UAV 1 lacks nothing.
+        source, bit_generator, _ = self.sources()
+        before = source_position(source, bit_generator)
+        held = [mask(2, 4), FULL]
+        draws = [7, 7]
+        stake_draws(held, [0], 0, mask(0, 1), bounds, WINDOW, source, draws)
+        stake_draws(held, [1], FULL, FULL, bounds, WINDOW, source, draws)
+        assert draws == [0, 0]
+        assert source_position(source, bit_generator) == before
+
+    @pytest.mark.parametrize("bounds", [BOUNDS, None], ids=["priority", "csma"])
+    def test_draws_follow_the_listed_order(self, bounds):
+        # UAV 3 lacks one packet, UAV 0 three and UAV 2 four; the full UAV 1,
+        # listed between them, takes no draw.
+        held = walkthrough_held()
+        held[1] = FULL
+        source, _, twin = self.sources()
+        draws = [0] * 4
+        stake_draws(held, [3, 1, 0, 2], FULL, FULL, bounds, WINDOW, source, draws)
+
+        def twin_draw(stake):
+            if bounds is None:
+                return draw_baseline_backoff(WINDOW, twin)
+            return draw_backoff(*bounds[stake], twin)
+
+        expected = [twin_draw(1), twin_draw(3), twin_draw(4)]  # positions 3, 0 and 2
+        assert draws == [expected[1], 0, expected[2], expected[0]]
+        assert (source.unread, source.has_uint32, source.uinteger) == (
+            twin.unread, twin.has_uint32, twin.uinteger)
+
+
 class TestOneCallPerChannelEvent:
     def test_walkthrough_calls(self, draw_calls):
         # First draws, then UAV 2's request, UAV 3's reply, UAV 0's request
@@ -360,9 +424,9 @@ class TestRedrawColliders:
         held = walkthrough_held()
         asked = FULL & ~held[2]  # {0, 1, 3, 5}
         twin = rng()
-        assert stake_draws(held, [3, 0], 0, asked, M, WINDOW, True, rng()) == [
-            draw_backoff(M, 4, WINDOW, twin), draw_backoff(M, 3, WINDOW, twin)]
-        requests = stake_draws(held, [1, 0], FULL, FULL, M, WINDOW, True, rng())
+        assert drawn(held, [3, 0], 0, asked) == [
+            draw_backoff(*BOUNDS[4], twin), draw_backoff(*BOUNDS[3], twin)]
+        requests = drawn(held, [1, 0], FULL, FULL)
         assert in_subwindow(requests[0], 6)  # UAV 1 misses one
         assert in_subwindow(requests[1], 4)  # UAV 0 misses three
 

@@ -916,9 +916,26 @@ class TestFastDrawPath:
             assert fast == slow, k
 
 
+# U=10/M=6/rho=0.7/N=3 in a 24 us window (perfbench's compare-contended), seed 0,
+# runs 0..19: total draws of each run, and collision rounds over the 20 runs.
+CONTENDED_RUNS = {
+    "proposed": ([32, 26, 33, 26, 40, 35, 26, 31, 30, 28,
+                  24, 34, 21, 37, 41, 39, 28, 26, 32, 35], 45),
+    "mechanism_only": ([40, 44, 36, 43, 53, 47, 45, 42, 48, 43,
+                        44, 32, 37, 60, 57, 52, 48, 47, 52, 50], 78),
+    "baseline_csma": ([55, 54, 51, 66, 66, 50, 43, 51, 54, 53,
+                       50, 51, 51, 48, 55, 58, 39, 67, 49, 57], 30),
+}
+
+
 class TestDrawCallsPerRun:
-    @pytest.mark.parametrize("scheme", sorted(REF20_RUNS))
-    def test_ref20_draw_calls_through_protocol_globals(self, scheme, monkeypatch):
+    @staticmethod
+    def draw_calls(config, timing, monkeypatch):
+        """Per-run draw totals and collision rounds over runs 0..19, and the draw sources seen.
+
+        Each run must make one ``stake_draws`` call per channel event, the
+        first draws of each cluster included.
+        """
         # perfbench counts draws at these globals, so each draw must still be one call.
         sources = set()
         calls = []
@@ -931,8 +948,7 @@ class TestDrawCallsPerRun:
                 return _original(*args)
 
             monkeypatch.setattr(protocol, name, counted)
-        # perfbench counts protocol calls at the simulator's protocol imports:
-        # one per channel event, the first draws of each cluster included.
+        # perfbench counts protocol calls at the simulator's protocol imports.
         events = []
         stake_draws = simulator.stake_draws
 
@@ -941,15 +957,29 @@ class TestDrawCallsPerRun:
             return stake_draws(*args)
 
         monkeypatch.setattr(simulator, "stake_draws", counted_event)
-        config = ScenarioConfig(20, 10, 0.6, 6, scheme=Scheme(scheme), seed=0)
-        totals = []
+        totals, collisions = [], 0
         for k in range(20):
             before, events_before, trace = len(calls), len(events), []
-            result = run_scenario(config, k, trace=trace)
+            result = run_scenario(config, k, timing=timing, trace=trace)
             totals.append(len(calls) - before)
             channel_events = sum(r.event in ("request", "reply", "collision") for r in trace)
             assert len(events) - events_before == len(result.cluster_results) + channel_events
+            collisions += sum(r.event == "collision" for r in trace)
+        return totals, collisions, sources
+
+    @pytest.mark.parametrize("scheme", sorted(REF20_RUNS))
+    def test_ref20_draw_calls_through_protocol_globals(self, scheme, monkeypatch):
+        config = ScenarioConfig(20, 10, 0.6, 6, scheme=Scheme(scheme), seed=0)
+        totals, _, sources = self.draw_calls(config, TIMING, monkeypatch)
         assert totals == REF20_RUNS[scheme][0]
+        assert sources == {Pcg64Draws}
+
+    @pytest.mark.parametrize("scheme", sorted(CONTENDED_RUNS))
+    def test_contended_draw_calls_through_protocol_globals(self, scheme, monkeypatch):
+        # 4 us subwindows: collision redraws write into the contending draws in place.
+        timing = replace(TIMING, cw_total_us=24)
+        totals, collisions, sources = self.draw_calls(_ref10(scheme), timing, monkeypatch)
+        assert (totals, collisions) == CONTENDED_RUNS[scheme]
         assert sources == {Pcg64Draws}
 
 
