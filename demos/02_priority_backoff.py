@@ -9,9 +9,7 @@ draws anywhere in the window.
 import numpy as np
 
 from uavex import stream
-from uavex.mac import (
-    draw_backoff, draw_baseline_backoff, draw_bounds, subwindow_bounds, subwindow_for_count,
-)
+from uavex.mac import draw_backoff, draw_baseline_backoff, draw_bounds, subwindow_bounds
 
 M = 6
 WINDOW = 9207
@@ -19,7 +17,7 @@ BOUNDS = draw_bounds(M, WINDOW)  # draw range [low, high) per relevant-packet co
 
 print(f"window {WINDOW} us over {M} subwindows:")
 for m_lost in range(M, 0, -1):
-    k = subwindow_for_count(M, m_lost)
+    k = M - m_lost + 1
     lo, hi = subwindow_bounds(M, k, WINDOW)
     print(f"  {m_lost} relevant packets -> subwindow {k}: ({lo:>5}, {hi:>5}] us")
 

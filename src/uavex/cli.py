@@ -190,7 +190,7 @@ def _cmd_full_set_rate(args: argparse.Namespace) -> int:
         cluster_values = [settings["num_clusters"]]
     else:
         raise ValueError(_NO_CLUSTER_COUNT)
-    if args.rhos:
+    if args.rhos is not None:
         rhos = _parse_list(args.rhos, "--rhos", float, "delivery rates", "is not a number")
     elif "delivery_rate" in settings:
         rhos = [settings["delivery_rate"]]

@@ -8,13 +8,14 @@ always yields a strictly shorter backoff than a lower one; ``draw_bounds``
 builds every stake's draw range once per (packet count, window), and a draw
 only picks inside the range it is given. A scenario run hands the engine a
 ``Pcg64Draws`` over each just-derived backoff stream, which replays numpy's
-bounded-int algorithm over the stream's raw words, fetched in blocks (its
-position counts a block's unread words as not yet drawn); the draw functions
-run its 32-bit step, which serves every span from 2 to 2**32, in their own
-frame, and make one ``integers(low, high)`` call for any other span or rng, a
-plain ``Generator`` included. Every frame's air time is the preamble plus the
-payload of the data packets it carries: a reply carries the packets it
-supplies, and a request, a control frame, is the frame that carries none.
+bounded-int algorithm over one list of the 32-bit halves of the stream's raw
+words, fetched in blocks (its position counts a block's unread words as not
+yet drawn); the draw functions run its 32-bit step, which serves every span
+from 2 to 2**32, in their own frame, and make one ``integers(low, high)``
+call for any other span or rng, a plain ``Generator`` included. Every
+frame's air time is the preamble plus the payload of the data packets it
+carries: a reply carries the packets it supplies, and a request, a control
+frame, is the frame that carries none.
 """
 
 from __future__ import annotations
@@ -51,15 +52,6 @@ class TimingConfig:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-def subwindow_for_count(num_packets: int, relevant_count: int) -> int:
-    """Subwindow index (1-based) for a node with the given number of relevant packets."""
-    if not 1 <= relevant_count <= num_packets:
-        raise ValueError(
-            f"relevant_count must lie in [1, {num_packets}], got {relevant_count}"
-        )
-    return num_packets - relevant_count + 1
-
-
 def subwindow_bounds(num_packets: int, subwindow: int, window_us: int) -> tuple[int, int]:
     """Integer bounds (lo, hi] of one subwindow of a window of ``window_us``.
 
@@ -92,19 +84,12 @@ def draw_backoff(low: int, high: int, rng: Rng) -> int:
     """Uniform integer draw, in us, in [low, high): a ``draw_bounds`` entry, per draw."""
     span = high - low
     if type(rng) is Pcg64Draws and 1 < span <= 1 << 32 and high <= 1 << 63:
-        # Pcg64Draws.integers' 32-bit step over _next32, inlined: a method call
-        # per draw would cost a second Python frame on the engine's hottest path.
-        if rng.has_uint32:
-            rng.has_uint32 = 0
-            m = rng.uinteger * span
-        else:
-            try:
-                word = rng.unread.pop()
-            except IndexError:
-                word = rng._raw()
-            rng.has_uint32 = 1
-            rng.uinteger = word >> 32
-            m = (word & 0xFFFF_FFFF) * span
+        # Pcg64Draws.integers' 32-bit step, inlined: a method call per draw
+        # would cost a second Python frame on the engine's hottest path.
+        try:
+            m = rng.halves.pop() * span
+        except IndexError:
+            m = rng._next32() * span
         if (m & 0xFFFF_FFFF) < span:
             threshold = (1 << 32) % span
             while (m & 0xFFFF_FFFF) < threshold:
@@ -117,17 +102,10 @@ def draw_baseline_backoff(window_us: int, rng: Rng) -> int:
     """Uniform integer draw, in us, over the whole window, as plain CSMA/CA would do."""
     if type(rng) is Pcg64Draws and 1 < window_us <= 1 << 32:
         # The same inlined step as in draw_backoff, over [1, window_us].
-        if rng.has_uint32:
-            rng.has_uint32 = 0
-            m = rng.uinteger * window_us
-        else:
-            try:
-                word = rng.unread.pop()
-            except IndexError:
-                word = rng._raw()
-            rng.has_uint32 = 1
-            rng.uinteger = word >> 32
-            m = (word & 0xFFFF_FFFF) * window_us
+        try:
+            m = rng.halves.pop() * window_us
+        except IndexError:
+            m = rng._next32() * window_us
         if (m & 0xFFFF_FFFF) < window_us:
             threshold = (1 << 32) % window_us
             while (m & 0xFFFF_FFFF) < threshold:
@@ -143,14 +121,17 @@ class Pcg64Draws:
     (D. Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
     29(1), 2019): spans up to 2**32 on 32-bit words, which PCG64 serves as the
     low and then the high half of one raw word, keeping the high half pending
-    in ``has_uint32``/``uinteger``; wider spans on whole raw words. (numpy
-    returns a bare word for a span of exactly 2**32 or 2**64, which is what
-    the method gives there too.) This does the same in Python, one raw word
-    at a time from blocks of ``BLOCK_WORDS`` that one ``random_raw`` call
-    fetches, so each result, each error and the word position match numpy's
-    draw for draw on a twin generator, without numpy's per-call overhead;
-    backoff values then rest on PCG64's raw output, not on numpy's choice of
-    draw algorithm. The position is the generator's less the ``unread`` words.
+    between draws; wider spans on whole raw words, taken from under a pending
+    half, which stays pending. (numpy returns a bare word for a span of exactly
+    2**32 or 2**64, which is what the method gives there too.) This does the
+    same in Python over ``halves``: the 32-bit halves of a block of
+    ``BLOCK_WORDS`` raw words that one ``random_raw`` call fetches, low half
+    first, stored reversed so that ``pop()`` gives the next half; an odd
+    length means a high half is pending. Each result, each error and the word
+    position then match numpy's draw for draw on a twin generator, without
+    numpy's per-call overhead, and backoff values rest on PCG64's raw output,
+    not on numpy's choice of draw algorithm. The position is the generator's
+    less the ``len(halves) // 2`` whole words not yet read.
 
     The source starts with no pending half-word, as a PCG64 seeded just now
     does, and reads nothing from the generator's state; it keeps its pending
@@ -158,12 +139,11 @@ class Pcg64Draws:
     source alone.
     """
 
-    __slots__ = ("_fetch", "unread", "has_uint32", "uinteger")
+    __slots__ = ("_fetch", "halves")
 
     def __init__(self, bit_generator: np.random.PCG64) -> None:
         self._fetch = bit_generator.random_raw
-        self.unread: list[int] = []
-        self.has_uint32 = self.uinteger = 0
+        self.halves: list[int] = []
 
     def integers(self, low: int, high: int) -> int:
         """A uniform int in [low, high), as ``Generator.integers(low, high)`` would draw it."""
@@ -191,18 +171,23 @@ class Pcg64Draws:
         return low + (m >> 64)
 
     def _raw(self) -> int:
-        if not self.unread:
-            self.unread = self._fetch(BLOCK_WORDS)[::-1].tolist()
-        return self.unread.pop()
+        # A whole word is read from under a pending half, which stays pending.
+        halves = self.halves
+        if len(halves) < 2:
+            halves[:0] = self._block()
+        end = len(halves) & ~1  # one past the next word's low half
+        word = halves[end - 1] | halves[end - 2] << 32
+        del halves[end - 2:end]
+        return word
 
     def _next32(self) -> int:
-        if self.has_uint32:
-            self.has_uint32 = 0
-            return self.uinteger
-        word = self._raw()
-        self.has_uint32 = 1
-        self.uinteger = word >> 32
-        return word & 0xFFFF_FFFF
+        if not self.halves:
+            self.halves = self._block()
+        return self.halves.pop()
+
+    def _block(self) -> list[int]:
+        """The halves of ``BLOCK_WORDS`` new raw words, low half first, reversed for ``pop``."""
+        return self._fetch(BLOCK_WORDS).astype("<u8", copy=False).view("<u4")[::-1].tolist()
 
 
 def frame_duration(data_packet_count: int, timing: TimingConfig) -> int:

@@ -275,27 +275,33 @@ def reference_exchange(members, holdings, timing, scheme, rng, cluster_id=0):
 # -- stream positions ---------------------------------------------------------
 
 # Where a stream stands after its draws, told the same way for a Generator and
-# for a Pcg64Draws: PCG64's 128-bit state and the pending half-word. A
-# Pcg64Draws fetches raw words in blocks, so its generator stands past the
-# words it has read by the block's unread words.
+# for a Pcg64Draws: PCG64's 128-bit state, whether a half-word is pending, and
+# that half-word (0 when none is). numpy keeps the last high half in
+# ``uinteger`` after using it, but reads it only while ``has_uint32`` is set,
+# so that stale value cannot change a draw and is not compared. A Pcg64Draws
+# fetches raw words in blocks, so its generator stands past the words it has
+# read by the block's whole words still in ``halves``.
 
 
 def numpy_position(rng):
     """Where a ``Generator`` stands: PCG64's state and numpy's pending half-word."""
     state = rng.bit_generator.state
-    return state["state"], state["has_uint32"], state["uinteger"]
+    pending = state["has_uint32"]
+    return state["state"], pending, state["uinteger"] if pending else 0
 
 
 def source_position(source, bit_generator):
     """Where a ``Pcg64Draws`` over ``bit_generator`` stands, as ``numpy_position`` tells it.
 
-    A copy of the generator's state is rewound by the source's unread words,
-    so the position counts the words the source has read, not those fetched.
+    A copy of the generator's state is rewound by the whole words left in
+    ``halves``, so the position counts the words the source has read, not
+    those fetched; an odd length leaves the last half pending.
     """
     rewound = np.random.PCG64(0)
     rewound.state = bit_generator.state
-    rewound.advance(-len(source.unread))
-    return rewound.state["state"], source.has_uint32, source.uinteger
+    rewound.advance(-(len(source.halves) // 2))
+    pending = len(source.halves) & 1
+    return rewound.state["state"], pending, source.halves[-1] if pending else 0
 
 
 def counting_fetches(bit_generator):

@@ -667,10 +667,12 @@ class TestCli:
         assert code == 1
         assert "--clusters" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("rhos, bad", [("0.5,abc", "abc"), ("0.5,", ""), ("x", "x")])
+    @pytest.mark.parametrize("rhos, bad", [("0.5,abc", "abc"), ("0.5,", ""), ("x", "x"),
+                                           ("", "")])
     def test_unparsable_rho_list_names_the_flag_and_item(self, rhos, bad, capsys):
+        # --rho is given too: an empty --rhos must not fall back to it.
         code = cli_main([
-            "full-set-rate", "--uavs", "10", "--packets", "6", "--rhos", rhos,
+            "full-set-rate", "--uavs", "10", "--packets", "6", "--rho", "0.5", "--rhos", rhos,
             "--clusters", "2", "--runs", "2",
         ])
         assert code == 1

@@ -305,8 +305,7 @@ class TestStakeDrawsInPlace:
 
         expected = [twin_draw(1), twin_draw(3), twin_draw(4)]  # positions 3, 0 and 2
         assert draws == [expected[1], 0, expected[2], expected[0]]
-        assert (source.unread, source.has_uint32, source.uinteger) == (
-            twin.unread, twin.has_uint32, twin.uinteger)
+        assert source.halves == twin.halves
 
 
 class TestOneCallPerChannelEvent:

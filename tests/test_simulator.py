@@ -28,7 +28,6 @@ from uavex.mac import (
     TimingConfig,
     frame_duration,
     subwindow_bounds,
-    subwindow_for_count,
 )
 from uavex.protocol import trace_line
 from uavex.simulator import (
@@ -616,10 +615,8 @@ class TestContentionRoundClosedForm:
     def test_first_round(self, scheme, held, k, window):
         num_packets = len(held)
         if scheme.uses_priority_backoff:
-            stake = num_packets - sum(held)
-            lo, hi = subwindow_bounds(
-                num_packets, subwindow_for_count(num_packets, stake), window
-            )
+            # A stake of M - h lost packets (h held) draws in subwindow h + 1.
+            lo, hi = subwindow_bounds(num_packets, sum(held) + 1, window)
         else:
             lo, hi = 0, window
         w = hi - lo
@@ -1023,7 +1020,7 @@ class TestBackoffSourceOwnership:
         counted = _StateCounter(stream(7, 3, "backoff/0").bit_generator)
         source = Pcg64Draws(counted)
         twin = stream(7, 3, "backoff/0")
-        assert (source.has_uint32, source.uinteger) == numpy_position(twin)[1:]
+        assert source.halves == [] and numpy_position(twin)[1:] == (0, 0)
         # A span of 1024 divides 2**32, so no draw is rejected: a stray pending
         # half-word would show in the very first value.
         bounds = [(0, 1024), (1, 1536), (1, 9208), (3069, 4604), (1, 25), (1, 2**40)] * 8
@@ -1037,7 +1034,7 @@ class TestBackoffSourceOwnership:
         twin = Pcg64Draws(bit_generator)
         run_cluster_exchange(list(FIG_HOLDINGS), FIG_HOLDINGS, TIMING, Scheme.MECHANISM_ONLY, rng)
         run_cluster_exchange(list(FIG_HOLDINGS), FIG_HOLDINGS, TIMING, Scheme.MECHANISM_ONLY, twin)
-        assert twin.has_uint32 == 1  # the exchange ends on a pending half-word
+        assert len(twin.halves) % 2 == 1  # the exchange ends on a pending half-word
         assert numpy_position(rng) == source_position(twin, bit_generator)
 
     def test_engine_never_touches_the_state_of_a_source_it_was_handed(self):
@@ -1045,7 +1042,7 @@ class TestBackoffSourceOwnership:
         source = Pcg64Draws(counted)
         run_cluster_exchange(list(FIG_HOLDINGS), FIG_HOLDINGS, TIMING, Scheme.MECHANISM_ONLY,
                              source)
-        assert source.has_uint32 == 1
+        assert len(source.halves) % 2 == 1
         assert (counted.reads, counted.writes) == (0, 0)
 
     def test_run_scenario_reads_and_writes_no_backoff_state(self, monkeypatch):
