@@ -22,6 +22,38 @@ from reference import counting_fetches, numpy_position, source_position
 WINDOW = TimingConfig().cw_total_us  # 9207
 
 
+def subwindow_for_count(num_packets, count, window=WINDOW):
+    """The subwindow k whose range ``draw_bounds`` gives a stake of ``count``."""
+    entry = dict(enumerate(draw_bounds(num_packets, window))).get(count)
+    if entry is None:
+        raise ValueError(f"no draw range for a stake of {count}")
+    low, high = entry
+    (k,) = [k for k in range(1, num_packets + 1)
+            if subwindow_bounds(num_packets, k, window) == (low - 1, high - 1)]
+    return k
+
+
+class TestSubwindowForCount:
+    """A stake of m of M packets draws in subwindow M - m + 1, read back from the table."""
+
+    def test_four_of_six_missing(self):
+        assert subwindow_for_count(6, 4) == 3
+
+    def test_endpoints(self):
+        assert subwindow_for_count(6, 6) == 1
+        assert subwindow_for_count(6, 1) == 6
+
+    def test_strictly_decreasing_in_count(self):
+        ks = [subwindow_for_count(10, m) for m in range(1, 11)]
+        assert ks == sorted(ks, reverse=True)
+        assert len(set(ks)) == 10
+
+    @pytest.mark.parametrize("count", [0, 7, -1])
+    def test_rejects_out_of_range(self, count):
+        with pytest.raises(ValueError):
+            subwindow_for_count(6, count)
+
+
 class TestTimingConfig:
     def test_defaults_span_the_sensing_range(self):
         t = TimingConfig()
