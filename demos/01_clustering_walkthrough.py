@@ -7,7 +7,8 @@ cluster's combined holdings.
 
 The stages work on holdings masks (one int per UAV, bit m for packet m), so
 the walkthrough hands them each vector's ``.mask``; ``cluster_network`` takes
-the vectors themselves and returns one combined vector per cluster. The pool
+the vectors themselves and returns each cluster's combined holdings as a mask,
+building the combined vectors only when ``cluster_vectors`` is read. The pool
 of unassigned UAVs is one ascending list, and a merging round updates the
 member lists, the cluster masks and the pool in place.
 """
@@ -51,6 +52,6 @@ big_fleet = [
 ]
 assignment = cluster_network(big_fleet, 3, stream(0, 0, "tie-break"))
 print("\n10-UAV fleet at delivery rate 0.7, 3 clusters:")
-for n, group in enumerate(assignment.members):
-    full = "complete" if assignment.cluster_vectors[n].is_full() else "incomplete"
+for n, (group, vector) in enumerate(zip(assignment.members, assignment.cluster_vectors)):
+    full = "complete" if vector.is_full() else "incomplete"
     print(f"  cluster {n}: {group} -> {full}")

@@ -122,7 +122,7 @@ def _scenario_from(settings: dict) -> ScenarioConfig:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -260,6 +260,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "selftest": _cmd_selftest,
     }
     try:
+        if getattr(args, "out", None) == "":  # refused before any run starts
+            raise ValueError("--out takes a file path; got ''")
         return commands[args.command](args)
     except InfeasibleClusterCount as exc:
         print(f"error: infeasible scenario: {exc}", file=sys.stderr)

@@ -7,14 +7,15 @@ remaining UAV, one per cluster per round, which keeps cluster sizes within one
 of each other.
 
 The stages run on holdings masks (one int per UAV, bit m for packet m). The
-entry point ``cluster_network`` takes and returns ``IndicatorVector``s.
+entry point ``cluster_network`` takes ``IndicatorVector``s and returns each
+cluster's combined holdings as a mask.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .core import IndicatorVector, InfeasibleClusterCount, Rng, UavId, check_cluster_count
@@ -29,33 +30,41 @@ def hamming_distance(a: int, b: int) -> int:
 class ClusterAssignment:
     """A partition of UAV ids into clusters plus each cluster's combined holdings.
 
-    members[n] lists cluster n's UAVs in join order; cluster_vectors[n] is the
-    OR of all member vectors.
+    members[n] lists cluster n's UAVs in join order; cluster_masks[n] is the
+    OR of all member masks, a mask of num_packets bits. The vectors in
+    ``cluster_vectors`` are built on first read.
     """
 
     members: tuple[tuple[UavId, ...], ...]
-    cluster_vectors: tuple[IndicatorVector, ...]
+    cluster_masks: tuple[int, ...]
+    num_packets: int
 
     @property
     def num_clusters(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def cluster_vectors(self) -> tuple[IndicatorVector, ...]:
+        return tuple(IndicatorVector._from_masks(self.cluster_masks, self.num_packets))
+
     def full_cluster_count(self) -> int:
-        return sum(1 for v in self.cluster_vectors if v.is_full())
+        return self.cluster_masks.count((1 << self.num_packets) - 1)
 
     def validate(self, vectors: Sequence[IndicatorVector]) -> None:
-        """Check the partition, balance, and vector-consistency invariants."""
+        """Check the partition, balance, and mask-consistency invariants."""
         seen: list[UavId] = [u for group in self.members for u in group]
         if sorted(seen) != list(range(len(vectors))):
             raise AssertionError("members do not form a partition of all UAVs")
         sizes = [len(group) for group in self.members]
         if max(sizes) - min(sizes) > 1:
             raise AssertionError(f"cluster sizes {sizes} differ by more than 1")
-        for group, vec in zip(self.members, self.cluster_vectors):
-            combined = vectors[group[0]]
-            for u in group[1:]:
-                combined = combined | vectors[u]
-            if combined != vec:
+        for group, cluster_mask in zip(self.members, self.cluster_masks):
+            if not 0 <= cluster_mask < 1 << self.num_packets:
+                raise AssertionError(f"cluster mask does not fit {self.num_packets} packets")
+            combined = 0
+            for u in group:
+                combined |= vectors[u].mask
+            if combined != cluster_mask:
                 raise AssertionError("stored cluster vector differs from member OR")
 
 
@@ -170,15 +179,16 @@ def cluster_network(
     if rng is None and reads_tie_break(num_clusters):
         raise ValueError(f"clustering into {num_clusters} clusters needs a tie-break stream")
     _check_feasible(len(vectors), num_clusters)
-    length, union = vectors[0].length, 0
+    length, masks = vectors[0].length, []
     for v in vectors:
         if v.length != length:
             raise ValueError(f"length mismatch: {length} vs {v.length}")
-        union |= v.mask
+        masks.append(v.mask)
     if num_clusters == 1:
-        union_vector = IndicatorVector.from_mask(union, length)
-        return ClusterAssignment((_everyone(len(vectors)),), (union_vector,))
-    masks = [v.mask for v in vectors]
+        union = 0
+        for mask in masks:
+            union |= mask
+        return ClusterAssignment((_everyone(len(vectors)),), (union,), length)
     members, pool = initialize_clusters(masks, num_clusters, rng)
     cluster_masks = [masks[group[0]] for group in members]
     while pool:
@@ -187,6 +197,5 @@ def cluster_network(
     # resized, so it is freed onto another length's free list than the one it
     # came from; built from a list, it takes and returns the same slot.
     return ClusterAssignment(
-        tuple([tuple(group) for group in members]),
-        tuple(IndicatorVector._from_masks(cluster_masks, length)),
+        tuple([tuple(group) for group in members]), tuple(cluster_masks), length
     )

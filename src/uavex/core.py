@@ -90,8 +90,7 @@ class IndicatorVector:
             cls.from_mask(max(masks), length)
         vectors = [object.__new__(cls) for _ in masks]
         for vector, mask in zip(vectors, masks):
-            object.__setattr__(vector, "mask", mask)
-            object.__setattr__(vector, "length", length)
+            vector.__dict__.update(mask=mask, length=length)
         return vectors
 
     def _fill(self, mask: int, length: int) -> None:

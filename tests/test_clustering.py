@@ -1,10 +1,11 @@
 """Clustering behaviour: worked examples, invariants, and oracle equivalence."""
 
+from dataclasses import replace
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uavex import clustering
 from uavex.clustering import (
@@ -356,6 +357,35 @@ class TestClusterNetwork:
         assert [v.bits for v in ours.cluster_vectors] == ref_vectors
 
 
+class TestValidate:
+    """``validate`` refuses assignments whose masks disagree with their members."""
+
+    @staticmethod
+    def fleet_and_assignment():
+        vectors = sample_initial_receipts(9, 6, 0.5, np.random.default_rng(12))
+        assignment = cluster_network(vectors, 3, stream(0, 0, "tie-break"))
+        assignment.validate(vectors)
+        return vectors, assignment
+
+    def test_wrong_member_or_is_refused(self):
+        vectors, assignment = self.fleet_and_assignment()
+        masks = list(assignment.cluster_masks)
+        assert masks[1] != 0
+        masks[1] &= masks[1] - 1  # drop the cluster's lowest held packet
+        broken = replace(assignment, cluster_masks=tuple(masks))
+        with pytest.raises(AssertionError,
+                           match="^stored cluster vector differs from member OR$"):
+            broken.validate(vectors)
+
+    def test_mask_wider_than_num_packets_is_refused(self):
+        vectors, assignment = self.fleet_and_assignment()
+        masks = list(assignment.cluster_masks)
+        masks[2] |= 1 << assignment.num_packets
+        broken = replace(assignment, cluster_masks=tuple(masks))
+        with pytest.raises(AssertionError, match="^cluster mask does not fit 6 packets$"):
+            broken.validate(vectors)
+
+
 class TestDistanceCount:
     """Each ``cluster_network`` call evaluates a closed-form number of distances."""
 
@@ -415,3 +445,18 @@ class TestFullSetRate:
             cluster_network(vectors, n, stream(0, 0, "tie-break")) for n in (1, 2, 4)
         ]
         assert all(a.full_cluster_count() == a.num_clusters for a in assignments)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 130).flatmap(lambda m: st.tuples(st.just(m), st.lists(
+        st.one_of(st.just((1 << m) - 1), st.integers(0, (1 << m) - 1)),
+        min_size=1, max_size=12))))
+    @example((100, [(1 << 100) - 1, 5, (1 << 99) | 3]))
+    def test_count_matches_the_vectors_built_on_read(self, fleet):
+        num_packets, masks = fleet
+        vectors = [IndicatorVector.from_mask(m, num_packets) for m in masks]
+        for n in feasible_counts(len(vectors)):
+            assignment = cluster_network(vectors, n, stream(0, n, "tie-break"))
+            built = assignment.cluster_vectors
+            assert [v.mask for v in built] == list(assignment.cluster_masks)
+            assert all(v.length == num_packets for v in built)
+            assert assignment.full_cluster_count() == sum(v.is_full() for v in built)

@@ -170,6 +170,29 @@ class TestFullSetRateSweep:
         assert [row.runs for row in rows] == [0, 10]
         assert "odd cluster count" in capsys.readouterr().err
 
+    def test_builds_vectors_only_for_receipts(self, monkeypatch):
+        # Clustering returns masks, and the sweep counts the full ones among
+        # them, so the only vectors built are each run's receipts.
+        built = []
+        from_mask = IndicatorVector.from_mask.__func__
+        from_masks = IndicatorVector._from_masks.__func__
+
+        def counted_from_mask(cls, mask, length):
+            built.append(("from_mask", length))
+            return from_mask(cls, mask, length)
+
+        def counted_from_masks(cls, masks, length):
+            built.append(("_from_masks", len(masks), length))
+            return from_masks(cls, masks, length)
+
+        monkeypatch.setattr(IndicatorVector, "from_mask", classmethod(counted_from_mask))
+        monkeypatch.setattr(IndicatorVector, "_from_masks", classmethod(counted_from_masks))
+        spec = SweepSpec(ScenarioConfig(20, 10, 0.6, 1), "num_clusters", tuple(range(1, 11)),
+                         runs=5)
+        assert [row.runs for row in sweep_full_set_rate(spec)] == [5] * 10
+        # Per run: the 20 receipts, whose fit check builds the smallest and the largest.
+        assert built == [("_from_masks", 20, 10), ("from_mask", 10), ("from_mask", 10)] * 5
+
     def test_other_clustering_errors_propagate(self, monkeypatch):
         # Only infeasible counts become warning rows; a plain ValueError from
         # the clustering stage is a fault and must not be swallowed.
@@ -531,6 +554,25 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert target.read_text().startswith("param,scheme")
+
+    @pytest.mark.parametrize("argv", [
+        ["full-set-rate", "--uavs", "6", "--packets", "4", "--rho", "0.7", "--clusters", "2"],
+        ["compare", "--uavs", "6", "--packets", "4", "--rho", "0.7", "--clusters", "2"],
+        ["trace", "--uavs", "6", "--packets", "4", "--rho", "0.7", "--clusters", "2",
+         "--scheme", "proposed"],
+    ])
+    def test_empty_out_exits_one_before_any_run(self, argv, monkeypatch, capsys):
+        from uavex import cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        for name in ("sweep_full_set_rate", "compare_schemes", "run_scenario"):
+            monkeypatch.setattr(cli, name, no_run)
+        assert cli_main([*argv, "--out", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out takes a file path; got ''\n"
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = {
