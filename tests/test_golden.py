@@ -40,6 +40,10 @@ GOLDEN = {
     # CSMA's span of 2**32 + 1 draws whole 64-bit words.
     "compare_wide_window.csv": ["compare", *REF10, "--runs", "20",
                                 "--cw-total-us", str((1 << 32) + 1)],
+    # Plain CSMA's span of exactly 2**32 draws each backoff as a bare 32-bit
+    # half.
+    "compare_window_2_32.csv": ["compare", *REF10, "--runs", "20",
+                                "--cw-total-us", str(1 << 32)],
     "full_set_rate_ref20.csv": ["full-set-rate", "--uavs", "20", "--packets", "10",
                                 "--rho", "0.6", "--clusters", "1..10", "--runs", "20"],
 }
