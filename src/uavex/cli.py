@@ -141,7 +141,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, output: str = "CSV") -> N
     parser.add_argument("--out", help=f"write {output} here instead of stdout")
     parser.add_argument("--difs-us", dest="difs_us", type=int, help="DIFS override")
     parser.add_argument("--cw-total-us", dest="cw_total_us", type=int,
-                        help="contention window override")
+                        help="contention window override (at most 2**32)")
     parser.add_argument("--preamble-us", dest="preamble_us", type=int,
                         help="frame preamble override")
     parser.add_argument("--payload-us", dest="payload_us_per_packet", type=int,
@@ -200,7 +200,7 @@ def _cmd_full_set_rate(args: argparse.Namespace) -> int:
     for rho in rhos:
         # One cluster fits every fleet; the sweep checks each count itself.
         base = _scenario_from(dict(settings, delivery_rate=rho, num_clusters=1))
-        spec = SweepSpec(base, "num_clusters", tuple(cluster_values), runs=base.runs)
+        spec = SweepSpec(base, "num_clusters", tuple(cluster_values))
         rows.extend(sweep_full_set_rate(spec))
     if all(row.runs == 0 for row in rows):
         print("error: every requested cluster count was infeasible", file=sys.stderr)
@@ -215,7 +215,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     choices = ", ".join(scheme.value for scheme in Scheme)
     schemes = _parse_list(args.schemes, "--schemes", Scheme, "scheme names",
                           f"is not one of {choices}")
-    spec = SweepSpec(base, "scheme", tuple(schemes), runs=base.runs)
+    spec = SweepSpec(base, "scheme", tuple(schemes))
     rows = compare_schemes(spec, timing=timing)
     _emit(rows_to_csv(rows), args.out)
     return 0

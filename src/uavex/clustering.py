@@ -58,6 +58,10 @@ class ClusterAssignment:
         sizes = [len(group) for group in self.members]
         if max(sizes) - min(sizes) > 1:
             raise AssertionError(f"cluster sizes {sizes} differ by more than 1")
+        for vector in vectors:
+            if vector.length != self.num_packets:
+                raise AssertionError(f"a fleet vector of length {vector.length} differs "
+                                     f"from num_packets {self.num_packets}")
         for group, cluster_mask in zip(self.members, self.cluster_masks):
             if not 0 <= cluster_mask < 1 << self.num_packets:
                 raise AssertionError(f"cluster mask does not fit {self.num_packets} packets")

@@ -56,6 +56,13 @@ def mask_packets(mask: int) -> tuple[PacketId, ...]:
     return tuple(ids)
 
 
+def _check_fit(mask: int, length: int) -> None:
+    if length < 1:
+        raise ValueError("indicator vector must have at least one position")
+    if not 0 <= mask < 1 << length:
+        raise ValueError(f"mask {mask} does not fit {length} positions")
+
+
 @dataclass(frozen=True, init=False)
 class IndicatorVector:
     """Fixed-length binary vector; position m holds 1 iff packet m is possessed.
@@ -86,18 +93,15 @@ class IndicatorVector:
     def _from_masks(cls, masks: Sequence[int], length: int) -> list[IndicatorVector]:
         """``from_mask(m, length)`` for each mask, with the fit checked once for all of them."""
         if masks:  # every mask fits when the smallest and the largest do
-            cls.from_mask(min(masks), length)
-            cls.from_mask(max(masks), length)
+            _check_fit(min(masks), length)
+            _check_fit(max(masks), length)
         vectors = [object.__new__(cls) for _ in masks]
         for vector, mask in zip(vectors, masks):
             vector.__dict__.update(mask=mask, length=length)
         return vectors
 
     def _fill(self, mask: int, length: int) -> None:
-        if length < 1:
-            raise ValueError("indicator vector must have at least one position")
-        if not 0 <= mask < 1 << length:
-            raise ValueError(f"mask {mask} does not fit {length} positions")
+        _check_fit(mask, length)
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "length", length)
 

@@ -10,8 +10,9 @@ only picks inside the range it is given. A scenario run hands the engine a
 ``Pcg64Draws`` over each just-derived backoff stream, which replays numpy's
 bounded-int algorithm over one list of the 32-bit halves of the stream's raw
 words, fetched in blocks (its position counts a block's unread words as not
-yet drawn); the draw functions run its 32-bit step, which serves every span
-from 2 to 2**32, in their own frame, and make one ``integers(low, high)``
+yet drawn). ``TimingConfig`` caps the window at 2**32 us, so every span the
+model draws, from 2 to 2**32, takes that source's one 32-bit step; the draw
+functions run it in their own frame, and make one ``integers(low, high)``
 call for any other span or rng, a plain ``Generator`` included. Every
 frame's air time is the preamble plus the payload of the data packets it
 carries: a reply carries the packets it supplies, and a request, a control
@@ -50,6 +51,8 @@ class TimingConfig:
         for name, value in vars(self).items():
             if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if self.cw_total_us > 1 << 32:  # each backoff draw reads one 32-bit half-word
+            raise ValueError(f"cw_total_us must be at most 2**32, got {self.cw_total_us}")
 
 
 def subwindow_bounds(num_packets: int, subwindow: int, window_us: int) -> tuple[int, int]:
@@ -121,17 +124,18 @@ class Pcg64Draws:
     (D. Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
     29(1), 2019): spans up to 2**32 on 32-bit words, which PCG64 serves as the
     low and then the high half of one raw word, keeping the high half pending
-    between draws; wider spans on whole raw words, taken from under a pending
-    half, which stays pending. (numpy returns a bare word for a span of exactly
-    2**32 or 2**64, which is what the method gives there too.) This does the
-    same in Python over ``halves``: the 32-bit halves of a block of
-    ``BLOCK_WORDS`` raw words that one ``random_raw`` call fetches, low half
-    first, stored reversed so that ``pop()`` gives the next half; an odd
-    length means a high half is pending. Each result, each error and the word
-    position then match numpy's draw for draw on a twin generator, without
-    numpy's per-call overhead, and backoff values rest on PCG64's raw output,
-    not on numpy's choice of draw algorithm. The position is the generator's
-    less the ``len(halves) // 2`` whole words not yet read.
+    between draws. (numpy returns a bare half-word for a span of exactly
+    2**32, which is what the method gives there too.) This does the same in
+    Python over ``halves``: the 32-bit halves of a block of ``BLOCK_WORDS``
+    raw words that one ``random_raw`` call fetches, low half first, stored
+    reversed so that ``pop()`` gives the next half; an odd length means a
+    high half is pending. Each result, each error and the word position then
+    match numpy's draw for draw on a twin generator, without numpy's per-call
+    overhead, and backoff values rest on PCG64's raw output, not on numpy's
+    choice of draw algorithm. The position is the generator's less the
+    ``len(halves) // 2`` whole words not yet read. A wider span, which numpy
+    draws from whole raw words, is refused before any half-word is read: no
+    window the model accepts needs one.
 
     The source starts with no pending half-word, as a PCG64 seeded just now
     does, and reads nothing from the generator's state; it keeps its pending
@@ -146,15 +150,12 @@ class Pcg64Draws:
         self.halves: list[int] = []
 
     def integers(self, low: int, high: int) -> int:
-        """A uniform int in [low, high), as ``Generator.integers(low, high)`` would draw it."""
+        """A uniform int in [low, high), as ``Generator.integers(low, high)`` would draw it.
+
+        numpy's errors come first; a span above 2**32 is then refused before
+        any half-word is read.
+        """
         span = high - low
-        if 1 < span <= 1 << 32 and low >= -(1 << 63) and high <= 1 << 63:
-            m = self._next32() * span
-            if (m & 0xFFFF_FFFF) < span:
-                threshold = (1 << 32) % span
-                while (m & 0xFFFF_FFFF) < threshold:
-                    m = self._next32() * span
-            return low + (m >> 32)
         if low < -(1 << 63):
             raise ValueError("low is out of bounds for int64")
         if high > 1 << 63:
@@ -163,22 +164,14 @@ class Pcg64Draws:
             raise ValueError("low >= high")
         if span == 1:
             return low  # numpy draws nothing for a single value
-        m = self._raw() * span
-        if (m & 0xFFFF_FFFF_FFFF_FFFF) < span:
-            threshold = (1 << 64) % span
-            while (m & 0xFFFF_FFFF_FFFF_FFFF) < threshold:
-                m = self._raw() * span
-        return low + (m >> 64)
-
-    def _raw(self) -> int:
-        # A whole word is read from under a pending half, which stays pending.
-        halves = self.halves
-        if len(halves) < 2:
-            halves[:0] = self._block()
-        end = len(halves) & ~1  # one past the next word's low half
-        word = halves[end - 1] | halves[end - 2] << 32
-        del halves[end - 2:end]
-        return word
+        if span > 1 << 32:
+            raise ValueError(f"span {span} is above 2**32, the widest a 32-bit half-word draws")
+        m = self._next32() * span
+        if (m & 0xFFFF_FFFF) < span:
+            threshold = (1 << 32) % span
+            while (m & 0xFFFF_FFFF) < threshold:
+                m = self._next32() * span
+        return low + (m >> 32)
 
     def _next32(self) -> int:
         if not self.halves:

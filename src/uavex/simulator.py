@@ -168,12 +168,6 @@ def _run_exchange(
             f"contention window of {timing.cw_total_us} us is too short for "
             f"{num_packets} packets: cw_total_us must be at least {min_window}"
         )
-    # Draws end at cw_total_us + 1 and must fit numpy's int64 bounded draw.
-    if timing.cw_total_us >= 1 << 63:
-        raise ValueError(
-            f"contention window of {timing.cw_total_us} us is too long: "
-            f"cw_total_us must be below 2**63"
-        )
     # A member whose vector has another length drops out here, and the count shows it.
     held = [v.mask for u in order if (v := holdings[u]).length == num_packets]
     if len(held) < len(order) or len(set(order)) < len(order):

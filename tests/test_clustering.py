@@ -385,6 +385,17 @@ class TestValidate:
         with pytest.raises(AssertionError, match="^cluster mask does not fit 6 packets$"):
             broken.validate(vectors)
 
+    def test_num_packets_other_than_the_fleet_vector_length_is_refused(self):
+        # Every mask fits 5 packets and equals its members' OR, but the
+        # fleet's vectors hold 4: full_cluster_count() would read 0, not 2.
+        vectors = [IndicatorVector.ones(4)] * 4
+        assignment = cluster_network(vectors, 2, None)
+        assignment.validate(vectors)
+        broken = replace(assignment, num_packets=5)
+        with pytest.raises(AssertionError, match="^a fleet vector of length 4 differs "
+                                                 "from num_packets 5$"):
+            broken.validate(vectors)
+
 
 class TestDistanceCount:
     """Each ``cluster_network`` call evaluates a closed-form number of distances."""

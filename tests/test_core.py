@@ -161,6 +161,24 @@ class TestMaskRepresentation:
         with pytest.raises(ValueError):
             IndicatorVector.from_mask(0, 0)
 
+    @pytest.mark.parametrize("masks, length, bad", [
+        ([3, -2, 5], 4, -2),  # a negative mask
+        ([3, 16, 5], 4, 16),  # a mask too wide
+        ([0, 0], 0, 0),  # no position at all
+    ])
+    def test_batch_refuses_what_from_mask_refuses(self, masks, length, bad):
+        with pytest.raises(ValueError) as single:
+            IndicatorVector.from_mask(bad, length)
+        with pytest.raises(ValueError) as batch:
+            IndicatorVector._from_masks(masks, length)
+        assert str(batch.value) == str(single.value)
+
+    def test_batch_builds_what_from_mask_builds(self):
+        masks = [0, 5, 15, 8]
+        assert IndicatorVector._from_masks(masks, 4) == [IndicatorVector.from_mask(m, 4)
+                                                         for m in masks]
+        assert IndicatorVector._from_masks([], 0) == []
+
 
 def test_packet_label_is_one_indexed():
     assert packet_label(0) == "w1"

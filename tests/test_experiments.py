@@ -190,8 +190,9 @@ class TestFullSetRateSweep:
         spec = SweepSpec(ScenarioConfig(20, 10, 0.6, 1), "num_clusters", tuple(range(1, 11)),
                          runs=5)
         assert [row.runs for row in sweep_full_set_rate(spec)] == [5] * 10
-        # Per run: the 20 receipts, whose fit check builds the smallest and the largest.
-        assert built == [("_from_masks", 20, 10), ("from_mask", 10), ("from_mask", 10)] * 5
+        # Per run: the 20 receipts, fit-checked by a range check on the smallest
+        # and the largest mask, with no throwaway vector.
+        assert built == [("_from_masks", 20, 10)] * 5
 
     def test_other_clustering_errors_propagate(self, monkeypatch):
         # Only infeasible counts become warning rows; a plain ValueError from
@@ -640,17 +641,35 @@ class TestCli:
         assert "cw_total_us must be at least 8" in err
         assert "Traceback" not in err
 
-    def test_window_beyond_int64_exits_one_naming_the_setting(self, capsys):
-        # numpy's int64 draw used to refuse it mid-run with "high is out of bounds".
-        args = ["compare", "--uavs", "4", "--packets", "2", "--rho", "0.5", "--runs", "3",
-                "--clusters", "2", "--cw-total-us"]
-        for window in (1 << 63, 1 << 70):
-            assert cli_main([*args, str(window)]) == 1
-            err = capsys.readouterr().err
-            assert "cw_total_us must be below 2**63" in err
-            assert "Traceback" not in err
-        assert cli_main([*args, str((1 << 63) - 1)]) == 0
-        assert capsys.readouterr().out.count("\n") == 4  # header and three schemes
+    @pytest.mark.parametrize("command, extra", [
+        ("compare", ["--runs", "3"]),
+        ("full-set-rate", ["--runs", "3"]),
+        ("trace", ["--scheme", "proposed"]),
+    ], ids=["compare", "full-set-rate", "trace"])
+    def test_window_above_2_32_exits_one_before_any_run(self, command, extra, monkeypatch,
+                                                        capsys):
+        # Every backoff draw reads one 32-bit half-word, so the window stops at
+        # 2**32; each command refuses a wider one while reading its settings.
+        from uavex import cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        for name in ("sweep_full_set_rate", "compare_schemes", "run_scenario"):
+            monkeypatch.setattr(cli, name, no_run)
+        argv = [command, "--uavs", "4", "--packets", "2", "--rho", "0.5", "--clusters", "2",
+                *extra, "--cw-total-us", str((1 << 32) + 1)]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cw_total_us must be at most 2**32, got 4294967297\n"
+
+    def test_window_of_2_32_runs(self, capsys):
+        assert cli_main(["compare", "--uavs", "4", "--packets", "2", "--rho", "0.5",
+                         "--runs", "3", "--clusters", "2", "--cw-total-us", str(1 << 32)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("param,scheme,")
+        assert [line.split(",")[1] for line in lines[1:]] == [scheme.value for scheme in Scheme]
 
     def test_out_help_names_what_each_command_writes(self, capsys):
         for command, output in (("compare", "CSV"), ("full-set-rate", "CSV"),

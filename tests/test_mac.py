@@ -74,6 +74,14 @@ class TestTimingConfig:
         with pytest.raises(ValueError, match=field):
             TimingConfig(**{field: True})
 
+    def test_window_is_at_most_2_32(self):
+        # Every backoff draw reads one 32-bit half-word, so no span may pass 2**32.
+        assert TimingConfig(cw_total_us=1 << 32).cw_total_us == 1 << 32
+        for window in ((1 << 32) + 1, 1 << 63, 1 << 70):
+            with pytest.raises(ValueError) as error:
+                TimingConfig(cw_total_us=window)
+            assert str(error.value) == f"cw_total_us must be at most 2**32, got {window}"
+
 
 class TestSubwindowBounds:
     def test_first_subwindow(self):
@@ -155,11 +163,11 @@ class TestDrawBackoff:
         # stake draws nothing, and no other count has a range.
         assert dict(enumerate(RANGES)).get(count) is None
 
-    @pytest.mark.parametrize("span", [1, 2, 1 << 32, (1 << 32) + 1])
+    @pytest.mark.parametrize("span", [1, 2, 1 << 32])
     def test_matches_generator_integers_at_span(self, span):
-        # A span of 1 draws no word, 2 and 2**32 the 32-bit step (2**32 a bare
-        # half-word), 2**32 + 1 a whole word, through Pcg64Draws.integers.
-        # Both a Pcg64Draws and a plain Generator are checked against a twin.
+        # A span of 1 draws no word, through Pcg64Draws.integers; 2 and 2**32
+        # the 32-bit step (2**32 a bare half-word). Both a Pcg64Draws and a
+        # plain Generator are checked against a twin.
         ours, theirs = stream(6, 0, "backoff"), stream(6, 0, "backoff")
         source = Pcg64Draws(ours.bit_generator)
         plain, twin = stream(6, 1, "backoff"), stream(6, 1, "backoff")
@@ -169,6 +177,15 @@ class TestDrawBackoff:
                 assert values == [int(reference.integers(low, low + span)) for _ in range(50)]
         assert source_position(source, ours.bit_generator) == numpy_position(theirs)
         assert numpy_position(plain) == numpy_position(twin)
+
+    def test_span_above_2_32_is_refused_without_a_read(self):
+        # numpy would draw a span of 2**32 + 1 from whole raw words.
+        rng = stream(6, 0, "backoff")
+        source = Pcg64Draws(rng.bit_generator)
+        draw_backoff(1, 1536, source)  # leaves a half-word pending
+        for low in (1, 1535, (1 << 40) + 1):
+            _refuses_without_a_read(source, rng.bit_generator,
+                                    lambda: draw_backoff(low, low + (1 << 32) + 1, source))
 
 
 WIDE = [(1 << 31) + 1, (1 << 32) + 1]  # a rejection-heavy span, and one past 32 bits
@@ -271,6 +288,14 @@ INT64_MIN = -(1 << 63)
 INT64_END = 1 << 63  # one past the largest int64
 
 
+def _refuses_without_a_read(source, bit_generator, draw):
+    """``draw()`` raises the source's span refusal, leaving its position and block as they were."""
+    before = source_position(source, bit_generator), list(source.halves)
+    with pytest.raises(ValueError, match=r"^span \d+ is above 2\*\*32, "):
+        draw()
+    assert (source_position(source, bit_generator), source.halves) == before
+
+
 @st.composite
 def valid_bounds(draw, span):
     """(low, high) of the given span, placed anywhere numpy's int64 draw accepts it."""
@@ -283,16 +308,16 @@ def near(value, radius):
     return st.integers(max(1, value - radius), value + radius)
 
 
-# Spans of every branch of numpy's bounded draw: 1 (no word), small and
-# near 2**32 (32-bit Lemire; above 2**31 its rejection loop runs often),
-# exactly 2**32 (a bare 32-bit word), near 2**63 (64-bit Lemire) and the
-# whole int64 range, 2**64 (a bare raw word); plus pairs numpy refuses.
+# Spans of every branch of numpy's 32-bit bounded draw: 1 (no word), small,
+# near 2**31 (its rejection loop runs often just above), up to 2**32 and
+# exactly 2**32 (a bare half-word), anywhere in int64 and at both of its
+# ends; plus pairs numpy refuses.
 BOUNDS = st.one_of(
     valid_bounds(st.integers(1, 5000)),
-    valid_bounds(st.sampled_from([1, 2, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, 1 << 64])),
-    valid_bounds(near(1 << 32, 1 << 20)),
-    valid_bounds(near(1 << 63, 1 << 20)),
-    st.sampled_from([(INT64_MIN, INT64_END - 1), (INT64_MIN, INT64_END), (0, INT64_END)]),
+    valid_bounds(st.sampled_from([1, 2, (1 << 31) + 1, (1 << 32) - 1, 1 << 32])),
+    valid_bounds(near(1 << 31, 1 << 20)),
+    valid_bounds(st.integers((1 << 32) - (1 << 20), 1 << 32)),
+    st.sampled_from([(INT64_MIN, INT64_MIN + (1 << 32)), (INT64_END - (1 << 32), INT64_END)]),
     st.integers(-5, 5).map(lambda d: (7, 7 - abs(d))),  # low >= high
     st.integers(1, 1 << 40).map(lambda d: (INT64_MIN - d, 0)),  # low out of range
     st.integers(1, 1 << 40).map(lambda d: (0, INT64_END + d)),  # high out of range
@@ -306,13 +331,17 @@ def _outcome(source, low, high):
         return str(exc)
 
 
+# Spans above 2**32, which numpy draws from whole raw words, up to the whole
+# int64 range (2**64, a bare raw word).
+WIDE_BOUNDS = valid_bounds(st.one_of(
+    st.sampled_from([(1 << 32) + 1, 1 << 40, 1 << 63, 1 << 64]),
+    st.integers((1 << 32) + 1, 1 << 64),
+))
+
+
 class TestPcg64Draws:
     """The raw-word draw source against ``Generator.integers`` on a twin generator."""
 
-    # 63 bare half-words (a span of 2**32 rejects none) leave only the first
-    # block's last high half, pending, so the wide draw takes its word from a
-    # new block beneath it, and the draw after it still gets that half.
-    @example(seed=3, warmup=0, pairs=[(0, 1 << 32)] * 63 + [(0, 1 << 40), (0, 1 << 32)])
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), warmup=st.integers(0, 3),
            pairs=st.lists(BOUNDS, min_size=1, max_size=12))
@@ -339,6 +368,21 @@ class TestPcg64Draws:
         assert [_outcome(stale_rng, *p) for p in pairs] == [_outcome(clean, *p) for p in pairs]
         assert numpy_position(stale_rng) == numpy_position(clean)
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), warmup=st.integers(0, 2 * BLOCK_WORDS + 1),
+           wide=WIDE_BOUNDS, pairs=st.lists(BOUNDS, max_size=8))
+    def test_refuses_spans_above_2_32(self, seed, warmup, wide, pairs):
+        # Any warmup: an odd one leaves a half-word pending, and one of 64
+        # leaves the block empty, where a read would fetch the next block.
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        source = Pcg64Draws(ours.bit_generator)
+        for _ in range(warmup):
+            assert source.integers(0, 7) == theirs.integers(0, 7)
+        _refuses_without_a_read(source, ours.bit_generator, lambda: source.integers(*wide))
+        # The refused call leaves every later draw as the twin makes it.
+        assert [_outcome(source, *p) for p in pairs] == [_outcome(theirs, *p) for p in pairs]
+        assert source_position(source, ours.bit_generator) == numpy_position(theirs)
+
     def test_rejection_path_runs(self):
         # 2**32 mod (2**31 + 1) rejects nearly half the words, each retry
         # taking one more half-word.
@@ -364,33 +408,43 @@ class TestPcg64Draws:
 # a draw_baseline_backoff call over the window. Together they cover every
 # branch of the inlined 32-bit step and the calls it must leave to
 # Pcg64Draws.integers: spans of 1 (W == M), rejection-heavy spans just above
-# 2**31, spans of exactly 2**32, wider spans, windows numpy refuses
-# (2**63 and up; with M = 2**32 the last subwindow spans under 2**32 but
-# still ends past int64) and empty subwindows (W < M).
+# 2**31, spans of exactly 2**32, windows numpy refuses (2**63 and up; with
+# M = 2**32 the last subwindow spans under 2**32 but still ends past int64)
+# and empty subwindows (W < M).
 _M = st.integers(1, 12)
 DRAW_CALLS = st.one_of(
     st.tuples(_M, st.just(0), st.integers(1, 40)),
     st.tuples(_M, st.just(0), near(1 << 31, 4)),
-    st.tuples(_M, st.just(0), st.sampled_from([1 << 32, (1 << 32) + 1, 1 << 40])),
-    st.tuples(_M, st.just(0), st.sampled_from([(1 << 63) - 1, 1 << 63, 1 << 70])),
+    st.tuples(_M, st.just(0), st.sampled_from([(1 << 32) - 1, 1 << 32])),
+    st.tuples(_M, st.just(0), st.sampled_from([1 << 63, 1 << 70])),
     _M.flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m), st.integers(1, 3 * m))),
     _M.flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m), st.sampled_from(
-        [m, m * ((1 << 31) + 1), m << 32, (m << 32) + m - 1, (m << 32) + m, m << 40,
-         (1 << 63) - 1, 1 << 63, 1 << 70]))),
+        [m, m * ((1 << 31) + 1), m << 32]))),
     st.tuples(st.just(1 << 32), st.sampled_from([1, 2, 1 << 32]),
               st.sampled_from([(1 << 63) - 1, 1 << 63, (1 << 63) + (1 << 33)])),
 )
+# Draws over spans above 2**32, which numpy takes from whole raw words: plain
+# CSMA over a wider window, and subwindows 2**32 + 1 or 2**40 wide.
+WIDE_CALLS = st.one_of(
+    st.tuples(_M, st.just(0), st.sampled_from([(1 << 32) + 1, 1 << 40, (1 << 63) - 1])),
+    _M.flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m), st.sampled_from(
+        [(m << 32) + m, m << 40]))),
+)
 
 
-def _draw_outcome(source, m, stake, window):
+def _draw(source, m, stake, window):
     # The range of a priority draw is subwindow_bounds' own (TestDrawBounds
     # pins the table to it), so M = 2**32 needs no 2**32-entry table; an
     # empty subwindow's range draws as numpy's integers refuses it.
+    if stake:
+        lo, hi = subwindow_bounds(m, m - stake + 1, window)
+        return draw_backoff(lo + 1, hi + 1, source)
+    return draw_baseline_backoff(window, source)
+
+
+def _draw_outcome(source, m, stake, window):
     try:
-        if stake:
-            lo, hi = subwindow_bounds(m, m - stake + 1, window)
-            return draw_backoff(lo + 1, hi + 1, source)
-        return draw_baseline_backoff(window, source)
+        return _draw(source, m, stake, window)
     except ValueError as exc:
         return str(exc)
 
@@ -414,19 +468,32 @@ class TestInlineDraws:
                 == [_draw_outcome(theirs, *call) for call in calls])
         assert source_position(source, ours.bit_generator) == numpy_position(theirs)
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), warmup=st.integers(0, 2 * BLOCK_WORDS + 1),
+           wide=WIDE_CALLS, calls=st.lists(DRAW_CALLS, max_size=8))
+    def test_refuses_spans_above_2_32(self, seed, warmup, wide, calls):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        source = Pcg64Draws(ours.bit_generator)
+        for _ in range(warmup):
+            assert source.integers(0, 7) == theirs.integers(0, 7)
+        _refuses_without_a_read(source, ours.bit_generator,
+                                lambda: _draw(source, *wide))
+        assert ([_draw_outcome(source, *call) for call in calls]
+                == [_draw_outcome(theirs, *call) for call in calls])
+        assert source_position(source, ours.bit_generator) == numpy_position(theirs)
+
 
 # Each step is a draw that reads at least a half-word (any stake, or a
 # rejection-heavy span just above 2**31), then, at times, a draw from another
-# branch: a span of 1 (no word), a 64-bit span (a whole word, while the first
-# draw may have left a half-word pending) or a call numpy refuses.
+# branch: a span of 1 (no word), a span of exactly 2**32 (a bare half-word)
+# or a call numpy refuses.
 _STEP = st.tuples(
     st.one_of(
         _M.flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m), st.integers(2 * m, 3 * m))),
         st.tuples(st.just(1), st.sampled_from([0, 1]), near(1 << 31, 4)),
         st.tuples(_M, st.just(0), st.sampled_from([2, 24, 9207])),
     ),
-    st.sampled_from([None, (6, 2, 6), (1, 0, (1 << 32) + 1), (4, 4, 1 << 40), (3, 3, 2),
-                     (1, 0, 1 << 63)]),
+    st.sampled_from([None, (6, 2, 6), (1, 0, 1 << 32), (3, 3, 2), (1, 0, 1 << 63)]),
 )
 
 

@@ -901,12 +901,12 @@ class TestFastDrawPath:
             fast, slow = _exchanges_on_both_paths(config, k)
             assert fast == slow, k
 
-    @pytest.mark.parametrize("window", [(1 << 31) + 1, (1 << 32) + 1])
+    @pytest.mark.parametrize("window", [(1 << 31) + 1, 1 << 32])
     @pytest.mark.parametrize("scheme", sorted(REF20_RUNS))
     def test_wide_windows(self, scheme, window):
         # Plain CSMA at 2**31 + 1 rejects about half its 32-bit words, and at
-        # 2**32 + 1 draws whole 64-bit words; the subwindows of both take the
-        # 32-bit path with thresholds far above zero.
+        # 2**32, the widest window, draws bare half-words; the subwindows of
+        # both take the 32-bit path with thresholds far above zero.
         timing = replace(TIMING, cw_total_us=window)
         for k in range(10):
             fast, slow = _exchanges_on_both_paths(_ref10(scheme), k, timing)
@@ -1023,8 +1023,11 @@ class TestBackoffSourceOwnership:
         assert source.halves == [] and numpy_position(twin)[1:] == (0, 0)
         # A span of 1024 divides 2**32, so no draw is rejected: a stray pending
         # half-word would show in the very first value.
-        bounds = [(0, 1024), (1, 1536), (1, 9208), (3069, 4604), (1, 25), (1, 2**40)] * 8
+        bounds = [(0, 1024), (1, 1536), (1, 9208), (3069, 4604), (1, 25), (1, 2**32 + 1)] * 8
         assert [source.integers(*b) for b in bounds] == [twin.integers(*b) for b in bounds]
+        # A span above 2**32 is refused, and reads no half-word.
+        with pytest.raises(ValueError, match=r"above 2\*\*32"):
+            source.integers(1, 2**40)
         assert (counted.reads, counted.writes) == (0, 0)
         assert source_position(source, counted) == numpy_position(twin)
 
