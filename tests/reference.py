@@ -5,8 +5,16 @@ nested loops, nothing from the library under test except in the sweep oracles
 at the end, which call only its single-run functions. Tie-breaks match the
 library's documented rules (lexicographically smallest pair wins), and the
 odd-count seed drop consumes exactly one integers(0, n_seeds) draw so a shared
-stream stays aligned. The exchange oracle makes one ``rng.integers(lo, hi)``
-per backoff draw, in the order the simulator documents.
+stream stays aligned.
+
+Backoff draws have their own references. ``integers`` is numpy's
+``Generator.integers(low, high)`` for one scalar int, replayed on a
+``Pcg64Draws`` step by step; ``TestPcg64Draws`` holds it to numpy draw for
+draw. The exchange oracle makes one ``integers(source, lo, hi)`` per backoff
+draw, in the order the simulator documents, so it can be fed the same stream
+as the engine, or the same scripted halves: ``scripted_draws`` is a
+``Pcg64Draws`` over a stand-in ``random_raw`` that reads chosen 32-bit
+halves, and ``half_for`` is the half that draws a wanted value.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import numpy as np
 from uavex.clustering import InfeasibleClusterCount, cluster_network, reads_tie_break
 from uavex.core import Scheme, stream
 from uavex.experiments import AggregateRow
+from uavex.mac import Pcg64Draws
 from uavex.simulator import run_scenario, sample_initial_receipts
 
 
@@ -148,6 +157,8 @@ def _backoff_bounds(scheme, num_packets, stake, window):
 def reference_exchange(members, holdings, timing, scheme, rng, cluster_id=0):
     """One cluster's exchange, contention round by contention round, from the docs alone.
 
+    ``rng`` is a ``Pcg64Draws``, drawn from through ``integers`` alone.
+
     Each round the channel idles for DIFS plus the shortest pending draw, and
     every UAV holding that draw transmits: request draws while no request is
     open, otherwise the open request's reply draws. Equal shortest draws
@@ -179,7 +190,7 @@ def reference_exchange(members, holdings, timing, scheme, rng, cluster_id=0):
 
     def draw(stake):
         lo, hi = _backoff_bounds(scheme, num_packets, stake, window)
-        return int(rng.integers(lo, hi))
+        return integers(rng, lo, hi)
 
     def log(uav, event, packets=(), peer=None):
         line = f"t={now:>8}us cluster={cluster_id} uav={uav} {event}"
@@ -270,6 +281,69 @@ def reference_exchange(members, holdings, timing, scheme, rng, cluster_id=0):
         unobtainable |= gone[u]
     completed = all(have[u] == every for u in uavs)
     return (exchanges, finish, completed, collisions, frozenset(unobtainable)), lines
+
+
+# -- backoff draws ------------------------------------------------------------
+
+
+def integers(source, low, high):
+    """A uniform int in [low, high), drawn from ``source`` as ``Generator.integers(low, high)`` would.
+
+    numpy bounds a scalar int64 draw with Lemire's nearly divisionless method
+    (D. Lemire, ACM TOMACS 29(1), 2019). A span up to 2**32 takes 32-bit
+    halves, which PCG64 serves as the low and then the high half of one raw
+    word; a span of exactly 2**32 takes a bare half. numpy's three errors
+    come first, and a span of 1 reads nothing. A wider span, which numpy
+    draws from whole raw words, is refused before any half is read.
+    """
+    span = high - low
+    if low < -(1 << 63):
+        raise ValueError("low is out of bounds for int64")
+    if high > 1 << 63:
+        raise ValueError("high is out of bounds for int64")
+    if span < 1:
+        raise ValueError("low >= high")
+    if span == 1:
+        return low
+    if span > 1 << 32:
+        raise ValueError(f"span {span} is above 2**32, the widest a 32-bit half-word draws")
+    product = source._next32() * span
+    if (product & 0xFFFF_FFFF) < span:
+        threshold = (1 << 32) % span
+        while (product & 0xFFFF_FFFF) < threshold:
+            product = source._next32() * span
+    return low + (product >> 32)
+
+
+def half_for(value, low, high):
+    """The 32-bit half that draws ``value`` in [low, high) with no rejection.
+
+    With span s = high - low and t = 2**32 mod s, the half h takes value
+    low + (h * s >> 32) unless the low 32 bits of h * s fall under t. The
+    smallest h whose product reaches (value - low) * 2**32 + t clears both.
+    """
+    span = high - low
+    return -(-(((value - low) << 32) + (1 << 32) % span) // span)
+
+
+def scripted_draws(halves, repeat=None):
+    """A ``Pcg64Draws`` that reads ``halves`` in order, then ``repeat`` over and over.
+
+    Its stand-in ``random_raw`` serves words whose halves are both
+    ``repeat``, or refuses to serve any when ``repeat`` is None, so a draw
+    past the script fails the test. Returns the source and a function that
+    tells how many halves it has read.
+    """
+    fetched = []
+
+    def random_raw(count):
+        assert repeat is not None, "the scripted halves ran out"
+        fetched.append(count)
+        return np.full(count, repeat * 0x1_0000_0001, dtype=np.uint64)
+
+    source = Pcg64Draws(SimpleNamespace(random_raw=random_raw))
+    source.halves = list(reversed(halves))
+    return source, lambda: len(halves) + 2 * sum(fetched) - len(source.halves)
 
 
 # -- stream positions ---------------------------------------------------------

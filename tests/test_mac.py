@@ -1,5 +1,7 @@
 """Subwindow geometry, draw ranges, priority ordering, and frame timing."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,9 +19,14 @@ from uavex.mac import (
     subwindow_bounds,
 )
 
-from reference import counting_fetches, numpy_position, source_position
+from reference import counting_fetches, integers, numpy_position, scripted_draws, source_position
 
 WINDOW = TimingConfig().cw_total_us  # 9207
+
+
+def source(seed, run_index, label):
+    """A ``Pcg64Draws`` over a just-derived stream, as a scenario run hands the engine."""
+    return Pcg64Draws(stream(seed, run_index, label).bit_generator)
 
 
 def subwindow_for_count(num_packets, count, window=WINDOW):
@@ -121,29 +128,29 @@ RANGES = draw_bounds(6, WINDOW)  # [low, high) per stake m, at entry m
 
 class TestDrawBackoff:
     def test_draw_within_subwindow(self):
-        rng = stream(0, 0, "backoff")
+        rng = source(0, 0, "backoff")
         lo, hi = subwindow_bounds(6, 1, WINDOW)  # six of six relevant: subwindow 1
         for _ in range(500):
             draw = draw_backoff(*RANGES[6], rng)
             assert lo < draw <= hi == 1534
 
     def test_strict_priority_many_pairs(self):
-        rng = np.random.default_rng(9)
+        rng, draws = np.random.default_rng(9), source(9, 0, "backoff")
         for _ in range(10_000):
             m = int(rng.integers(2, 17))
             low_count, high_count = sorted(rng.choice(np.arange(1, m + 1), 2, replace=False))
             bounds = draw_bounds(m, WINDOW)
-            eager = draw_backoff(*bounds[high_count], rng)
-            lazy = draw_backoff(*bounds[low_count], rng)
+            eager = draw_backoff(*bounds[high_count], draws)
+            lazy = draw_backoff(*bounds[low_count], draws)
             assert eager < lazy
 
     def test_replay_determinism(self):
-        a = draw_backoff(*RANGES[3], stream(2, 1, "backoff"))
-        b = draw_backoff(*RANGES[3], stream(2, 1, "backoff"))
+        a = draw_backoff(*RANGES[3], source(2, 1, "backoff"))
+        b = draw_backoff(*RANGES[3], source(2, 1, "backoff"))
         assert a == b
 
     def test_uniform_within_subwindow(self):
-        rng = stream(12, 0, "chi")
+        rng = source(12, 0, "chi")
         lo, hi = subwindow_bounds(6, 1, WINDOW)
         draws = np.array(
             [draw_backoff(*RANGES[6], rng) for _ in range(100_000)]
@@ -166,26 +173,28 @@ class TestDrawBackoff:
     @pytest.mark.parametrize("span", [1, 2, 1 << 32])
     def test_matches_generator_integers_at_span(self, span):
         # A span of 1 draws no word, through Pcg64Draws.integers; 2 and 2**32
-        # the 32-bit step (2**32 a bare half-word). Both a Pcg64Draws and a
-        # plain Generator are checked against a twin.
+        # the 32-bit step (2**32 a bare half-word). A fresh source and one
+        # that starts on a pending half-word are each checked against a twin.
         ours, theirs = stream(6, 0, "backoff"), stream(6, 0, "backoff")
-        source = Pcg64Draws(ours.bit_generator)
-        plain, twin = stream(6, 1, "backoff"), stream(6, 1, "backoff")
+        fresh = Pcg64Draws(ours.bit_generator)
+        pending, twin = stream(6, 1, "backoff"), stream(6, 1, "backoff")
+        warmed = Pcg64Draws(pending.bit_generator)
+        assert integers(warmed, 0, 7) == twin.integers(0, 7)
         for low in (1, 1535, (1 << 40) + 1):
-            for rng, reference in ((source, theirs), (plain, twin)):
+            for rng, reference in ((fresh, theirs), (warmed, twin)):
                 values = [draw_backoff(low, low + span, rng) for _ in range(50)]
                 assert values == [int(reference.integers(low, low + span)) for _ in range(50)]
-        assert source_position(source, ours.bit_generator) == numpy_position(theirs)
-        assert numpy_position(plain) == numpy_position(twin)
+        assert source_position(fresh, ours.bit_generator) == numpy_position(theirs)
+        assert source_position(warmed, pending.bit_generator) == numpy_position(twin)
 
     def test_span_above_2_32_is_refused_without_a_read(self):
         # numpy would draw a span of 2**32 + 1 from whole raw words.
         rng = stream(6, 0, "backoff")
-        source = Pcg64Draws(rng.bit_generator)
-        draw_backoff(1, 1536, source)  # leaves a half-word pending
+        draws = Pcg64Draws(rng.bit_generator)
+        draw_backoff(1, 1536, draws)  # leaves a half-word pending
         for low in (1, 1535, (1 << 40) + 1):
-            _refuses_without_a_read(source, rng.bit_generator,
-                                    lambda: draw_backoff(low, low + (1 << 32) + 1, source))
+            _refuses_without_a_read(draws, rng.bit_generator,
+                                    lambda: draw_backoff(low, low + (1 << 32) + 1, draws))
 
 
 WIDE = [(1 << 31) + 1, (1 << 32) + 1]  # a rejection-heavy span, and one past 32 bits
@@ -218,29 +227,22 @@ class TestDrawBounds:
         assert draw_bounds(6, 25) != draw_bounds(6, 24)
 
 
-class _RecordingDraws:
-    """Records the bounds of each ``integers(low, high)`` call and returns ``low``."""
-
-    def __init__(self):
-        self.bounds = []
-
-    def integers(self, low, high):
-        self.bounds.append((low, high))
-        return low
-
-
 class TestDrawRanges:
     def test_every_stake_matches_subwindow_bounds(self):
-        # One integers() call per draw, over subwindow M - m + 1 shifted by one.
-        source, expected = _RecordingDraws(), []
+        # Each draw spans subwindow M - m + 1 shifted by one: a half of 1
+        # draws its low end, and the largest half its high end less one.
+        lowest, _ = scripted_draws([], repeat=1)
+        highest, _ = scripted_draws([], repeat=(1 << 32) - 1)
+        drawn, expected = [], []
         for m in range(1, 41):
             for window in [*range(m, 4 * m + 61), 1023, 9207]:
                 bounds = draw_bounds(m, window)
                 for stake in range(1, m + 1):
                     lo, hi = subwindow_bounds(m, m - stake + 1, window)
-                    assert draw_backoff(*bounds[stake], source) == lo + 1
+                    assert draw_backoff(*bounds[stake], lowest) == lo + 1
+                    drawn.append((lo + 1, draw_backoff(*bounds[stake], highest) + 1))
                     expected.append((lo + 1, hi + 1))
-        assert source.bounds == expected
+        assert drawn == expected
 
     def test_empty_subwindows_are_refused_before_any_draw(self):
         # A window below M leaves subwindow 1 empty, and the table refuses it
@@ -254,7 +256,7 @@ class TestDrawRanges:
     def test_interleaved_draws_match_a_twin_generator(self):
         # Switching (M, W) between draws must not reuse another pair's table.
         pairs = [(6, 9207), (10, 9207), (6, 24), (10, 20), (32, 1023), (1, 9207)]
-        rng = stream(5, 0, "backoff")
+        rng = source(5, 0, "backoff")
         twin = stream(5, 0, "backoff")
         picks = np.random.default_rng(1)
         for _ in range(3000):
@@ -267,7 +269,7 @@ class TestDrawRanges:
 
 class TestDrawBaseline:
     def test_full_range(self):
-        rng = stream(3, 0, "backoff")
+        rng = source(3, 0, "backoff")
         values = [draw_baseline_backoff(WINDOW, rng) for _ in range(2000)]
         assert min(values) >= 1
         assert max(values) <= WINDOW
@@ -276,11 +278,11 @@ class TestDrawBaseline:
         assert {next(k for k, hi in enumerate(highs) if v <= hi) for v in values} == set(range(6))
 
     def test_window_of_one_is_forced(self):
-        assert draw_baseline_backoff(1, stream(0, 0, "x")) == 1
+        assert draw_baseline_backoff(1, source(0, 0, "x")) == 1
 
     def test_replay_determinism(self):
-        a = draw_baseline_backoff(WINDOW, stream(4, 7, "backoff"))
-        b = draw_baseline_backoff(WINDOW, stream(4, 7, "backoff"))
+        a = draw_baseline_backoff(WINDOW, source(4, 7, "backoff"))
+        b = draw_baseline_backoff(WINDOW, source(4, 7, "backoff"))
         assert a == b
 
 
@@ -288,12 +290,12 @@ INT64_MIN = -(1 << 63)
 INT64_END = 1 << 63  # one past the largest int64
 
 
-def _refuses_without_a_read(source, bit_generator, draw):
-    """``draw()`` raises the source's span refusal, leaving its position and block as they were."""
-    before = source_position(source, bit_generator), list(source.halves)
+def _refuses_without_a_read(draws, bit_generator, draw):
+    """``draw()`` raises the span refusal, leaving the position and block of ``draws`` as they were."""
+    before = source_position(draws, bit_generator), list(draws.halves)
     with pytest.raises(ValueError, match=r"^span \d+ is above 2\*\*32, "):
         draw()
-    assert (source_position(source, bit_generator), source.halves) == before
+    assert (source_position(draws, bit_generator), draws.halves) == before
 
 
 @st.composite
@@ -324,9 +326,10 @@ BOUNDS = st.one_of(
 )
 
 
-def _outcome(source, low, high):
+def _outcome(draw, low, high):
+    """``draw(low, high)`` as an int, or the message of the ``ValueError`` it raises."""
     try:
-        return int(source.integers(low, high))
+        return int(draw(low, high))
     except ValueError as exc:
         return str(exc)
 
@@ -340,7 +343,7 @@ WIDE_BOUNDS = valid_bounds(st.one_of(
 
 
 class TestPcg64Draws:
-    """The raw-word draw source against ``Generator.integers`` on a twin generator."""
+    """The reference step ``integers`` on the raw-word source, against numpy's on a twin generator."""
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), warmup=st.integers(0, 3),
@@ -351,8 +354,10 @@ class TestPcg64Draws:
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         source = Pcg64Draws(ours.bit_generator)
         for _ in range(warmup):
-            assert source.integers(0, 7) == theirs.integers(0, 7)
-        assert [_outcome(source, *p) for p in pairs] == [_outcome(theirs, *p) for p in pairs]
+            assert integers(source, 0, 7) == theirs.integers(0, 7)
+        ours_draw = partial(integers, source)
+        assert [_outcome(ours_draw, *p) for p in pairs] == [_outcome(theirs.integers, *p)
+                                                            for p in pairs]
         assert source_position(source, ours.bit_generator) == numpy_position(theirs)
 
     @settings(max_examples=100, deadline=None)
@@ -365,7 +370,8 @@ class TestPcg64Draws:
         for rng, uinteger in ((stale_rng, stale), (clean, 0)):
             rng.bit_generator.state = {**rng.bit_generator.state,
                                        "has_uint32": 0, "uinteger": uinteger}
-        assert [_outcome(stale_rng, *p) for p in pairs] == [_outcome(clean, *p) for p in pairs]
+        assert ([_outcome(stale_rng.integers, *p) for p in pairs]
+                == [_outcome(clean.integers, *p) for p in pairs])
         assert numpy_position(stale_rng) == numpy_position(clean)
 
     @settings(max_examples=150, deadline=None)
@@ -377,10 +383,12 @@ class TestPcg64Draws:
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         source = Pcg64Draws(ours.bit_generator)
         for _ in range(warmup):
-            assert source.integers(0, 7) == theirs.integers(0, 7)
-        _refuses_without_a_read(source, ours.bit_generator, lambda: source.integers(*wide))
+            assert integers(source, 0, 7) == theirs.integers(0, 7)
+        _refuses_without_a_read(source, ours.bit_generator, lambda: integers(source, *wide))
         # The refused call leaves every later draw as the twin makes it.
-        assert [_outcome(source, *p) for p in pairs] == [_outcome(theirs, *p) for p in pairs]
+        ours_draw = partial(integers, source)
+        assert [_outcome(ours_draw, *p) for p in pairs] == [_outcome(theirs.integers, *p)
+                                                            for p in pairs]
         assert source_position(source, ours.bit_generator) == numpy_position(theirs)
 
     def test_rejection_path_runs(self):
@@ -390,7 +398,7 @@ class TestPcg64Draws:
         counted = counting_fetches(ours.bit_generator)
         source = Pcg64Draws(counted)
         span = (1 << 31) + 1
-        values = [source.integers(0, span) for _ in range(400)]
+        values = [integers(source, 0, span) for _ in range(400)]
         assert values == [int(theirs.integers(0, span)) for _ in range(400)]
         # 200 words serve 400 draws without rejection.
         assert sum(counted.fetched) - len(source.halves) // 2 > 300
@@ -400,7 +408,7 @@ class TestPcg64Draws:
         rng = stream(2, 0, "backoff")
         before = numpy_position(rng)
         source = Pcg64Draws(rng.bit_generator)
-        assert source.integers(5, 6) == 5
+        assert integers(source, 5, 6) == 5
         assert source_position(source, rng.bit_generator) == before
 
 
@@ -449,8 +457,14 @@ def _draw_outcome(source, m, stake, window):
         return str(exc)
 
 
+def _numpy_outcome(rng, m, stake, window):
+    """The outcome of the same call's range drawn by numpy's ``integers`` on ``rng``."""
+    lo, hi = subwindow_bounds(m, m - stake + 1, window) if stake else (0, window)
+    return _outcome(rng.integers, lo + 1, hi + 1)
+
+
 class TestInlineDraws:
-    """The draw functions on a ``Pcg64Draws`` against the same calls on a twin ``Generator``."""
+    """The draw functions on a ``Pcg64Draws`` against numpy's draws of their ranges on a twin."""
 
     # 2**32 mod (2**31 + 1) rejects nearly half the half-words, in both functions.
     @example(seed=9, warmup=1, calls=[(1, 0, (1 << 31) + 1)] * 200 + [(1, 1, (1 << 31) + 1)] * 200)
@@ -463,9 +477,9 @@ class TestInlineDraws:
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         source = Pcg64Draws(ours.bit_generator)
         for _ in range(warmup):
-            assert source.integers(0, 7) == theirs.integers(0, 7)
+            assert integers(source, 0, 7) == theirs.integers(0, 7)
         assert ([_draw_outcome(source, *call) for call in calls]
-                == [_draw_outcome(theirs, *call) for call in calls])
+                == [_numpy_outcome(theirs, *call) for call in calls])
         assert source_position(source, ours.bit_generator) == numpy_position(theirs)
 
     @settings(max_examples=150, deadline=None)
@@ -475,11 +489,11 @@ class TestInlineDraws:
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         source = Pcg64Draws(ours.bit_generator)
         for _ in range(warmup):
-            assert source.integers(0, 7) == theirs.integers(0, 7)
+            assert integers(source, 0, 7) == theirs.integers(0, 7)
         _refuses_without_a_read(source, ours.bit_generator,
                                 lambda: _draw(source, *wide))
         assert ([_draw_outcome(source, *call) for call in calls]
-                == [_draw_outcome(theirs, *call) for call in calls])
+                == [_numpy_outcome(theirs, *call) for call in calls])
         assert source_position(source, ours.bit_generator) == numpy_position(theirs)
 
 
@@ -511,7 +525,7 @@ class TestBlockBoundaries:
         source = Pcg64Draws(counted)
         calls = [call for step in steps for call in step if call is not None]
         assert ([_draw_outcome(source, *call) for call in calls]
-                == [_draw_outcome(theirs, *call) for call in calls])
+                == [_numpy_outcome(theirs, *call) for call in calls])
         assert source_position(source, ours.bit_generator) == numpy_position(theirs)
         # Every step reads at least a half-word, so more than 3 blocks were read.
         assert sum(counted.fetched) - len(source.halves) // 2 > 3 * BLOCK_WORDS

@@ -36,8 +36,9 @@ def mask(*packets):
     return packet_mask(packets)
 
 
-def rng():
-    return stream(0, 0, "backoff/0")
+def rng(seed=0):
+    """The draw source a scenario run hands the engine: a ``Pcg64Draws`` over a just-derived stream."""
+    return Pcg64Draws(stream(seed, 0, "backoff/0").bit_generator)
 
 
 # The walkthrough fleet: UAV 0 holds {w1,w2,w4}, UAV 1 {w2..w6},
@@ -176,7 +177,7 @@ class TestDecideRequest:
     def test_baseline_draw_has_no_subwindow(self):
         draws = []
         for seed in range(40):
-            draws += draw_requests([walkthrough_held()[2]], False, stream(seed, 0, "backoff/0"))
+            draws += draw_requests([walkthrough_held()[2]], False, rng(seed))
         assert all(1 <= d <= WINDOW for d in draws)
         # A priority draw for four missing would stay in subwindow 3.
         assert not all(in_subwindow(d, 3) for d in draws)
@@ -265,8 +266,8 @@ class TestStakeDrawsInPlace:
     @staticmethod
     def sources():
         """A ``Pcg64Draws`` over the test stream, its generator, and a twin source."""
-        ours = rng()
-        return Pcg64Draws(ours.bit_generator), ours.bit_generator, Pcg64Draws(rng().bit_generator)
+        ours = stream(0, 0, "backoff/0")
+        return Pcg64Draws(ours.bit_generator), ours.bit_generator, rng()
 
     @pytest.mark.parametrize("bounds", [BOUNDS, None], ids=["priority", "csma"])
     def test_only_listed_positions_are_written(self, bounds):

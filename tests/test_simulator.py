@@ -26,6 +26,7 @@ from uavex.experiments import (
 from uavex.mac import (
     Pcg64Draws,
     TimingConfig,
+    draw_backoff,
     frame_duration,
     subwindow_bounds,
 )
@@ -42,14 +43,39 @@ from uavex.simulator import (
 
 from reference import (
     counting_fetches,
+    half_for,
     numpy_position,
     per_point_full_set_rate,
     reference_exchange,
     replay_trace,
+    scripted_draws,
     source_position,
 )
 
 TIMING = TimingConfig()
+
+
+def record_draws(patch):
+    """Wrap protocol's two draw names, as perfbench does, and return the list of draws made.
+
+    Each draw appends ``(low, high, value, type of its source)``; a plain
+    CSMA draw over a window W spans [1, W + 1).
+    """
+    made = []
+
+    def priority(low, high, rng, _draw=protocol.draw_backoff):
+        value = _draw(low, high, rng)
+        made.append((low, high, value, type(rng)))
+        return value
+
+    def plain(window, rng, _draw=protocol.draw_baseline_backoff):
+        value = _draw(window, rng)
+        made.append((1, window + 1, value, type(rng)))
+        return value
+
+    patch.setattr(protocol, "draw_backoff", priority)
+    patch.setattr(protocol, "draw_baseline_backoff", plain)
+    return made
 
 # Fleet of the worked walkthrough: UAV 0 {w1,w2,w4}, UAV 1 {w2..w6},
 # UAV 2 {w3,w5}, UAV 3 {w1,w2,w3,w4,w6}.
@@ -500,17 +526,6 @@ class TestContentionWindowGuard:
             assert code == (1 if window < 2 * num_packets else 0), err.getvalue()
 
 
-class _RepeatingDraws:
-    """A faulty draw source: every draw is the low end of its bounds."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def integers(self, low, high):
-        self.calls += 1
-        return low
-
-
 def _streak_survival(g, w, rounds):
     """Exact chance that ``rounds`` more rounds all collide, at worst over g tied draws on 1..w.
 
@@ -539,12 +554,14 @@ class TestCollisionStreakCap:
         # Two UAVs want all three packets, so they draw equal backoffs forever.
         holdings = [IndicatorVector.from_mask(0, 3), IndicatorVector.from_mask(0, 3),
                     IndicatorVector.ones(3)]
-        source = _RepeatingDraws()
+        # A faulty source: every half is 1, which draws the low end of any
+        # span below 2**32 without a rejection, so each draw reads one half.
+        source, halves_read = scripted_draws([], repeat=1)
         with pytest.raises(RuntimeError, match="collision rounds in a row"):
             run_cluster_exchange(range(3), holdings, TIMING, scheme, source)
         cap = ((3).bit_length() + 1) * (60 + (2 * 3 * 4).bit_length())
         # The two first draws, then two redraws per collision round below the cap.
-        assert source.calls == 2 + 2 * cap
+        assert halves_read() == 2 + 2 * cap
 
     def test_the_narrowest_windows_never_raise(self):
         # W = 2M leaves 2 values per subwindow: the longest correct streaks.
@@ -673,16 +690,20 @@ def exchange_inputs(draw):
             draw(st.integers(0, 5)))
 
 
-class _ScriptedDraws:
-    """Hands out the given backoffs in order, each for the draw bounds ``(low, high)``."""
+def rejected_half(low, high):
+    """A half that [low, high) rejects: its product's low 32 bits fall under 2**32 mod span.
 
-    def __init__(self, values, bounds):
-        self.values = list(values)
-        self.bounds = bounds
-
-    def integers(self, low, high):
-        assert (low, high) == self.bounds
-        return self.values.pop(0)
+    The product's high bits are not 0, so a step that compared the whole
+    product with the threshold would keep it.
+    """
+    span = high - low
+    threshold = (1 << 32) % span
+    assert threshold, f"a span of {span} divides 2**32 and rejects nothing"
+    for k in range(1, span):
+        half = half_for(low + k, low, high) - 1
+        if half * span >> 32 and half * span & 0xFFFF_FFFF < threshold:
+            return half
+    raise AssertionError(f"no rejected half with a nonzero high part for a span of {span}")
 
 
 class TestReferenceExchange:
@@ -693,19 +714,22 @@ class TestReferenceExchange:
         """Equal results, equal trace text and equal stream end positions.
 
         The engine draws through ``Pcg64Draws``, as every scenario run does;
-        the reference draws with numpy's own ``integers``.
+        the reference draws through the reference step ``integers`` (numpy's
+        own, draw for draw: ``TestPcg64Draws``) from its own copy of the stream.
         """
         engine_rng, reference_rng = (stream(seed, 0, "backoff/0") for _ in range(2))
-        source = Pcg64Draws(engine_rng.bit_generator)
+        source, reference_source = (Pcg64Draws(rng.bit_generator)
+                                    for rng in (engine_rng, reference_rng))
         trace = []
         result = run_cluster_exchange(members, holdings, timing, scheme, source,
                                       trace=trace, cluster_id=cluster_id)
-        expected, lines = reference_exchange(members, holdings, timing, scheme, reference_rng,
+        expected, lines = reference_exchange(members, holdings, timing, scheme, reference_source,
                                              cluster_id=cluster_id)
         assert (result.exchange_count, result.delay_us, result.completed,
                 result.collision_count, result.unobtainable) == expected
         assert [trace_line(r) for r in trace] == lines
-        assert source_position(source, engine_rng.bit_generator) == numpy_position(reference_rng)
+        assert (source_position(source, engine_rng.bit_generator)
+                == source_position(reference_source, reference_rng.bit_generator))
         return trace
 
     @settings(max_examples=300, deadline=None)
@@ -750,30 +774,64 @@ class TestReferenceExchange:
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("window, holder", [(2, 0), (3, 1), (24, 0), (61, 1)])
-    def test_single_packet_mean_delay_is_exact(self, scheme, window, holder):
+    def test_single_packet_mean_delay_is_exact(self, scheme, window, holder, monkeypatch):
         # Both draws are uniform on [1, T], so the mean delay over all T^2
         # pairs is 2 DIFS + 2 preamble + payload + (T + 1).
         timing = replace(TIMING, cw_total_us=window)
         holdings = {holder: IndicatorVector((1,)), 1 - holder: IndicatorVector((0,))}
+        made = record_draws(monkeypatch)
         totals = [Fraction(0), Fraction(0)]
         for first in range(1, window + 1):
             for second in range(1, window + 1):
-                engine_src, reference_src = (
-                    _ScriptedDraws((first, second), (1, window + 1)) for _ in range(2)
+                halves = [half_for(value, 1, window + 1) for value in (first, second)]
+                (engine_src, engine_read), (reference_src, reference_read) = (
+                    scripted_draws(halves) for _ in range(2)
                 )
                 result = run_cluster_exchange([0, 1], holdings, timing, scheme, engine_src)
                 expected, _ = reference_exchange([0, 1], holdings, timing, scheme,
                                                  reference_src)
-                assert engine_src.values == reference_src.values == []
+                assert engine_read() == reference_read() == 2
                 totals[0] += result.delay_us
                 totals[1] += expected[1]
+        # Every draw of the engine spanned the whole window.
+        assert {draw[:2] for draw in made} == {(1, window + 1)}
         exact = (2 * timing.difs_us + 2 * timing.preamble_us + timing.payload_us_per_packet
                  + window + 1)
         assert [total / window**2 for total in totals] == [exact, exact]
 
+    @pytest.mark.parametrize("scheme", [Scheme.MECHANISM_ONLY, Scheme.BASELINE_CSMA])
+    @pytest.mark.parametrize("rejected", [0, 4], ids=["request-round", "reply-round"])
+    def test_a_rejected_half_is_redrawn_as_the_reference_redraws_it(
+        self, scheme, rejected, monkeypatch
+    ):
+        # The walkthrough fleet at seed 42 opens with four request draws, and
+        # its first round is a clean request, so draw 4 is a reply draw. At
+        # W = 9207 a real stream rejects about one half in 2e6, so the halves
+        # are scripted: the same draws, with a rejected half before draw
+        # ``rejected``, feed both the engine and the reference.
+        made = record_draws(monkeypatch)
+        first = self.check(list(FIG_HOLDINGS), FIG_HOLDINGS, TIMING, scheme, 42)
+        assert first[0].event == "request" and len(made) > 4
+        halves = [half_for(value, low, high) for low, high, value, _ in made]
+        low, high = made[rejected][:2]
+        halves.insert(rejected, rejected_half(low, high))
+        del made[:]
+        (source, read), (reference_source, reference_read) = (
+            scripted_draws(halves) for _ in range(2))
+        trace = []
+        result = run_cluster_exchange(list(FIG_HOLDINGS), FIG_HOLDINGS, TIMING, scheme, source,
+                                      trace=trace)
+        expected, lines = reference_exchange(list(FIG_HOLDINGS), FIG_HOLDINGS, TIMING, scheme,
+                                             reference_source)
+        assert (result.exchange_count, result.delay_us, result.completed,
+                result.collision_count, result.unobtainable) == expected
+        assert [trace_line(r) for r in trace] == lines == [trace_line(r) for r in first]
+        # Every half was read, the rejected one included, and no more.
+        assert read() == reference_read() == len(halves) == len(made) + 1
+
 
 class _CountingRng:
-    """Forwards ``integers`` to a generator and counts the calls: one per backoff draw."""
+    """Forwards ``integers`` to a generator and counts the calls: one per tie-break draw."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -785,10 +843,12 @@ class _CountingRng:
 
 
 def backoff_consumption(config, run_index, timing=TIMING):
-    """Draw counts per cluster and a digest of each ``backoff/<cluster>`` state after the exchange.
+    """Draw counts per cluster and a digest of each ``backoff/<cluster>`` position after the exchange.
 
     The goldens catch changed draw values; this also catches an extra or a
-    missing trailing draw, which leaves every printed figure unchanged.
+    missing trailing draw, which leaves every printed figure unchanged. Each
+    exchange draws through a ``Pcg64Draws``, as in a scenario run, and its
+    draws are counted at protocol's two draw names.
     """
     seed = config.seed
     receipts = sample_initial_receipts(
@@ -800,13 +860,16 @@ def backoff_consumption(config, run_index, timing=TIMING):
     )
     draws = []
     digest = hashlib.sha256()
-    for cluster_id, group in enumerate(assignment.members):
-        rng = stream(seed, run_index, f"backoff/{cluster_id}")
-        counted = _CountingRng(rng)
-        run_cluster_exchange(group, {u: receipts[u] for u in group}, timing,
-                             config.scheme, counted)
-        draws.append(counted.draws)
-        digest.update(repr((counted.draws, rng.bit_generator.state)).encode())
+    with pytest.MonkeyPatch.context() as patch:
+        made = record_draws(patch)
+        for cluster_id, group in enumerate(assignment.members):
+            bit_generator = stream(seed, run_index, f"backoff/{cluster_id}").bit_generator
+            source = Pcg64Draws(bit_generator)
+            del made[:]
+            run_cluster_exchange(group, {u: receipts[u] for u in group}, timing,
+                                 config.scheme, source)
+            draws.append(len(made))
+            digest.update(repr((len(made), source_position(source, bit_generator))).encode())
     return tuple(draws), digest.hexdigest()[:16]
 
 
@@ -816,23 +879,23 @@ def _ref10(scheme):
 
 # The inputs of the golden traces: (scheme, run index, cw_total_us).
 GOLDEN_TRACE_INPUTS = {
-    ("proposed", 0, 9207): ((9, 10, 7), "5df03f14b2a7ca3c"),
-    ("mechanism_only", 0, 9207): ((30,), "dff2dd6bfbabeb7e"),
-    ("baseline_csma", 0, 9207): ((50,), "38eda309d20272c2"),
-    ("mechanism_only", 0, 24): ((40,), "c2da13e4857c0d60"),
-    ("baseline_csma", 17, 24): ((67,), "cb3d95a83a0d7691"),
-    ("proposed", 106, 9207): ((10, 20, 11), "0db76026c182b76f"),
+    ("proposed", 0, 9207): ((9, 10, 7), "7036146401e58856"),
+    ("mechanism_only", 0, 9207): ((30,), "1c24633e2faf6fe3"),
+    ("baseline_csma", 0, 9207): ((50,), "92ffc042644241a0"),
+    ("mechanism_only", 0, 24): ((40,), "df720bef4ca29ba8"),
+    ("baseline_csma", 17, 24): ((67,), "51695dc12de6a108"),
+    ("proposed", 106, 9207): ((10, 20, 11), "6897b8011e9e3e64"),
 }
 
 # REF20 (U=20/M=10/rho=0.6/N=6) seed 0, runs 0..19: total draws of each run
-# and one digest over every run's per-cluster counts and states.
+# and one digest over every run's per-cluster counts and end positions.
 REF20_RUNS = {
     "proposed": ([72, 81, 73, 85, 75, 80, 75, 75, 68, 83,
-                  69, 80, 68, 72, 76, 83, 73, 70, 80, 78], "008394aeba31cdcb"),
+                  69, 80, 68, 72, 76, 83, 73, 70, 80, 78], "f17218392cb0a56b"),
     "mechanism_only": ([90, 94, 73, 115, 74, 94, 89, 90, 88, 96,
-                        73, 95, 71, 105, 91, 75, 65, 99, 73, 71], "f4886b03f453141d"),
+                        73, 95, 71, 105, 91, 75, 65, 99, 73, 71], "bec7a12b7cf7dcc9"),
     "baseline_csma": ([125, 148, 129, 171, 176, 182, 130, 143, 199, 154,
-                       172, 134, 135, 119, 133, 154, 186, 149, 184, 175], "0276c4735b05b4af"),
+                       172, 134, 135, 119, 133, 154, 186, 149, 184, 175], "72e214d4379f0fc5"),
 }
 
 
@@ -934,17 +997,7 @@ class TestDrawCallsPerRun:
         first draws of each cluster included.
         """
         # perfbench counts draws at these globals, so each draw must still be one call.
-        sources = set()
-        calls = []
-        for name in ("draw_backoff", "draw_baseline_backoff"):
-            original = getattr(protocol, name)
-
-            def counted(*args, _original=original):
-                calls.append(1)
-                sources.add(type(args[-1]))
-                return _original(*args)
-
-            monkeypatch.setattr(protocol, name, counted)
+        calls = record_draws(monkeypatch)
         # perfbench counts protocol calls at the simulator's protocol imports.
         events = []
         stake_draws = simulator.stake_draws
@@ -962,7 +1015,7 @@ class TestDrawCallsPerRun:
             channel_events = sum(r.event in ("request", "reply", "collision") for r in trace)
             assert len(events) - events_before == len(result.cluster_results) + channel_events
             collisions += sum(r.event == "collision" for r in trace)
-        return totals, collisions, sources
+        return totals, collisions, {draw[3] for draw in calls}
 
     @pytest.mark.parametrize("scheme", sorted(REF20_RUNS))
     def test_ref20_draw_calls_through_protocol_globals(self, scheme, monkeypatch):
@@ -1024,10 +1077,10 @@ class TestBackoffSourceOwnership:
         # A span of 1024 divides 2**32, so no draw is rejected: a stray pending
         # half-word would show in the very first value.
         bounds = [(0, 1024), (1, 1536), (1, 9208), (3069, 4604), (1, 25), (1, 2**32 + 1)] * 8
-        assert [source.integers(*b) for b in bounds] == [twin.integers(*b) for b in bounds]
+        assert [draw_backoff(*b, source) for b in bounds] == [twin.integers(*b) for b in bounds]
         # A span above 2**32 is refused, and reads no half-word.
         with pytest.raises(ValueError, match=r"above 2\*\*32"):
-            source.integers(1, 2**40)
+            draw_backoff(1, 2**40, source)
         assert (counted.reads, counted.writes) == (0, 0)
         assert source_position(source, counted) == numpy_position(twin)
 
@@ -1039,6 +1092,46 @@ class TestBackoffSourceOwnership:
         run_cluster_exchange(list(FIG_HOLDINGS), FIG_HOLDINGS, TIMING, Scheme.MECHANISM_ONLY, twin)
         assert len(twin.halves) % 2 == 1  # the exchange ends on a pending half-word
         assert numpy_position(rng) == source_position(twin, bit_generator)
+
+    def test_a_generator_with_a_pending_half_draws_and_ends_as_numpy_does(self, monkeypatch):
+        made = record_draws(monkeypatch)
+        rng, twin = stream(1, 0, "backoff/0"), stream(1, 0, "backoff/0")
+        for generator in (rng, twin):
+            generator.integers(0, 7)  # an odd warm-up leaves a half-word pending
+        assert numpy_position(rng)[1] == 1
+        run_cluster_exchange(list(FIG_HOLDINGS), FIG_HOLDINGS, TIMING, Scheme.MECHANISM_ONLY, rng)
+        assert made and [value for *_, value, _ in made] == [
+            int(twin.integers(low, high)) for low, high, *_ in made]
+        assert numpy_position(rng) == numpy_position(twin)
+
+    @pytest.mark.parametrize("scheme", [Scheme.MECHANISM_ONLY, Scheme.BASELINE_CSMA])
+    @pytest.mark.parametrize("draws_before", [0, 1, 4, 7])
+    def test_an_exception_mid_exchange_leaves_a_generator_after_the_draws_made(
+        self, scheme, draws_before, monkeypatch
+    ):
+        # The exchange makes more than 7 draws; the one after ``draws_before``
+        # raises, and a twin that made the same draws with numpy stands where
+        # the generator is left.
+        class Interrupted(Exception):
+            pass
+
+        made = record_draws(monkeypatch)
+        name = "draw_backoff" if scheme.uses_priority_backoff else "draw_baseline_backoff"
+        recorded = getattr(protocol, name)
+
+        def interrupted(*args):
+            if len(made) == draws_before:
+                raise Interrupted
+            return recorded(*args)
+
+        monkeypatch.setattr(protocol, name, interrupted)
+        rng, twin = stream(1, 0, "backoff/0"), stream(1, 0, "backoff/0")
+        with pytest.raises(Interrupted):
+            run_cluster_exchange(list(FIG_HOLDINGS), FIG_HOLDINGS, TIMING, scheme, rng)
+        assert len(made) == draws_before
+        assert [value for *_, value, _ in made] == [
+            int(twin.integers(low, high)) for low, high, *_ in made]
+        assert numpy_position(rng) == numpy_position(twin)
 
     def test_engine_never_touches_the_state_of_a_source_it_was_handed(self):
         counted = _StateCounter(stream(1, 0, "backoff/0").bit_generator)
