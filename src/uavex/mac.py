@@ -6,23 +6,26 @@ subwindows as there are packets in the scenario. A node whose stake is
 a replier) draws uniformly inside subwindow ``M - m + 1``, so a higher stake
 always yields a strictly shorter backoff than a lower one; ``draw_bounds``
 builds every stake's draw range once per (packet count, window), and a draw
-only picks inside the range it is given. A scenario run hands the engine a
-``Pcg64Draws`` over each just-derived backoff stream, which replays numpy's
-bounded-int algorithm over one list of the 32-bit halves of the stream's raw
+only picks inside the range it is given. Both draw functions take a
+``Pcg64Draws`` only: one list of the 32-bit halves of a PCG64 stream's raw
 words, fetched in blocks (its position counts a block's unread words as not
-yet drawn). ``TimingConfig`` caps the window at 2**32 us, so every span the
-model draws, from 2 to 2**32, takes that source's one 32-bit step; the draw
-functions run it in their own frame, and make one ``integers(low, high)``
-call for any other span or rng, a plain ``Generator`` included. Every
-frame's air time is the preamble plus the payload of the data packets it
-carries: a reply carries the packets it supplies, and a request, a control
-frame, is the frame that carries none.
+yet drawn), over which each draw replays numpy's bounded-int step in its own
+frame. A scenario run hands the engine one over each just-derived backoff
+stream, and ``lent_draws`` lends one over a plain ``Generator`` and hands its
+position back. ``TimingConfig`` caps the window at 2**32 us and an exchange
+needs at least 2 us per subwindow, so every span the model draws lies in
+[2, 2**32]; the draw functions check no span. Every frame's air time is the
+preamble plus the payload of the data packets it carries: a reply carries
+the packets it supplies, and a request, a control frame, is the frame that
+carries none.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -83,64 +86,68 @@ def draw_bounds(num_packets: int, window_us: int) -> DrawBounds:
     return (None, *((lo + 1, hi + 1) for lo, hi in ranges))
 
 
-def draw_backoff(low: int, high: int, rng: Rng) -> int:
-    """Uniform integer draw, in us, in [low, high): a ``draw_bounds`` entry, per draw."""
+def draw_backoff(low: int, high: int, rng: Pcg64Draws) -> int:
+    """Uniform integer draw, in us, in [low, high): a ``draw_bounds`` entry, per draw.
+
+    The value and the half-words read are those of numpy's
+    ``Generator.integers`` over [low, high) on ``rng``'s stream (see
+    ``Pcg64Draws``), for a span ``high - low`` from 2 to 2**32, as every
+    range of an accepted window has. The span is not checked: a span of 1
+    would read a half-word, where numpy reads none. The step is written out
+    here, not called, because a method call per draw would cost a second
+    Python frame on the engine's hottest path.
+    """
     span = high - low
-    if type(rng) is Pcg64Draws and 1 < span <= 1 << 32 and high <= 1 << 63:
-        # Pcg64Draws.integers' 32-bit step, inlined: a method call per draw
-        # would cost a second Python frame on the engine's hottest path.
-        try:
-            m = rng.halves.pop() * span
-        except IndexError:
+    try:
+        m = rng.halves.pop() * span
+    except IndexError:
+        m = rng._next32() * span
+    if (m & 0xFFFF_FFFF) < span:
+        threshold = (1 << 32) % span
+        while (m & 0xFFFF_FFFF) < threshold:
             m = rng._next32() * span
-        if (m & 0xFFFF_FFFF) < span:
-            threshold = (1 << 32) % span
-            while (m & 0xFFFF_FFFF) < threshold:
-                m = rng._next32() * span
-        return low + (m >> 32)
-    return int(rng.integers(low, high))
+    return low + (m >> 32)
 
 
-def draw_baseline_backoff(window_us: int, rng: Rng) -> int:
-    """Uniform integer draw, in us, over the whole window, as plain CSMA/CA would do."""
-    if type(rng) is Pcg64Draws and 1 < window_us <= 1 << 32:
-        # The same inlined step as in draw_backoff, over [1, window_us].
-        try:
-            m = rng.halves.pop() * window_us
-        except IndexError:
+def draw_baseline_backoff(window_us: int, rng: Pcg64Draws) -> int:
+    """Uniform integer draw, in us, over [1, window_us], as plain CSMA/CA would do.
+
+    ``draw_backoff``'s step over the span ``window_us``, which must lie in
+    [2, 2**32], as every accepted window does, and is not checked.
+    """
+    try:
+        m = rng.halves.pop() * window_us
+    except IndexError:
+        m = rng._next32() * window_us
+    if (m & 0xFFFF_FFFF) < window_us:
+        threshold = (1 << 32) % window_us
+        while (m & 0xFFFF_FFFF) < threshold:
             m = rng._next32() * window_us
-        if (m & 0xFFFF_FFFF) < window_us:
-            threshold = (1 << 32) % window_us
-            while (m & 0xFFFF_FFFF) < threshold:
-                m = rng._next32() * window_us
-        return 1 + (m >> 32)
-    return int(rng.integers(1, window_us + 1))
+    return 1 + (m >> 32)
 
 
 class Pcg64Draws:
-    """``Generator.integers(low, high)`` for scalar ints, replayed from PCG64's raw words.
+    """The draw source of ``draw_backoff`` and ``draw_baseline_backoff``: PCG64's raw words.
 
     numpy bounds an int64 draw with Lemire's nearly divisionless method
     (D. Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
     29(1), 2019): spans up to 2**32 on 32-bit words, which PCG64 serves as the
     low and then the high half of one raw word, keeping the high half pending
     between draws. (numpy returns a bare half-word for a span of exactly
-    2**32, which is what the method gives there too.) This does the same in
-    Python over ``halves``: the 32-bit halves of a block of ``BLOCK_WORDS``
-    raw words that one ``random_raw`` call fetches, low half first, stored
-    reversed so that ``pop()`` gives the next half; an odd length means a
-    high half is pending. Each result, each error and the word position then
-    match numpy's draw for draw on a twin generator, without numpy's per-call
-    overhead, and backoff values rest on PCG64's raw output, not on numpy's
-    choice of draw algorithm. The position is the generator's less the
-    ``len(halves) // 2`` whole words not yet read. A wider span, which numpy
-    draws from whole raw words, is refused before any half-word is read: no
-    window the model accepts needs one.
+    2**32, which is what the method gives there too.) The draw functions do
+    the same in Python over ``halves``: the 32-bit halves of a block of
+    ``BLOCK_WORDS`` raw words that one ``random_raw`` call fetches, low half
+    first, stored reversed so that ``pop()`` gives the next half; an odd
+    length means a high half is pending. Each value and the word position
+    then match numpy's draw for draw on a twin generator, without numpy's
+    per-call overhead, and backoff values rest on PCG64's raw output, not on
+    numpy's choice of draw algorithm. The position is the generator's less
+    the ``len(halves) // 2`` whole words not yet read.
 
     The source starts with no pending half-word, as a PCG64 seeded just now
     does, and reads nothing from the generator's state; it keeps its pending
     half-word to itself, so the generator should be drawn from through this
-    source alone.
+    source alone, or lent through ``lent_draws``, which hands it back.
     """
 
     __slots__ = ("_fetch", "halves")
@@ -148,30 +155,6 @@ class Pcg64Draws:
     def __init__(self, bit_generator: np.random.PCG64) -> None:
         self._fetch = bit_generator.random_raw
         self.halves: list[int] = []
-
-    def integers(self, low: int, high: int) -> int:
-        """A uniform int in [low, high), as ``Generator.integers(low, high)`` would draw it.
-
-        numpy's errors come first; a span above 2**32 is then refused before
-        any half-word is read.
-        """
-        span = high - low
-        if low < -(1 << 63):
-            raise ValueError("low is out of bounds for int64")
-        if high > 1 << 63:
-            raise ValueError("high is out of bounds for int64")
-        if span < 1:
-            raise ValueError("low >= high")
-        if span == 1:
-            return low  # numpy draws nothing for a single value
-        if span > 1 << 32:
-            raise ValueError(f"span {span} is above 2**32, the widest a 32-bit half-word draws")
-        m = self._next32() * span
-        if (m & 0xFFFF_FFFF) < span:
-            threshold = (1 << 32) % span
-            while (m & 0xFFFF_FFFF) < threshold:
-                m = self._next32() * span
-        return low + (m >> 32)
 
     def _next32(self) -> int:
         if not self.halves:
@@ -181,6 +164,33 @@ class Pcg64Draws:
     def _block(self) -> list[int]:
         """The halves of ``BLOCK_WORDS`` new raw words, low half first, reversed for ``pop``."""
         return self._fetch(BLOCK_WORDS).astype("<u8", copy=False).view("<u4")[::-1].tolist()
+
+
+@contextmanager
+def lent_draws(generator: Rng) -> Iterator[Pcg64Draws]:
+    """A ``Pcg64Draws`` over a PCG64 ``generator``, lent from where the generator stands.
+
+    The source starts from the generator's pending half-word, if it has one.
+    On exit, an exception included, it hands the position back: the
+    generator is rewound by the whole words fetched but not read, and the
+    half-word left pending, if any, is pending in it again. So the generator
+    stands where numpy's own ``integers`` would have left it after the same
+    draws. A generator over another bit generator is refused before its
+    state is read.
+    """
+    bit_generator = generator.bit_generator
+    if type(bit_generator) is not np.random.PCG64:
+        raise ValueError(f"backoff draws need a PCG64 stream, got {type(bit_generator).__name__}")
+    source = Pcg64Draws(bit_generator)
+    state = bit_generator.state
+    source.halves = [state["uinteger"]] if state["has_uint32"] else []
+    try:
+        yield source
+    finally:
+        halves = source.halves
+        bit_generator.advance(-(len(halves) // 2))  # this also drops a pending half-word
+        if len(halves) & 1:
+            bit_generator.state = {**bit_generator.state, "has_uint32": 1, "uinteger": halves[-1]}
 
 
 def frame_duration(data_packet_count: int, timing: TimingConfig) -> int:

@@ -26,13 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import PacketId, Rng, UavId, packet_label
-from .mac import DrawBounds, draw_backoff, draw_baseline_backoff
+from .core import PacketId, UavId, packet_label
+from .mac import DrawBounds, Pcg64Draws, draw_backoff, draw_baseline_backoff
 
 
 def stake_draws(
     held: list[int], uavs: Sequence[int], flip: int, keep: int, bounds: DrawBounds | None,
-    window: int, rng: Rng, draws: list[int],
+    window: int, rng: Pcg64Draws, draws: list[int],
 ) -> None:
     """Write ``draws[i]`` for each position i in ``uavs``, in order, sized by its stake.
 

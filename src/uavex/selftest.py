@@ -15,7 +15,7 @@ import numpy as np
 
 from .clustering import ClusterAssignment, InfeasibleClusterCount, _check_feasible, cluster_network
 from .core import IndicatorVector, Scheme, UavId, stream
-from .mac import Pcg64Draws, TimingConfig, draw_backoff, draw_bounds, subwindow_bounds
+from .mac import Pcg64Draws, TimingConfig, draw_backoff, draw_bounds, lent_draws, subwindow_bounds
 from .protocol import TraceRecord
 from .simulator import ClusterResult, _run_exchange, sample_initial_receipts
 
@@ -76,13 +76,18 @@ def check_subwindow_tiling(max_packets: int) -> None:
 
 
 def check_backoff_priority(rng: np.random.Generator, pairs: int) -> None:
-    """A larger stake always draws a strictly shorter backoff, on random stake pairs."""
+    """A larger stake always draws a strictly shorter backoff, on random stake pairs.
+
+    Each pair draws through a ``Pcg64Draws`` lent over ``rng`` and handed
+    back, so ``rng`` stands where numpy's own draws would leave it.
+    """
     window = TimingConfig().cw_total_us
     for trial in range(pairs):
         m = int(rng.integers(2, 17))
         low, high = sorted(rng.choice(np.arange(1, m + 1), size=2, replace=False))
         bounds = draw_bounds(m, window)
-        eager, lazy = draw_backoff(*bounds[high], rng), draw_backoff(*bounds[low], rng)
+        with lent_draws(rng) as draws:
+            eager, lazy = draw_backoff(*bounds[high], draws), draw_backoff(*bounds[low], draws)
         if not eager < lazy:
             raise AssertionError(
                 f"pair {trial} (M={m}): stake {high} drew {eager} us, "

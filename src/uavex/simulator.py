@@ -43,7 +43,7 @@ import numpy as np
 from . import core  # core.stream is read at call time, so rebinding it reaches every call
 from .clustering import cluster_network, reads_tie_break
 from .core import IndicatorVector, Rng, ScenarioConfig, Scheme, UavId, mask_packets
-from .mac import DrawBounds, Pcg64Draws, TimingConfig, draw_bounds, frame_duration
+from .mac import DrawBounds, Pcg64Draws, TimingConfig, draw_bounds, frame_duration, lent_draws
 from .protocol import TraceRecord, stake_draws
 
 _DEFAULT_TIMING = TimingConfig()  # one shared instance for every run given no timing
@@ -137,10 +137,12 @@ def run_cluster_exchange(
     ``holdings[u]`` is member u's vector, from a mapping or a sequence.
     Members that cannot complete (their cluster holds no copy of a wanted
     packet) end by declaring those packets unobtainable; that is reported in
-    the result, not raised. Draws come from ``rng`` as given: a ``Pcg64Draws``
-    through its raw-word step, anything else, a plain ``Generator`` included,
-    through its own ``integers``, so a ``Generator`` ends where numpy's draws
-    leave it.
+    the result, not raised. Draws come from ``rng``: a ``Pcg64Draws`` is
+    drawn from as given, and a plain PCG64 ``Generator`` through a source
+    that ``mac.lent_draws`` lends and hands back when the exchange ends, an
+    exception included, so the ``Generator`` ends where numpy's own draws
+    leave it. A ``Generator`` over another bit generator is refused with a
+    ``ValueError``.
     """
     return _run_exchange(members, holdings, timing, scheme, rng, trace, cluster_id)[0]
 
@@ -174,7 +176,10 @@ def _run_exchange(
         raise ValueError(f"cluster members {order} must be distinct and hold vectors of "
                          f"one length, got lengths {[holdings[u].length for u in order]}")
     bounds = draw_bounds(num_packets, timing.cw_total_us) if scheme.uses_priority_backoff else None
-    return _exchange(order, held, num_packets, timing, bounds, rng, trace, cluster_id), held
+    if type(rng) is Pcg64Draws:
+        return _exchange(order, held, num_packets, timing, bounds, rng, trace, cluster_id), held
+    with lent_draws(rng) as source:
+        return _exchange(order, held, num_packets, timing, bounds, source, trace, cluster_id), held
 
 
 @lru_cache(maxsize=64)  # int keys hash and compare faster than a TimingConfig
@@ -186,7 +191,7 @@ def _air_times(num_packets: int, preamble_us: int, payload_us_per_packet: int) -
 
 def _exchange(
     order: list[UavId], held: list[int], num_packets: int, timing: TimingConfig,
-    bounds: DrawBounds | None, rng: Rng | Pcg64Draws, trace: list[TraceRecord] | None,
+    bounds: DrawBounds | None, rng: Pcg64Draws, trace: list[TraceRecord] | None,
     cluster_id: int,
 ) -> ClusterResult:
     """Run contention rounds until every member is done; ``held`` is updated in place.

@@ -287,7 +287,7 @@ def reference_exchange(members, holdings, timing, scheme, rng, cluster_id=0):
 
 
 def integers(source, low, high):
-    """A uniform int in [low, high), drawn from ``source`` as ``Generator.integers(low, high)`` would.
+    """A uniform int in [low, high), drawn from ``source`` as ``Generator.integers`` would.
 
     numpy bounds a scalar int64 draw with Lemire's nearly divisionless method
     (D. Lemire, ACM TOMACS 29(1), 2019). A span up to 2**32 takes 32-bit

@@ -1,4 +1,4 @@
-"""Demo and ``uavex selftest`` outputs pinned byte for byte, so a refactor keeps what they print."""
+"""Demo and ``uavex selftest`` outputs, pinned byte for byte so a refactor keeps what they print."""
 
 import runpy
 from pathlib import Path

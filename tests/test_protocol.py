@@ -37,7 +37,7 @@ def mask(*packets):
 
 
 def rng(seed=0):
-    """The draw source a scenario run hands the engine: a ``Pcg64Draws`` over a just-derived stream."""
+    """A ``Pcg64Draws`` over a just-derived stream, as a scenario run hands the engine."""
     return Pcg64Draws(stream(seed, 0, "backoff/0").bit_generator)
 
 

@@ -77,6 +77,7 @@ def record_draws(patch):
     patch.setattr(protocol, "draw_baseline_backoff", plain)
     return made
 
+
 # Fleet of the worked walkthrough: UAV 0 {w1,w2,w4}, UAV 1 {w2..w6},
 # UAV 2 {w3,w5}, UAV 3 {w1,w2,w3,w4,w6}.
 FIG_HOLDINGS = {
@@ -843,7 +844,7 @@ class _CountingRng:
 
 
 def backoff_consumption(config, run_index, timing=TIMING):
-    """Draw counts per cluster and a digest of each ``backoff/<cluster>`` position after the exchange.
+    """Draw counts per cluster and a digest of each ``backoff/<cluster>`` end position.
 
     The goldens catch changed draw values; this also catches an extra or a
     missing trailing draw, which leaves every printed figure unchanged. Each
@@ -917,12 +918,15 @@ class TestBackoffStreamConsumption:
 
 
 def _exchanges_on_both_paths(config, run_index, timing=TIMING):
-    """Each cluster's exchange through ``Pcg64Draws`` and on the bare ``Generator``.
+    """Each cluster's exchange on a handed ``Pcg64Draws`` and on a plain ``Generator``.
 
     Both paths draw from their own copy of the ``backoff/<cluster>`` stream:
-    the source through the engine's inlined raw-word step, the generator
-    through numpy's own ``integers``. Returns (fast, slow) lists of the
-    result, the trace lines and the end position of the stream.
+    the engine draws through the source it is handed, and through one it
+    lends over the generator and hands back. Returns (fast, slow) lists of the
+    result, the trace lines, the values drawn and the end position of the
+    stream. The slow path's values are numpy's own ``integers`` over the
+    ranges it drew, from a third copy of the stream, which must end where the
+    generator does.
     """
     seed = config.seed
     receipts = sample_initial_receipts(
@@ -932,22 +936,30 @@ def _exchanges_on_both_paths(config, run_index, timing=TIMING):
     assignment = cluster_network(
         receipts, clusters_for_scheme(config), stream(seed, run_index, "tie-break")
     )
-    paths = ([], [])
-    for cluster_id, group in enumerate(assignment.members):
-        ours, theirs = (stream(seed, run_index, f"backoff/{cluster_id}") for _ in range(2))
-        source = Pcg64Draws(ours.bit_generator)
-        for outcomes, rng in zip(paths, (source, theirs)):
-            trace = []
-            result = run_cluster_exchange(group, {u: receipts[u] for u in group}, timing,
-                                          config.scheme, rng, trace=trace)
-            end = (numpy_position(theirs) if rng is theirs
-                   else source_position(source, ours.bit_generator))
-            outcomes.append((result, [trace_line(r) for r in trace], end))
-    return paths
+    fast, slow = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        made = record_draws(patch)
+        for cluster_id, group in enumerate(assignment.members):
+            ours, theirs, twin = (stream(seed, run_index, f"backoff/{cluster_id}")
+                                  for _ in range(3))
+            source = Pcg64Draws(ours.bit_generator)
+            for outcomes, rng in ((fast, source), (slow, theirs)):
+                del made[:]
+                trace = []
+                result = run_cluster_exchange(group, {u: receipts[u] for u in group}, timing,
+                                              config.scheme, rng, trace=trace)
+                outcomes.append([result, [trace_line(r) for r in trace],
+                                 [value for *_, value, _ in made]])
+            # The lent path's values give way to numpy's over the same ranges.
+            slow[-1][2] = [int(twin.integers(low, high)) for low, high, *_ in made]
+            fast[-1].append(source_position(source, ours.bit_generator))
+            slow[-1].append(numpy_position(theirs))
+            assert numpy_position(twin) == slow[-1][3]
+    return fast, slow
 
 
 class TestFastDrawPath:
-    """The engine's raw-word draws replay numpy's on every input the consumption pins cover."""
+    """The engine replays numpy's draws, on a handed source and a lent ``Generator`` alike."""
 
     @pytest.mark.parametrize("key", sorted(GOLDEN_TRACE_INPUTS))
     def test_golden_trace_inputs(self, key):
@@ -1078,9 +1090,6 @@ class TestBackoffSourceOwnership:
         # half-word would show in the very first value.
         bounds = [(0, 1024), (1, 1536), (1, 9208), (3069, 4604), (1, 25), (1, 2**32 + 1)] * 8
         assert [draw_backoff(*b, source) for b in bounds] == [twin.integers(*b) for b in bounds]
-        # A span above 2**32 is refused, and reads no half-word.
-        with pytest.raises(ValueError, match=r"above 2\*\*32"):
-            draw_backoff(1, 2**40, source)
         assert (counted.reads, counted.writes) == (0, 0)
         assert source_position(source, counted) == numpy_position(twin)
 
@@ -1132,6 +1141,15 @@ class TestBackoffSourceOwnership:
         assert [value for *_, value, _ in made] == [
             int(twin.integers(low, high)) for low, high, *_ in made]
         assert numpy_position(rng) == numpy_position(twin)
+
+    def test_a_generator_over_another_bit_generator_is_refused_untouched(self):
+        rng, twin = (np.random.Generator(np.random.MT19937(0)) for _ in range(2))
+        rng.random()  # an odd warm-up: MT19937 keeps no half-word, but its position moves
+        twin.random()
+        with pytest.raises(ValueError, match="^backoff draws need a PCG64 stream, got MT19937$"):
+            run_cluster_exchange(list(FIG_HOLDINGS), FIG_HOLDINGS, TIMING, Scheme.MECHANISM_ONLY,
+                                 rng)
+        assert rng.integers(0, 1 << 62, 64).tolist() == twin.integers(0, 1 << 62, 64).tolist()
 
     def test_engine_never_touches_the_state_of_a_source_it_was_handed(self):
         counted = _StateCounter(stream(1, 0, "backoff/0").bit_generator)
