@@ -175,22 +175,27 @@ def lent_draws(generator: Rng) -> Iterator[Pcg64Draws]:
     generator is rewound by the whole words fetched but not read, and the
     half-word left pending, if any, is pending in it again. So the generator
     stands where numpy's own ``integers`` would have left it after the same
-    draws. A generator over another bit generator is refused before its
-    state is read.
+    draws, its whole ``state`` dict included: numpy's ``uinteger`` keeps the
+    high half of the last word read, pending or drawn (its entry value if no
+    word was read), and so does the handed-back generator's. A generator over
+    another bit generator is refused before its state is read.
     """
     bit_generator = generator.bit_generator
     if type(bit_generator) is not np.random.PCG64:
         raise ValueError(f"backoff draws need a PCG64 stream, got {type(bit_generator).__name__}")
     source = Pcg64Draws(bit_generator)
-    state = bit_generator.state
-    source.halves = [state["uinteger"]] if state["has_uint32"] else []
+    entry = bit_generator.state
+    source.halves = [entry["uinteger"]] if entry["has_uint32"] else []
     try:
         yield source
     finally:
         halves = source.halves
-        bit_generator.advance(-(len(halves) // 2))  # this also drops a pending half-word
-        if len(halves) & 1:
-            bit_generator.state = {**bit_generator.state, "has_uint32": 1, "uinteger": halves[-1]}
+        bit_generator.advance(-(len(halves) // 2))  # this also zeroes numpy's uinteger
+        state, uinteger = bit_generator.state, entry["uinteger"]
+        if state["state"] != entry["state"]:  # re-read the last word read for its high half
+            bit_generator.advance(-1)
+            uinteger = int(bit_generator.random_raw()) >> 32
+        bit_generator.state = {**state, "has_uint32": len(halves) & 1, "uinteger": uinteger}
 
 
 def frame_duration(data_packet_count: int, timing: TimingConfig) -> int:
