@@ -29,7 +29,7 @@ masks = [v.mask for v in fleet]
 print("pairwise Hamming distances:")
 for i in range(len(fleet)):
     for j in range(i + 1, len(fleet)):
-        print(f"  uav{i} vs uav{j}: {hamming_distance(masks[i], masks[j])}")
+        print(f"  uav{i} vs uav{j}: {hamming_distance(masks[i] ^ masks[j])}")
 
 members, pool = initialize_clusters(masks, 2, stream(0, 0, "tie-break"))
 print(f"\nseeds after pair extraction: {members}, pool: {pool}")
