@@ -26,7 +26,7 @@ print("\n2000 draws per class, observed ranges:")
 for m_lost in (6, 3, 1):
     draws = [draw_backoff(*BOUNDS[m_lost], rng) for _ in range(2000)]
     print(f"  m={m_lost}: min {min(draws):>5}, mean {np.mean(draws):7.1f}, max {max(draws):>5}")
-baseline = [draw_baseline_backoff(WINDOW, rng) for _ in range(2000)]
+baseline = [draw_baseline_backoff(1, WINDOW + 1, rng) for _ in range(2000)]
 print(f"  plain: min {min(baseline):>5}, mean {np.mean(baseline):7.1f}, max {max(baseline):>5}")
 
 print("\npriority is strict, not just statistical:")

@@ -6,18 +6,19 @@ subwindows as there are packets in the scenario. A node whose stake is
 a replier) draws uniformly inside subwindow ``M - m + 1``, so a higher stake
 always yields a strictly shorter backoff than a lower one; ``draw_bounds``
 builds every stake's draw range once per (packet count, window), and a draw
-only picks inside the range it is given. Both draw functions take a
-``Pcg64Draws`` only: one list of the 32-bit halves of a PCG64 stream's raw
-words, fetched in blocks (its position counts a block's unread words as not
-yet drawn), over which each draw replays numpy's bounded-int step in its own
-frame. A scenario run hands the engine one over each just-derived backoff
-stream, and ``lent_draws`` lends one over a plain ``Generator`` and hands its
-position back. ``TimingConfig`` caps the window at 2**32 us and an exchange
-needs at least 2 us per subwindow, so every span the model draws lies in
-[2, 2**32]; the draw functions check no span. Every frame's air time is the
-preamble plus the payload of the data packets it carries: a reply carries
-the packets it supplies, and a request, a control frame, is the frame that
-carries none.
+only picks inside the range it is given. Plain CSMA/CA draws anywhere in
+the window, over [1, W + 1), through the same step: ``draw_baseline_backoff``
+is ``draw_backoff`` under a second name. The step takes a ``Pcg64Draws``
+only: one list of the 32-bit halves of a PCG64 stream's raw words, fetched
+in blocks (its position counts a block's unread words as not yet drawn),
+over which each draw replays numpy's bounded-int step in its own frame. A
+scenario run hands the engine one over each just-derived backoff stream, and
+``lent_draws`` lends one over a plain ``Generator`` and hands its position
+back. ``TimingConfig`` caps the window at 2**32 us and an exchange needs at
+least 2 us per subwindow, so every span the model draws lies in [2, 2**32];
+the step checks no span. Every frame's air time is the preamble plus the
+payload of the data packets it carries: a reply carries the packets it
+supplies, and a request, a control frame, is the frame that carries none.
 """
 
 from __future__ import annotations
@@ -109,32 +110,19 @@ def draw_backoff(low: int, high: int, rng: Pcg64Draws) -> int:
     return low + (m >> 32)
 
 
-def draw_baseline_backoff(window_us: int, rng: Pcg64Draws) -> int:
-    """Uniform integer draw, in us, over [1, window_us], as plain CSMA/CA would do.
-
-    ``draw_backoff``'s step over the span ``window_us``, which must lie in
-    [2, 2**32], as every accepted window does, and is not checked.
-    """
-    try:
-        m = rng.halves.pop() * window_us
-    except IndexError:
-        m = rng._next32() * window_us
-    if (m & 0xFFFF_FFFF) < window_us:
-        threshold = (1 << 32) % window_us
-        while (m & 0xFFFF_FFFF) < threshold:
-            m = rng._next32() * window_us
-    return 1 + (m >> 32)
+# Plain CSMA/CA draws over [1, W] as [1, W + 1); the name stays while perfbench wraps it.
+draw_baseline_backoff = draw_backoff
 
 
 class Pcg64Draws:
-    """The draw source of ``draw_backoff`` and ``draw_baseline_backoff``: PCG64's raw words.
+    """The draw source of ``draw_backoff``: PCG64's raw words.
 
     numpy bounds an int64 draw with Lemire's nearly divisionless method
     (D. Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
     29(1), 2019): spans up to 2**32 on 32-bit words, which PCG64 serves as the
     low and then the high half of one raw word, keeping the high half pending
     between draws. (numpy returns a bare half-word for a span of exactly
-    2**32, which is what the method gives there too.) The draw functions do
+    2**32, which is what the method gives there too.) ``draw_backoff`` does
     the same in Python over ``halves``: the 32-bit halves of a block of
     ``BLOCK_WORDS`` raw words that one ``random_raw`` call fetches, low half
     first, stored reversed so that ``pop()`` gives the next half; an odd

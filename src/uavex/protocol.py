@@ -15,10 +15,11 @@ consumed by transmitting.
 
 The exchange loop calls it once per channel event, to write in place the
 first request draws, a clean request's reply draws, a collision's redraws or
-a clean reply's redraws. Each draw is one call of this module's
-``draw_backoff`` or ``draw_baseline_backoff``, looked up when it is made, so
-a cluster's stream is consumed in event order and, within an event, in the
-order of the positions given.
+a clean reply's redraws. Each draw is one call of mac's one bounded-draw
+step, looked up when it is made: as this module's ``draw_backoff`` over a
+stake's range, or as its ``draw_baseline_backoff`` over [1, W + 1), the same
+function under the plain-CSMA name. So a cluster's stream is consumed in
+event order and, within an event, in the order of the positions given.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ def stake_draws(
     an empty stake writes 0. Other positions are left as they are.
     """
     if bounds is None:
+        top = window + 1
         for i in uavs:
-            draws[i] = draw_baseline_backoff(window, rng) if (held[i] ^ flip) & keep else 0
+            draws[i] = draw_baseline_backoff(1, top, rng) if (held[i] ^ flip) & keep else 0
         return
     for i in uavs:
         if stake := (held[i] ^ flip) & keep:

@@ -344,11 +344,17 @@ class TestClusterNetwork:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_oracle_equivalence_wide_fleets(self, data):
-        # Up to 24 UAVs and 130 packets, so masks wider than 64 bits take part.
+        # Up to 24 UAVs and 300 packets, so masks wider than 64 bits and
+        # distances above 255 (past a byte-wide distance table) take part.
+        # Half the fleets are that wide, and a mask is drawn or complemented,
+        # so near-complementary pairs, the ones that reach such distances,
+        # are common.
         num_uavs = data.draw(st.integers(2, 24), label="U")
-        num_packets = data.draw(st.integers(1, 130), label="M")
-        masks = data.draw(st.lists(st.integers(0, (1 << num_packets) - 1),
-                                   min_size=num_uavs, max_size=num_uavs), label="masks")
+        num_packets = data.draw(st.one_of(st.integers(1, 300), st.integers(256, 300)), label="M")
+        full = (1 << num_packets) - 1
+        mask_or_complement = st.integers(0, full).flatmap(lambda m: st.sampled_from([m, m ^ full]))
+        masks = data.draw(st.lists(mask_or_complement, min_size=num_uavs, max_size=num_uavs),
+                          label="masks")
         n = data.draw(st.sampled_from(feasible_counts(num_uavs)), label="N")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         vectors = [IndicatorVector.from_mask(mask, num_packets) for mask in masks]

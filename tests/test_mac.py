@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from uavex import protocol
 from uavex.core import stream
 from uavex.mac import (
     BLOCK_WORDS,
@@ -280,9 +281,15 @@ class TestDrawRanges:
 
 
 class TestDrawBaseline:
+    def test_is_the_one_bounded_step(self):
+        # Plain CSMA draws over [1, W + 1) through draw_backoff itself, so a
+        # second copy of the inlined step cannot come back unnoticed.
+        assert draw_baseline_backoff is draw_backoff
+        assert protocol.draw_baseline_backoff is protocol.draw_backoff
+
     def test_full_range(self):
         rng = source(3, 0, "backoff")
-        values = [draw_baseline_backoff(WINDOW, rng) for _ in range(2000)]
+        values = [draw_baseline_backoff(1, WINDOW + 1, rng) for _ in range(2000)]
         assert min(values) >= 1
         assert max(values) <= WINDOW
         # Not confined to one priority subwindow: all six of M=6 are hit.
@@ -290,11 +297,11 @@ class TestDrawBaseline:
         assert {next(k for k, hi in enumerate(highs) if v <= hi) for v in values} == set(range(6))
 
     def test_window_of_one_is_forced(self):
-        assert draw_baseline_backoff(1, source(0, 0, "x")) == 1
+        assert draw_baseline_backoff(1, 2, source(0, 0, "x")) == 1
 
     def test_replay_determinism(self):
-        a = draw_baseline_backoff(WINDOW, source(4, 7, "backoff"))
-        b = draw_baseline_backoff(WINDOW, source(4, 7, "backoff"))
+        a = draw_baseline_backoff(1, WINDOW + 1, source(4, 7, "backoff"))
+        b = draw_baseline_backoff(1, WINDOW + 1, source(4, 7, "backoff"))
         assert a == b
 
 
@@ -446,7 +453,7 @@ def _draw(source, m, stake, window):
     if stake:
         lo, hi = subwindow_bounds(m, m - stake + 1, window)
         return draw_backoff(lo + 1, hi + 1, source)
-    return draw_baseline_backoff(window, source)
+    return draw_baseline_backoff(1, window + 1, source)
 
 
 def _numpy_draw(rng, m, stake, window):
@@ -458,7 +465,7 @@ def _numpy_draw(rng, m, stake, window):
 class TestInlineDraws:
     """The draw functions on a ``Pcg64Draws`` against numpy's draws of their ranges on a twin."""
 
-    # 2**32 mod (2**31 + 1) rejects nearly half the half-words, in both functions.
+    # 2**32 mod (2**31 + 1) rejects nearly half the half-words, under both names.
     @example(seed=9, warmup=1, calls=[(1, 0, (1 << 31) + 1)] * 200 + [(1, 1, (1 << 31) + 1)] * 200)
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), warmup=st.integers(0, 3),

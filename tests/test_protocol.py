@@ -301,7 +301,7 @@ class TestStakeDrawsInPlace:
 
         def twin_draw(stake):
             if bounds is None:
-                return draw_baseline_backoff(WINDOW, twin)
+                return draw_baseline_backoff(1, WINDOW + 1, twin)
             return draw_backoff(*bounds[stake], twin)
 
         expected = [twin_draw(1), twin_draw(3), twin_draw(4)]  # positions 3, 0 and 2

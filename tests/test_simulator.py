@@ -59,23 +59,19 @@ TIMING = TimingConfig()
 def record_draws(patch):
     """Wrap protocol's two draw names, as perfbench does, and return the list of draws made.
 
-    Each draw appends ``(low, high, value, type of its source)``; a plain
-    CSMA draw over a window W spans [1, W + 1).
+    Both names are the one bounded-draw step. Each draw appends ``(low, high,
+    value, type of its source)``; a plain CSMA draw over a window W spans
+    [1, W + 1).
     """
     made = []
 
-    def priority(low, high, rng, _draw=protocol.draw_backoff):
+    def recorded(low, high, rng, _draw=protocol.draw_backoff):
         value = _draw(low, high, rng)
         made.append((low, high, value, type(rng)))
         return value
 
-    def plain(window, rng, _draw=protocol.draw_baseline_backoff):
-        value = _draw(window, rng)
-        made.append((1, window + 1, value, type(rng)))
-        return value
-
-    patch.setattr(protocol, "draw_backoff", priority)
-    patch.setattr(protocol, "draw_baseline_backoff", plain)
+    patch.setattr(protocol, "draw_backoff", recorded)
+    patch.setattr(protocol, "draw_baseline_backoff", recorded)
     return made
 
 
